@@ -1,11 +1,14 @@
 """Differentiable operations: the fixed layer inventory plus graph glue.
 
 Layout convention is channels-last: images are (B, H, W, C), token matrices
-are (B, P, D). Convolutions are 3x3 with zero padding at stride 1 or 2,
-lowered to nine batched matmuls over kernel offsets; the offset-major column
-tensor is kept alive for the backward pass. Backward closures hand freshly
-allocated arrays to `accumulate_grad(..., fresh=True)` so no defensive
-copies happen on the hot path.
+are (B, P, D). Convolutions are 3x3 with zero padding at stride 1 or 2 and
+are lowered to GEMM in one of two ways (see `conv2d` for the shape rule):
+im2col builds a (B*OH*OW, 9*C) column matrix and does one GEMM, and is kept
+alive when the weight needs a gradient, because dW is then a single K=9C
+GEMM; the stride-1 shifted lowering adds nine GEMMs over row-shifted slices
+of the flat padded input and never builds the column matrix. Backward
+closures hand freshly allocated arrays to `accumulate_grad(..., fresh=True)`
+so no defensive copies happen on the hot path.
 """
 
 from __future__ import annotations
@@ -287,7 +290,10 @@ def _im2col_flat(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
 
 
 def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Forward conv pass; returns (output 4-D, pooled column matrix or None)."""
+    """im2col conv, one GEMM; returns (output 4-D, pooled column matrix or None).
+
+    Also the reference that tests hold the shifted lowering to.
+    """
     kh, kw, cin, cout = w4.shape
     bb, h, ww_, _ = x.shape
     oh = (h + 2 - kh) // stride + 1
@@ -301,18 +307,86 @@ def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tu
     return y.reshape(bb, oh, ow, cout), col
 
 
+# Shape rule and block size of the shifted lowering, set from the per-shape
+# timings recorded in CHANGES.md (B=32, float32, 2-thread OpenBLAS).
+_SHIFT_MIN_HW = 256  # at 8x8, im2col's one GEMM beats nine thin ones
+_SHIFT_MIN_C = 16  # thin inputs (conv_in, C=5): the nine K=C GEMMs cost more than the copy
+_SHIFT_BLOCK_ROWS = 2048  # rows per block: input slice, product and accumulator stay in L2
+
+
+def _conv_shifted(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """Stride-1 3x3 conv as nine shifted GEMMs; no column matrix is built.
+
+    The input is padded once to (B, H+2, W+2, C) and viewed as rows. Output
+    pixel (b, i, j) is anchored at row r = (b*(H+2) + i)*(W+2) + j and reads
+    tap (ki, kj) from row r + ki*(W+2) + kj, so each tap adds one GEMM of a
+    row-shifted slice. Anchors in the padding give junk rows that the final
+    crop drops. Rows go in L2-sized blocks through one reused product buffer.
+    Only numpy's matmul is used: scipy's BLAS wrappers load a second OpenBLAS
+    and switching between the two libraries costs milliseconds per call.
+    """
+    bb, h, w, c = x.shape
+    cout = w4.shape[3]
+    hp, wp = h + 2, w + 2
+    dtype = np.result_type(x, w4)
+    xp = _POOL.acquire((bb, hp, wp, c), dtype)
+    xp[:, [0, -1]] = 0
+    xp[:, :, [0, -1]] = 0
+    xp[:, 1:-1, 1:-1] = x
+    rows = xp.reshape(bb * hp * wp, c)
+    wk = w4.astype(dtype, copy=False)
+    taps = [(ki * wp + kj, wk[ki, kj]) for ki in range(3) for kj in range(3)]
+    n = bb * hp * wp - 2 * wp - 2  # one past the last valid anchor
+    yp = _POOL.acquire((bb, hp, wp, cout), dtype)
+    acc_rows = yp.reshape(bb * hp * wp, cout)
+    prod = np.empty((min(_SHIFT_BLOCK_ROWS, n), cout), dtype)
+    for r0 in range(0, n, _SHIFT_BLOCK_ROWS):
+        r1 = min(n, r0 + _SHIFT_BLOCK_ROWS)
+        acc = acc_rows[r0:r1]
+        p = prod[: r1 - r0]
+        np.matmul(rows[r0:r1], taps[0][1], out=acc)
+        for off, wt in taps[1:]:
+            np.matmul(rows[r0 + off : r1 + off], wt, out=p)
+            acc += p
+    y = yp[:, :h, :w].copy()
+    _POOL.release(xp)
+    _POOL.release(yp)
+    return y
+
+
+def _conv_s1_nocol(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """Stride-1 conv whose column matrix is not needed afterwards."""
+    _, h, w, c = x.shape
+    if h * w >= _SHIFT_MIN_HW and c >= _SHIFT_MIN_C:
+        return _conv_shifted(x, w4)
+    return _conv_gemm(x, w4, 1, keep_col=False)[0]
+
+
 def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     """3x3 zero-padded convolution, stride 1 or 2.
 
     x: (B, H, W, Cin), w: (3, 3, Cin, Cout), b: (Cout,).
+
+    Lowering, chosen by shape:
+    - the weight needs a gradient: im2col, and the column matrix is kept,
+      because dW is then one K=9*Cin GEMM, about 2x cheaper than nine
+      shifted ones;
+    - otherwise, at stride 1 with H*W >= 256 and Cin >= 16: the shifted
+      lowering, which skips the 9x-input column copy and keeps nothing;
+    - otherwise (8x8 maps, thin inputs, stride 2): im2col, column dropped.
+    The stride-1 input gradient is a convolution of g with the rotated
+    kernel and follows the same rule with Cout in place of Cin.
     """
     x, w = as_tensor(x), as_tensor(w)
     kh, kw, cin, cout = w.data.shape
     bb, h, ww_, c = x.data.shape
     if c != cin:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
-    need_graph = w.requires_grad or x.requires_grad or (b is not None and as_tensor(b).requires_grad)
-    out4, col = _conv_gemm(x.data, w.data, stride, keep_col=need_graph and grad_enabled())
+    need_wgrad = w.requires_grad and grad_enabled()
+    if stride == 1 and not need_wgrad:
+        out4, col = _conv_s1_nocol(x.data, w.data), None
+    else:
+        out4, col = _conv_gemm(x.data, w.data, stride, keep_col=need_wgrad)
     if b is not None:
         b = as_tensor(b)
         out4 += b.data
@@ -321,7 +395,7 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, cout)
-        if w.requires_grad:
+        if need_wgrad:
             w.accumulate_grad(
                 (col.reshape(bb * oh * ow, 9 * cin).T @ g2).reshape(kh, kw, cin, cout), fresh=True
             )
@@ -331,10 +405,9 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
         if x.requires_grad:
             if stride == 1:
                 # input gradient is a convolution of g with the rotated,
-                # transposed kernel; reuses the fat-GEMM path
+                # transposed kernel
                 w_rot = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-                dx, _ = _conv_gemm(g, w_rot, 1, keep_col=False)
-                x.accumulate_grad(dx, fresh=True)
+                x.accumulate_grad(_conv_s1_nocol(g, w_rot), fresh=True)
             else:
                 dcol = (g2 @ w.data.reshape(kh * kw * cin, cout).T).reshape(bb, oh, ow, kh, kw, cin)
                 dxp = np.zeros((bb, h + 2, ww_ + 2, cin), dtype=g.dtype)
@@ -518,19 +591,6 @@ def upsample_nearest2x(x) -> Tensor:
             t = g.reshape(bb * h2 * (w2 // 2), 2, c).sum(axis=1)
             t = t.reshape(bb, h2 // 2, 2, (w2 // 2) * c).sum(axis=2)
             x.accumulate_grad(t.reshape(bb, h2 // 2, w2 // 2, c), fresh=True)
-
-    return make_node(out, (x,), backward)
-
-
-def downsample_nearest2x(x) -> Tensor:
-    x = as_tensor(x)
-    out = x.data[:, ::2, ::2, :].copy()
-
-    def backward(g):
-        if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            dx[:, ::2, ::2, :] = g
-            x.accumulate_grad(dx, fresh=True)
 
     return make_node(out, (x,), backward)
 

@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+# the gradcheck inventory is read at collection time; these imports register
+# the model-level cases (unet_small, brainmod_*) whatever the collection order
+import bold2img.brainmod  # noqa: F401
+import bold2img.diffgen  # noqa: F401
 from bold2img.substrate import (
     LrSchedule,
     OptimizerState,
@@ -229,6 +233,81 @@ def test_layer_norm_zero_variance_returns_shift():
     b = Tensor(np.full(8, 0.5, dtype=np.float32))
     y = ops.layer_norm(Tensor(np.full((3, 8), 4.0, dtype=np.float32)), g, b)
     np.testing.assert_allclose(y.data, 0.5, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# convolution lowerings: the shifted-GEMM kernel against the im2col reference
+
+_CONV_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def _rel_err(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+def _anchor_rows(shape):
+    """Rows the shifted kernel computes for a (B, H, W, C) input."""
+    b, h, w, _ = shape
+    return b * (h + 2) * (w + 2) - 2 * (w + 2) - 2
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", [(np.float64,) * 2, (np.float32,) * 2, (np.float32, np.float64)])
+@pytest.mark.parametrize(
+    "shape, cout, block",
+    [
+        ((2, 17, 23, 16), 3, "below"),
+        ((2, 17, 23, 16), 3, "equal"),
+        ((2, 17, 23, 16), 3, "remainder"),
+        ((1, 9, 5, 7), 4, "remainder"),
+        ((2, 33, 31, 16), 8, "default"),
+    ],
+)
+def test_conv_shifted_matches_im2col(shape, cout, block, x_dtype, w_dtype, monkeypatch):
+    n = _anchor_rows(shape)
+    rows = {"below": n + 1, "equal": n, "remainder": 64 if n % 64 else 63, "default": ops._SHIFT_BLOCK_ROWS}[block]
+    assert n % rows or block == "equal"
+    monkeypatch.setattr(ops, "_SHIFT_BLOCK_ROWS", rows)
+    key = RngKey(21, ("conv_shifted", str(shape)))
+    x = key.child("x").normal(shape, 1.0, x_dtype)
+    w = key.child("w").normal((3, 3, shape[3], cout), 0.3, w_dtype)
+    y = ops._conv_shifted(x, w)
+    ref, _ = ops._conv_gemm(x, w, 1, keep_col=False)
+    assert y.dtype == ref.dtype == np.result_type(x, w)
+    assert y.shape == ref.shape == shape[:3] + (cout,)
+    assert _rel_err(y, ref) <= _CONV_TOL[np.result_type(x, w).type]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "shape, cout, stride, w_grad, shifted_calls",
+    [
+        ((1, 16, 16, 16), 16, 1, False, 2),  # frozen weight: forward and input grad
+        ((2, 17, 23, 16), 24, 1, False, 2),
+        ((1, 16, 16, 16), 16, 1, True, 1),  # trainable weight: im2col forward for dW
+        ((1, 16, 16, 5), 16, 1, False, 1),  # thin input: im2col forward
+        ((1, 16, 16, 16), 3, 1, False, 1),  # g has 3 channels: im2col input grad
+        ((1, 8, 8, 16), 16, 1, False, 0),  # 8x8 maps stay on im2col
+        ((1, 32, 32, 16), 16, 2, False, 0),  # stride 2 stays on im2col
+    ],
+)
+def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, shifted_calls, dtype, monkeypatch):
+    calls = []
+    shifted = ops._conv_shifted
+    monkeypatch.setattr(ops, "_conv_shifted", lambda x, w: calls.append(x.shape) or shifted(x, w))
+    key = RngKey(23, ("conv_rule", str(shape)))
+    xd = key.child("x").normal(shape, 1.0, dtype)
+    wd = key.child("w").normal((3, 3, shape[3], cout), 0.3, dtype)
+    x = Tensor(xd, requires_grad=True)
+    y = ops.conv2d(x, Tensor(wd, requires_grad=w_grad), stride=stride)
+    ref, _ = ops._conv_gemm(xd, wd, stride, keep_col=False)
+    assert y.data.dtype == ref.dtype and _rel_err(y.data, ref) <= _CONV_TOL[dtype]
+    g = key.child("g").normal(y.shape, 1.0, dtype)
+    ops.scale(ops.mean(ops.mul(y, Tensor(g))), float(g.size)).backward()
+    assert len(calls) == shifted_calls
+    if stride == 1:
+        w_rot = np.ascontiguousarray(wd[::-1, ::-1].transpose(0, 1, 3, 2))
+        dx_ref, _ = ops._conv_gemm(g, w_rot, 1, keep_col=False)
+        assert x.grad.dtype == dx_ref.dtype and _rel_err(x.grad, dx_ref) <= _CONV_TOL[dtype]
 
 
 # ---------------------------------------------------------------------------
