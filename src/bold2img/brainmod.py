@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prep import Epoch
 from .substrate import ops
 from .substrate.gradcheck import register
 from .substrate.params import ParamStore
@@ -89,11 +88,6 @@ def add_subject_layers(store: ParamStore, config: BrainModuleConfig, sid: str, n
     store.add(f"brain/tstep/{sid}/b", np.zeros((m, 1, h), dtype=np.float32))
 
 
-def subject_param_names(store: ParamStore, sid: str) -> list[str]:
-    prefix = (f"brain/subject/{sid}/", f"brain/tstep/{sid}/")
-    return [n for n in store.names() if n.startswith(prefix)]
-
-
 def brain_forward_batch(
     x: np.ndarray,
     store: ParamStore,
@@ -140,18 +134,6 @@ def brain_forward_batch(
 
     tokens = ops.linear(u, store["brain/out/w"], store["brain/out/b"])
     return ops.reshape(tokens, (b, config.tokens, config.token_dim))
-
-
-def brain_forward(
-    epoch: Epoch,
-    store: ParamStore,
-    config: BrainModuleConfig,
-    training: bool = False,
-    key: RngKey | None = None,
-) -> Tensor:
-    """Tokens for one window: (C, T) -> (P, D)."""
-    out = brain_forward_batch(epoch.X[None], store, config, epoch.subject_id, training, key)
-    return ops.reshape(out, (config.tokens, config.token_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .trainer import (
     infer,
     load_train_state,
     pretrain_generator,
-    train_multi_subject,
     train_single_stage,
 )
 
@@ -286,8 +285,8 @@ def cmd_train(config, args):
         ckpt = adapt_new_subject(
             args.from_ckpt, manifest, split, args.adapt_subject, args.sessions_used, tc, out
         )
-    elif args.multi_subject:
-        ckpt = train_multi_subject(manifest, split, config["paths"]["pretrain"], tc, out, subjects or manifest.subject_ids)
+    elif args.multi_subject and len(subjects or manifest.subject_ids) < 2:
+        raise ValueError("multi-subject training needs at least 2 subjects")
     else:
         ckpt = train_single_stage(manifest, split, config["paths"]["pretrain"], tc, out, subjects=subjects)
     _write_resolved(config, "train", vars(args), out)

@@ -8,8 +8,6 @@ math matches the usual W + (alpha/r) B A with row-vector inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..substrate import ops
@@ -19,23 +17,6 @@ from ..substrate.tensor import Tensor
 
 LORA_RANK = 4
 LORA_ALPHA = 4.0
-
-
-@dataclass
-class LoraAdapter:
-    a: np.ndarray  # (r, d_in)
-    b: np.ndarray  # (d_out, r)
-    rank: int = LORA_RANK
-    alpha: float = LORA_ALPHA
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
-
-
-def lora_apply(x: np.ndarray, w: np.ndarray, adapter: LoraAdapter) -> np.ndarray:
-    """(W + (alpha/r) B A) x, evaluated as W x + (alpha/r) B (A x)."""
-    return w @ x + adapter.scale * (adapter.b @ (adapter.a @ x))
 
 
 def add_lora_params(store: ParamStore, key: RngKey, site: str, proj: str, d_in: int, d_out: int,
@@ -63,7 +44,3 @@ def lora_linear(
         b = store[f"lora/{site}/{proj}/b"]
         y = ops.add(y, ops.scale(ops.linear(ops.linear(x, a), b), alpha / rank))
     return y
-
-
-def lora_param_names(store: ParamStore) -> list[str]:
-    return [n for n in store.names() if n.startswith("lora/")]

@@ -147,10 +147,6 @@ def create_lora_adapters(config: UNetConfig, key: RngKey, store: ParamStore) -> 
     return store
 
 
-def unet_param_names(store: ParamStore) -> list[str]:
-    return [n for n in store.names() if n.startswith("unet/")]
-
-
 def unet_linear_param_names(store: ParamStore) -> list[str]:
     """The dense (non-conv) layers: attention projections and timestep MLPs."""
     keys = ("/q/", "/k/", "/v/", "/o/", "/temb")

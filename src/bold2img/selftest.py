@@ -11,18 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from .diffgen import (
-    LoraAdapter,
+    add_lora_params,
     bicubic_cdf,
     cfg_combine,
     ddim_sample,
-    lora_apply,
+    lora_linear,
     make_schedule,
     q_sample,
     sample_timestep_bicubic,
 )
 from .evalkit import segment_by_palette
 from .prep import dct_basis, detrend, first_window_index, zscore
-from .substrate import OptimizerState, ParamStore, RngKey, adamw_step, gradcheck, registered_ops
+from .substrate import OptimizerState, ParamStore, RngKey, Tensor, adamw_step, gradcheck, registered_ops
 from .substrate.checkpoint import load_checkpoint, save_checkpoint
 from .substrate.gradcheck import make_case
 from .synthcortex import DEFAULT_PALETTE, FmriRun, RunTimeline, render_mask, render_scene, sample_scene
@@ -63,10 +63,13 @@ def _check_schedule() -> str | None:
 
 def _check_lora_cfg_ddim() -> str | None:
     key = RngKey(1, ("selftest", "lora"))
-    w = key.child("w").normal((6, 5)).astype(np.float64)
-    x = key.child("x").normal((5,)).astype(np.float64)
-    adapter = LoraAdapter(a=key.child("a").normal((4, 5)).astype(np.float64), b=np.zeros((6, 4)))
-    if not np.array_equal(lora_apply(x, w, adapter), w @ x):
+    store = ParamStore()
+    store.add("w", key.child("w").normal((5, 6), 1.0, np.float64))
+    store.add("b", key.child("b").normal((6,), 1.0, np.float64))
+    add_lora_params(store, key, "site", "q", 5, 6)
+    x = Tensor(key.child("x").normal((2, 5), 1.0, np.float64))
+    adapted = lora_linear(x, store, "w", "b", "site", "q", use_lora=True)
+    if not np.array_equal(adapted.data, lora_linear(x, store, "w", "b", "site", "q", use_lora=False).data):
         return "zero-B adapter changed the projection"
     c = key.child("c").normal((8,))
     u = key.child("u").normal((8,))

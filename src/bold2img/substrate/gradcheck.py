@@ -60,14 +60,14 @@ def _factory_linear(key: RngKey):
     return p, [key.child("x").normal((5, 4), 1.0, np.float64)]
 
 
-def _factory_conv(stride):
-    def f(key: RngKey):
-        p = ParamStore()
-        p.add("w", key.child("w").normal((3, 3, 4, 6), 0.3, np.float64))
-        p.add("b", key.child("b").normal((6,), 0.3, np.float64))
-        return p, [key.child("x").normal((2, 8, 8, 4), 1.0, np.float64)]
-
-    return f
+def _factory_conv(key: RngKey):
+    # 8x8 maps and 4 input channels keep the input gradient on im2col (and, at
+    # stride 2, on the strided scatter)
+    p = ParamStore()
+    p.add("x", key.child("x").normal((2, 8, 8, 4), 1.0, np.float64))
+    p.add("w", key.child("w").normal((3, 3, 4, 6), 0.3, np.float64))
+    p.add("b", key.child("b").normal((6,), 0.3, np.float64))
+    return p, []
 
 
 def _factory_conv_frozen(key: RngKey):
@@ -110,8 +110,8 @@ def _factory_attention(key: RngKey):
 
 
 register("linear", lambda p, ins: ops.linear(Tensor(ins[0]), p["w"], p["b"]), _factory_linear)
-register("conv2d_s1", lambda p, ins: ops.conv2d(Tensor(ins[0]), p["w"], p["b"], stride=1), _factory_conv(1))
-register("conv2d_s2", lambda p, ins: ops.conv2d(Tensor(ins[0]), p["w"], p["b"], stride=2), _factory_conv(2))
+register("conv2d_s1", lambda p, ins: ops.conv2d(p["x"], p["w"], p["b"], stride=1), _factory_conv)
+register("conv2d_s2", lambda p, ins: ops.conv2d(p["x"], p["w"], p["b"], stride=2), _factory_conv)
 register(
     "conv2d_s1_frozen", lambda p, ins: ops.conv2d(p["x"], Tensor(ins[0]), Tensor(ins[1]), stride=1), _factory_conv_frozen
 )

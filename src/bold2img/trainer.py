@@ -1,5 +1,7 @@
-"""Training orchestration: generator pretraining, single-stage joint training,
-finetuning regimes, multi-subject training, new-subject adaptation, inference.
+"""Training orchestration: one step loop drives generator pretraining and the
+joint stage (one subject, several subjects, or adaptation to a new subject);
+each phase supplies only its batch loss and LR schedule. Also the finetuning
+regimes and inference.
 
 One parameter store carries everything (unet/*, brain/*, lora/*, cond/*);
 a regime is just a trainable-name predicate over that store. All per-step
@@ -232,20 +234,66 @@ class _DivergenceGuard:
             )
 
 
+def _train_loop(
+    batch_loss,
+    lr_sched: LrSchedule | None,
+    store: ParamStore,
+    opt: OptimizerState,
+    config: TrainConfig,
+    root: RngKey,
+    out_dir,
+    resumed: bool,
+    extra: dict,
+    stop_after: int | None = None,
+    lr_scale: dict[str, float] | None = None,
+) -> Path:
+    """The step loop of every training phase.
+
+    `batch_loss(skey) -> (loss, n_dropped)` builds one step's loss from the
+    step key; the loop owns the rest: gradients of the trainable entries, the
+    LR schedule, AdamW (with an optional per-name `lr_scale`), the divergence
+    guard, the loss rows and the final save. Without a schedule no step runs.
+    `stop_after` interrupts the run early (the schedule keeps its length);
+    resuming from the saved state then reproduces the uninterrupted run.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trainable = store.trainable_names()
+    total = 0 if lr_sched is None else lr_sched.total_steps
+    last = total if stop_after is None else min(total, opt.step + stop_after)
+    guard = _DivergenceGuard()
+    rows = []
+    for step in range(opt.step, last):
+        store.zero_grads()
+        loss, n_dropped = batch_loss(root.child("step", step))
+        loss.backward()
+        grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in trainable}
+        lr, _ = lr_at(step, lr_sched)
+        adamw_step(store, grads, opt, lr, config.weight_decay, *config.betas, config.adam_eps, lr_scale=lr_scale)
+        guard.check(step, loss.item())
+        rows.append((step, loss.item(), lr, n_dropped))
+    _loss_csv(out_dir, rows, resumed)
+    save_train_state(out_dir, store, opt, config, extra)
+    return out_dir
+
+
 def pretrain_generator(
     manifest: DatasetManifest,
     config: TrainConfig,
     out_dir,
     resume_from=None,
+    stop_after: int | None = None,
 ) -> Path:
-    """Unconditional generator training on the train-split stimulus images.
+    """Generator training on the train-split stimulus images, with uniformly
+    sampled timesteps.
 
-    Conditioning is the learned null embedding throughout; timesteps are
-    sampled uniformly.
+    `config.pretrain_conditioning` picks the tokens. With "image" (the
+    default) they come from a frozen image encoder and drop to the learned
+    null embedding with probability cond_dropout, so the generator learns to
+    read token variation and guidance stays available. With "null" every
+    item gets the null embedding (unconditional training).
     """
     config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     root = RngKey(config.seed, ("pretrain",))
     if resume_from is not None:
         store, opt, _, _ = load_train_state(resume_from)
@@ -255,29 +303,15 @@ def pretrain_generator(
         init_image_encoder(config.unet, root.child("init", "imgenc"), store)
         opt = OptimizerState()
     store.set_trainable_by(lambda n: n.startswith("unet/") or n == "cond/null_tokens")
-    trainable = store.trainable_names()
 
     raw_imgs = np.stack([manifest.load_image(s) for s in manifest.train_stimuli()])
     train_imgs = image_to_diffusion(raw_imgs)
     sched = make_schedule(config.unet.t_max)
-    total = config.pretrain_steps
-    if total == 0:
-        _loss_csv(out_dir, [], resume_from is not None)
-        save_train_state(out_dir, store, opt, config, {"phase": "pretrain"})
-        return out_dir
-    lr_sched = LrSchedule(config.max_lr, min(config.warmup_steps, total - 1), total)
-    guard = _DivergenceGuard()
-    rows = []
-    start = opt.step
-    for step in range(start, lr_sched.total_steps):
-        skey = root.child("step", step)
+
+    def batch_loss(skey: RngKey):
         idx = skey.child("batch").generator().integers(0, len(train_imgs), config.batch_size)
-        x0 = train_imgs[idx]
-        store.zero_grads()
         n_dropped = 0
         if config.pretrain_conditioning == "image":
-            # the generator learns to read token variation from a frozen image
-            # encoder; dropout to the learned null keeps guidance available
             img_tok = image_tokens(raw_imgs[idx], config.unet, store)
             drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
             n_dropped = int(drop.sum())
@@ -288,99 +322,47 @@ def pretrain_generator(
         else:
             raise ValueError(f"unknown pretrain_conditioning {config.pretrain_conditioning!r}")
         loss = diffusion_loss(
-            x0, tokens, store, sched, config.unet, skey.child("loss"),
+            train_imgs[idx], tokens, store, sched, config.unet, skey.child("loss"),
             use_lora=False, timestep_sampling="uniform", offset_lambda=config.offset_lambda,
             parameterization=config.parameterization,
         )
-        loss.backward()
-        grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in trainable}
-        lr, _ = lr_at(step, lr_sched)
-        adamw_step(store, grads, opt, lr, config.weight_decay, *config.betas, config.adam_eps)
-        guard.check(step, loss.item())
-        rows.append((step, loss.item(), lr, n_dropped))
-    _loss_csv(out_dir, rows, resume_from is not None)
-    save_train_state(out_dir, store, opt, config, {"phase": "pretrain"})
-    return out_dir
+        return loss, n_dropped
+
+    total = config.pretrain_steps
+    lr_sched = LrSchedule(config.max_lr, min(config.warmup_steps, total - 1), total) if total else None
+    return _train_loop(
+        batch_loss, lr_sched, store, opt, config, root, out_dir, resume_from is not None,
+        {"phase": "pretrain"}, stop_after,
+    )
 
 
-def _prepare_joint_store(
-    pretrained_ckpt,
-    manifest: DatasetManifest,
-    subjects: list[str],
-    config: TrainConfig,
-    root: RngKey,
-) -> ParamStore:
-    store, _, _, _ = load_train_state(pretrained_ckpt)
-    voxels = {sid: manifest.subject_voxels[sid] for sid in subjects}
-    brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
-    init_brain_module(brain_cfg, voxels, root.child("init", "brain"), store)
-    if config.finetune_regime == "lora":
-        create_lora_adapters(config.unet, root.child("init", "lora"), store)
-    return store
-
-
-def train_single_stage(
+def _train_joint(
     manifest: DatasetManifest,
     split: SplitSpec,
-    pretrained_ckpt,
+    subjects: list[str],
+    store: ParamStore,
+    opt: OptimizerState,
     config: TrainConfig,
     out_dir,
-    subjects: list[str] | None = None,
-    resume_from=None,
-    store_override: ParamStore | None = None,
-    opt_override: OptimizerState | None = None,
-    lr_scale: dict[str, float] | None = None,
-    refs_override: dict[str, list] | None = None,
+    resumed: bool,
     stop_after: int | None = None,
+    lr_scale: dict[str, float] | None = None,
 ) -> Path:
-    """Joint training of the brain module and conditioned generator.
-
-    Every repetition is its own sample (no averaging); with probability
-    cond_dropout a batch item's tokens are replaced by the learned null
-    embedding so classifier-free guidance works at inference.
-    """
-    config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    subjects = sorted(subjects if subjects is not None else manifest.subject_ids)
+    """The joint stage on `split.train_refs` of `subjects`, training whatever
+    `store` marks trainable."""
     root = RngKey(config.seed, ("joint",))
-
-    if resume_from is not None:
-        store, opt, _, _ = load_train_state(resume_from)
-    elif store_override is not None:
-        store = store_override
-        opt = opt_override if opt_override is not None else OptimizerState()
-    else:
-        store = _prepare_joint_store(pretrained_ckpt, manifest, subjects, config, root)
-        opt = OptimizerState()
-    trainable_set = regime_trainable_names(store, config.finetune_regime)
-    if lr_scale is None:
-        store.set_trainable_by(lambda n: n in trainable_set)
-    trainable = store.trainable_names()
-
     cache = PreprocCache(manifest).build()
-    refs = refs_override if refs_override is not None else {sid: split.train_refs[sid] for sid in subjects}
+    refs = {sid: split.train_refs[sid] for sid in subjects}
     data = assemble_training_set(manifest, cache, refs, config, shuffle_key=root.child("labels"))
     brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
     sched = make_schedule(config.unet.t_max)
-    lr_sched = LrSchedule(config.max_lr, config.warmup_steps, config.steps)
     use_lora = config.finetune_regime == "lora"
-    guard = _DivergenceGuard()
-    rows = []
 
-    # `stop_after` interrupts the run early (the schedule still spans
-    # config.steps); resuming from the saved state is then bit-identical to
-    # the uninterrupted run.
-    last = config.steps if stop_after is None else min(config.steps, opt.step + stop_after)
-    for step in range(opt.step, last):
-        skey = root.child("step", step)
+    def batch_loss(skey: RngKey):
         pick = skey.child("batch").generator().integers(0, data.n_total, config.batch_size)
-        chosen = [data.flat_index[i] for i in pick]
         by_sid: dict[str, list[int]] = {}
-        for sid, row in chosen:
+        for sid, row in (data.flat_index[i] for i in pick):
             by_sid.setdefault(sid, []).append(row)
-
-        store.zero_grads()
         token_parts, image_parts = [], []
         for sid in sorted(by_sid):
             rows_idx = by_sid[sid]
@@ -397,37 +379,53 @@ def train_single_stage(
         if n_dropped:
             null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
             tokens = ops.where(drop[:, None, None], null_b, tokens)
-
         loss = diffusion_loss(
             x0, tokens, store, sched, config.unet, skey.child("loss"),
             use_lora=use_lora, timestep_sampling="bicubic", offset_lambda=config.offset_lambda,
             parameterization=config.parameterization,
         )
-        loss.backward()
-        grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in trainable}
-        lr, _ = lr_at(step, lr_sched)
-        adamw_step(store, grads, opt, lr, config.weight_decay, *config.betas, config.adam_eps, lr_scale=lr_scale)
-        guard.check(step, loss.item())
-        rows.append((step, loss.item(), lr, n_dropped))
+        return loss, n_dropped
 
-    _loss_csv(out_dir, rows, resume_from is not None)
-    save_train_state(out_dir, store, opt, config, {"phase": "joint", "subjects": subjects, "split": split.kind})
-    return out_dir
+    lr_sched = LrSchedule(config.max_lr, config.warmup_steps, config.steps)
+    extra = {"phase": "joint", "subjects": subjects, "split": split.kind}
+    return _train_loop(batch_loss, lr_sched, store, opt, config, root, out_dir, resumed, extra, stop_after, lr_scale)
 
 
-def train_multi_subject(
+def train_single_stage(
     manifest: DatasetManifest,
     split: SplitSpec,
     pretrained_ckpt,
     config: TrainConfig,
     out_dir,
-    subjects: list[str],
+    subjects: list[str] | None = None,
+    resume_from=None,
+    stop_after: int | None = None,
 ) -> Path:
-    """Joint training over several subjects: per-subject input and timestep
-    layers, one shared trunk, shared adapters and null embedding."""
-    if len(subjects) < 2:
-        raise ValueError("multi-subject training needs at least 2 subjects")
-    return train_single_stage(manifest, split, pretrained_ckpt, config, out_dir, subjects=subjects)
+    """Joint training of the brain module and conditioned generator.
+
+    Every repetition is its own sample (no averaging); with probability
+    cond_dropout a batch item's tokens are replaced by the learned null
+    embedding so classifier-free guidance works at inference. Several
+    subjects (default: all of the manifest) share one trunk, adapters and
+    null embedding; each has its own input and timestep layers. Timesteps
+    are drawn from the bicubic schedule.
+    """
+    config.validate()
+    subjects = sorted(subjects if subjects is not None else manifest.subject_ids)
+    if resume_from is not None:
+        store, opt, _, _ = load_train_state(resume_from)
+    else:
+        store, _, _, _ = load_train_state(pretrained_ckpt)
+        opt = OptimizerState()
+        root = RngKey(config.seed, ("joint",))
+        brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
+        voxels = {sid: manifest.subject_voxels[sid] for sid in subjects}
+        init_brain_module(brain_cfg, voxels, root.child("init", "brain"), store)
+        if config.finetune_regime == "lora":
+            create_lora_adapters(config.unet, root.child("init", "lora"), store)
+    trainable = regime_trainable_names(store, config.finetune_regime)
+    store.set_trainable_by(lambda n: n in trainable)
+    return _train_joint(manifest, split, subjects, store, opt, config, out_dir, resume_from is not None, stop_after)
 
 
 def adapt_new_subject(
@@ -446,42 +444,33 @@ def adapt_new_subject(
     adapters and null embedding finetune at max_lr * trunk_lr_scale. Only the
     first `sessions_used` runs of the new subject are used.
     """
+    config.validate()
     n_runs = len(manifest.runs[new_subject])
     if not 1 <= sessions_used <= n_runs:
         raise ValueError(f"sessions_used must be in [1, {n_runs}], got {sessions_used}")
-    store, _, multi_config, _ = load_train_state(multi_ckpt)
+    store, _, _, _ = load_train_state(multi_ckpt)
     if f"brain/subject/{new_subject}/w" in store:
         raise ValueError(f"{new_subject} already present in the pretrained checkpoint")
+    if config.finetune_regime == "lora" and not any(n.startswith("lora/") for n in store.names()):
+        raise ValueError("regime 'lora' requires adapters attached to the store")
     root = RngKey(config.seed, ("adapt", new_subject))
     brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
     add_subject_layers(store, brain_cfg, new_subject, manifest.subject_voxels[new_subject], root.child("fresh"))
 
     fresh_prefix = (f"brain/subject/{new_subject}/", f"brain/tstep/{new_subject}/")
-    trainable = set()
-    scale = {}
+    scale = {}  # the trainable entries and their LR factors
     for n in store.names():
         if n.startswith(fresh_prefix):
-            trainable.add(n)
             scale[n] = 1.0
         elif n.startswith("brain/subject/") or n.startswith("brain/tstep/"):
             continue  # other subjects' layers stay frozen, bit for bit
         elif n.startswith("brain/") or n.startswith("lora/") or n == "cond/null_tokens":
-            trainable.add(n)
             scale[n] = trunk_lr_scale
-    store.set_trainable_by(lambda n: n in trainable)
+    store.set_trainable_by(lambda n: n in scale)
 
-    refs = {new_subject: [(r, e) for r, e in split.train_refs[new_subject] if r < sessions_used]}
-    return train_single_stage(
-        manifest,
-        split,
-        None,
-        config,
-        out_dir,
-        subjects=[new_subject],
-        store_override=store,
-        lr_scale=scale,
-        refs_override=refs,
-    )
+    refs = [(r, e) for r, e in split.train_refs[new_subject] if r < sessions_used]
+    split = replace(split, train_refs={new_subject: refs})
+    return _train_joint(manifest, split, [new_subject], store, OptimizerState(), config, out_dir, False, lr_scale=scale)
 
 
 # ---------------------------------------------------------------------------

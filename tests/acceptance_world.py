@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 from bold2img.prep import SplitSpec, build_split_standard, build_split_time_resolved
@@ -21,7 +22,6 @@ from bold2img.trainer import (
     adapt_new_subject,
     load_train_state,
     pretrain_generator,
-    train_multi_subject,
     train_single_stage,
 )
 
@@ -159,7 +159,9 @@ def ensure_multi(manifest) -> Path:
     subjects = [s for s in manifest.subject_ids if s != HELD_OUT_SUBJECT]
     print(f"[world] multi-subject model on {subjects} ({MULTI_STEPS} steps)", flush=True)
     cfg = desk_train_config(steps=MULTI_STEPS)
-    return train_multi_subject(manifest, standard_split(manifest), ensure_pretrain(manifest), cfg, out, subjects)
+    return train_single_stage(
+        manifest, standard_split(manifest), ensure_pretrain(manifest), cfg, out, subjects=subjects
+    )
 
 
 def ensure_adapted(manifest) -> Path:
@@ -180,11 +182,9 @@ def ensure_scratch(manifest) -> Path:
     print(f"[world] from-scratch {HELD_OUT_SUBJECT} on {ADAPT_RUNS} runs ({ADAPT_STEPS} steps)", flush=True)
     cfg = desk_train_config(steps=ADAPT_STEPS)
     split = standard_split(manifest)
-    refs = {HELD_OUT_SUBJECT: [(r, e) for r, e in split.train_refs[HELD_OUT_SUBJECT] if r < ADAPT_RUNS]}
-    return train_single_stage(
-        manifest, split, ensure_pretrain(manifest), cfg, out,
-        subjects=[HELD_OUT_SUBJECT], refs_override=refs,
-    )
+    refs = [(r, e) for r, e in split.train_refs[HELD_OUT_SUBJECT] if r < ADAPT_RUNS]
+    split = replace(split, train_refs={HELD_OUT_SUBJECT: refs})
+    return train_single_stage(manifest, split, ensure_pretrain(manifest), cfg, out, subjects=[HELD_OUT_SUBJECT])
 
 
 def warm_everything():

@@ -4,17 +4,10 @@ import pytest
 from bold2img.brainmod import (
     AGG_IN,
     BrainModuleConfig,
-    brain_forward,
     brain_forward_batch,
     init_brain_module,
-    subject_param_names,
 )
-from bold2img.prep import Epoch
 from bold2img.substrate import RngKey, gradcheck
-
-
-def _epoch(x, sid="s01"):
-    return Epoch(X=x, stimulus_id="stim", subject_id=sid, repetition=0, delta=0.0, window_t=3.0, window_d=8.0)
 
 
 CFG = BrainModuleConfig(hidden=16, tokens=4, token_dim=8, window_samples=6)
@@ -46,17 +39,17 @@ def test_init_fan_in_scaling():
 def test_zero_input_zero_biases_gives_zero_tokens():
     store = init_brain_module(CFG, {"s01": 30}, RngKey(2, ("z",)))
     x = np.zeros((30, 6), dtype=np.float32)
-    tokens = brain_forward(_epoch(x), store, CFG)
+    tokens = brain_forward_batch(x[None], store, CFG, "s01")
     np.testing.assert_allclose(tokens.data, 0.0, atol=1e-7)
 
 
 def test_eval_mode_deterministic():
     store = init_brain_module(CFG, {"s01": 30}, RngKey(3, ("e",)))
     x = RngKey(4, ("x",)).normal((30, 6))
-    a = brain_forward(_epoch(x), store, CFG, training=False)
-    b = brain_forward(_epoch(x), store, CFG, training=False)
+    a = brain_forward_batch(x[None], store, CFG, "s01", training=False)
+    b = brain_forward_batch(x[None], store, CFG, "s01", training=False)
     np.testing.assert_array_equal(a.data, b.data)
-    assert a.shape == (4, 8)
+    assert a.shape == (1, 4, 8)
 
 
 def test_equal_timestep_matrices_match_shared_variant():
@@ -103,7 +96,7 @@ def test_subject_isolation():
     store["brain/tstep/a/w"].data += 100.0
     after = brain_forward_batch(x_b, store, CFG, "b").data
     np.testing.assert_array_equal(before, after)
-    assert set(subject_param_names(store, "a")) == {
+    assert {n for n in store.names() if n.startswith(("brain/subject/a/", "brain/tstep/a/"))} == {
         "brain/subject/a/w",
         "brain/subject/a/b",
         "brain/tstep/a/w",

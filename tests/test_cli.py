@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bold2img.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_OK, dispatch, resolve_config
+from bold2img.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_FAIL, EXIT_OK, dispatch, resolve_config
 from bold2img.trainer import load_train_state
 
 TINY_OVERRIDES = [
@@ -73,6 +73,14 @@ def test_train_regime_none_leaves_generator_untouched(cli_world, tmp_path):
     post, _, _, _ = load_train_state(out)
     unet_names = [n for n in pre.names() if n.startswith("unet/")]
     assert post.hash_of(unet_names) == pre.hash_of(unet_names)
+
+
+def test_multi_subject_needs_two(cli_world, tmp_path, capsys):
+    root = Path(cli_world)
+    out = tmp_path / "m1"
+    assert _run(root, "train", "--multi-subject", "--subjects", "sub01", "--out", str(out)) == EXIT_FAIL
+    assert "at least 2 subjects" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_and_infer_commands(cli_world, tmp_path):

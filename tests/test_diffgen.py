@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bold2img.diffgen import (
-    LoraAdapter,
+    LORA_ALPHA,
+    LORA_RANK,
     UNetConfig,
+    add_lora_params,
     bicubic_cdf,
     bicubic_transform,
     cfg_combine,
@@ -14,7 +16,7 @@ from bold2img.diffgen import (
     diffusion_loss,
     init_null_tokens,
     init_unet,
-    lora_apply,
+    lora_linear,
     make_schedule,
     offset_noise,
     q_sample,
@@ -22,7 +24,7 @@ from bold2img.diffgen import (
     unet_forward,
 )
 from bold2img.diffgen.unet import SMALL_CONFIG, NonFiniteActivation
-from bold2img.substrate import RngKey, Tensor
+from bold2img.substrate import ParamStore, RngKey, Tensor
 
 SCHED = make_schedule()
 
@@ -133,22 +135,39 @@ def test_bicubic_concentrates_on_high_noise():
 
 def test_lora_zero_b_is_identity_on_weight():
     key = RngKey(8, ("lz",))
-    w = key.child("w").normal((5, 4)).astype(np.float64)
-    adapter = LoraAdapter(a=key.child("a").normal((4, 4)).astype(np.float64), b=np.zeros((5, 4)))
-    x = key.child("x").normal((4,)).astype(np.float64)
-    np.testing.assert_array_equal(lora_apply(x, w, adapter), w @ x)
+    store = ParamStore()
+    store.add("w", key.child("w").normal((4, 5), 1.0, np.float64))
+    store.add("b", key.child("b").normal((5,), 1.0, np.float64))
+    add_lora_params(store, key, "site", "q", 4, 5)
+    x = Tensor(key.child("x").normal((3, 4), 1.0, np.float64))
+    adapted = lora_linear(x, store, "w", "b", "site", "q", use_lora=True)
+    plain = lora_linear(x, store, "w", "b", "site", "q", use_lora=False)
+    np.testing.assert_array_equal(adapted.data, plain.data)
 
 
 def test_lora_scale_is_one_at_rank4_alpha4():
-    adapter = LoraAdapter(a=np.zeros((4, 3)), b=np.zeros((2, 4)))
-    assert adapter.scale == 1.0
+    assert LORA_RANK == 4 and LORA_ALPHA / LORA_RANK == 1.0
+    # with W = 0 and zero bias the output is the low-rank path at the default scale
+    key = RngKey(8, ("ls",))
+    store = ParamStore()
+    store.add("w", np.zeros((3, 2)))
+    store.add("b", np.zeros(2))
+    a = store.add("lora/site/q/a", key.child("a").normal((3, LORA_RANK), 1.0, np.float64)).data
+    b = store.add("lora/site/q/b", key.child("b").normal((LORA_RANK, 2), 1.0, np.float64)).data
+    x = key.child("x").normal((4, 3), 1.0, np.float64)
+    out = lora_linear(Tensor(x), store, "w", "b", "site", "q", use_lora=True)
+    np.testing.assert_allclose(out.data, (x @ a) @ b, rtol=1e-12, atol=1e-12)
 
 
 def test_lora_hand_example():
-    w = np.eye(2)
-    adapter = LoraAdapter(a=np.array([[1.0, 0.0]]), b=np.array([[1.0], [0.0]]), rank=1, alpha=1.0)
-    out = lora_apply(np.array([1.0, 1.0]), w, adapter)
-    np.testing.assert_array_equal(out, [2.0, 1.0])
+    # y = x W + (alpha/r) (x A) B with W = I, A = e1, B = e1^T at rank 1
+    store = ParamStore()
+    store.add("w", np.eye(2))
+    store.add("b", np.zeros(2))
+    store.add("lora/site/q/a", np.array([[1.0], [0.0]]))
+    store.add("lora/site/q/b", np.array([[1.0, 0.0]]))
+    out = lora_linear(Tensor(np.array([[1.0, 1.0]])), store, "w", "b", "site", "q", use_lora=True, alpha=1.0, rank=1)
+    np.testing.assert_array_equal(out.data, [[2.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

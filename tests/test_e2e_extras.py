@@ -22,7 +22,6 @@ from bold2img.trainer import (
     load_train_state,
     pretrain_generator,
     sample_unconditional,
-    train_multi_subject,
     train_single_stage,
 )
 
@@ -114,7 +113,7 @@ def test_identical_subjects_score_symmetrically():
         pretrain_generator(manifest, cfg, pre)
     out = root / "multi"
     if not (out / "manifest.json").exists():
-        train_multi_subject(manifest, split, pre, cfg, out, ["sub01", "sub02"])
+        train_single_stage(manifest, split, pre, cfg, out, subjects=["sub01", "sub02"])
 
     report = evaluate_split(out, manifest, split, RngKey(809, ("twins",)))
     a = report.per_subject["sub01"]["two_way_low"]

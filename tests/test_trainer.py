@@ -15,7 +15,6 @@ from bold2img.trainer import (
     load_train_state,
     pretrain_generator,
     regime_trainable_names,
-    train_multi_subject,
     train_single_stage,
 )
 
@@ -74,6 +73,21 @@ def test_pretrain_deterministic(world, tmp_path):
     s1, _, _, _ = load_train_state(pre)
     s2, _, _, _ = load_train_state(again)
     assert s1.hash_of() == s2.hash_of()
+
+
+def test_pretrain_resume_is_bitwise(world, tmp_path):
+    manifest, _, full, _ = world
+    part = pretrain_generator(manifest, tiny_config(), tmp_path / "part", stop_after=2)
+    resumed = pretrain_generator(manifest, tiny_config(), tmp_path / "resumed", resume_from=part)
+    s_full, o_full, _, _ = load_train_state(full)
+    s_res, o_res, _, _ = load_train_state(resumed)
+    assert o_res.step == o_full.step == 4
+    assert s_res.hash_of() == s_full.hash_of()
+    full_rows = (full / "loss.csv").read_text().splitlines()[1:]
+    part_rows = (part / "loss.csv").read_text().splitlines()[1:]
+    resumed_rows = (resumed / "loss.csv").read_text().splitlines()[1:]
+    assert len(part_rows) == 2
+    assert part_rows + resumed_rows == full_rows
 
 
 def test_pretrain_loss_csv(world):
@@ -153,7 +167,7 @@ def test_resume_is_bitwise(world, tmp_path):
 def test_multi_subject_shared_trunk_and_param_count(world, tmp_path):
     manifest, split, pre, _ = world
     cfg = tiny_config(steps=3, warmup_steps=1)
-    out = train_multi_subject(manifest, split, pre, cfg, tmp_path / "ms", subjects=["sub01", "sub02", "sub03"])
+    out = train_single_stage(manifest, split, pre, cfg, tmp_path / "ms", subjects=["sub01", "sub02", "sub03"])
     store, _, _, _ = load_train_state(out)
     h, t = TINY_BRAIN.hidden, TINY_BRAIN.window_samples
     for sid in ["sub01", "sub02", "sub03"]:
@@ -168,16 +182,10 @@ def test_multi_subject_shared_trunk_and_param_count(world, tmp_path):
     assert sum(1 for n in store.names() if n.startswith("brain/ln/")) == 2
 
 
-def test_multi_subject_needs_two(world, tmp_path):
-    manifest, split, pre, _ = world
-    with pytest.raises(ValueError, match="at least 2"):
-        train_multi_subject(manifest, split, pre, tiny_config(), tmp_path / "m1", subjects=["sub01"])
-
-
 def test_adapt_new_subject(world, tmp_path):
     manifest, split, pre, _ = world
     cfg = tiny_config(steps=4, warmup_steps=1)
-    multi = train_multi_subject(manifest, split, pre, cfg, tmp_path / "base", subjects=["sub01", "sub02"])
+    multi = train_single_stage(manifest, split, pre, cfg, tmp_path / "base", subjects=["sub01", "sub02"])
     with pytest.raises(ValueError, match="sessions_used"):
         adapt_new_subject(multi, manifest, split, "sub03", 0, cfg, tmp_path / "bad")
     adapted = adapt_new_subject(multi, manifest, split, "sub03", 2, cfg, tmp_path / "adapted")
@@ -194,7 +202,7 @@ def test_adapt_new_subject(world, tmp_path):
 def test_adapt_rejects_known_subject(world, tmp_path):
     manifest, split, pre, _ = world
     cfg = tiny_config(steps=3, warmup_steps=1)
-    multi = train_multi_subject(manifest, split, pre, cfg, tmp_path / "base2", subjects=["sub01", "sub02"])
+    multi = train_single_stage(manifest, split, pre, cfg, tmp_path / "base2", subjects=["sub01", "sub02"])
     with pytest.raises(ValueError, match="already present"):
         adapt_new_subject(multi, manifest, split, "sub01", 1, cfg, tmp_path / "dup")
 
