@@ -16,18 +16,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .brainmod import AGG_IN, AGG_OUT, BrainModuleConfig
-from .diffgen import UNetConfig
+from .brainmod import AGG_IN
 from .evalkit import duration_sweep, emit_report, emit_sweep, evaluate_split, time_sweep
 from .prep import PreprocCache, build_split_standard, build_split_time_resolved, cache_epochs, extract_epochs
 from .substrate import RngKey, write_tensor
-from .synthcortex import DatasetConfig, NoiseConfig, SceneConfig, SubjectConfig, build_dataset, load_manifest
+from .synthcortex import DatasetConfig, build_dataset, load_manifest
 from .trainer import (
     REGIMES,
     TrainConfig,
     adapt_new_subject,
+    config_from_json,
+    config_to_json,
     infer,
     load_train_state,
     pretrain_generator,
@@ -42,52 +41,64 @@ EXIT_CONFIG = 2
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
+
+
+# The `train` and `dataset` sections are the fields of TrainConfig and
+# DatasetConfig, at their defaults, except where a public key differs from its
+# field path below the section's dataclass (a number indexes a tuple field) ...
+_RENAMED = {
+    "train": {"regime": "finetune_regime", "beta1": "betas.0", "beta2": "betas.1"},
+    "dataset": {
+        "voxel_lo": "subject.voxel_range.0",
+        "voxel_hi": "subject.voxel_range.1",
+        "noise_scale": "noise.noise_scale",
+        "drift_scale": "noise.drift_scale",
+    },
+}
+# ... and the fields with no key of their own besides the renamed ones: fixed
+# at their default, set through a renamed key, or linked to another key in
+# `train_config`.
+_HIDDEN = {
+    "train": {
+        "betas", "adam_eps", "parameterization", "seed", "brain.window_samples",
+        "unet.resolution", "unet.in_channels", "unet.tokens", "unet.token_dim",
+    },
+    "dataset": {"scene", "subject", "noise"},
+}
+_SECTIONS = {"train": TrainConfig, "dataset": DatasetConfig}
+
+
+def _field(fields_json: dict, path: str):
+    """The parent node and the key of a dotted field path in `config_to_json` output."""
+    *parents, leaf = (int(k) if k.isdigit() else k for k in path.split("."))
+    for k in parents:
+        fields_json = fields_json[k]
+    return fields_json, leaf
+
+
+def _public_keys(fields_json: dict, hidden: set[str], prefix: str = "") -> dict:
+    return {
+        k: _public_keys(v, hidden, f"{prefix}{k}.") if isinstance(v, dict) else v
+        for k, v in fields_json.items()
+        if prefix + k not in hidden
+    }
+
+
+def _section_defaults(section: str) -> dict:
+    fields_json = config_to_json(_SECTIONS[section]())
+    tree = _public_keys(fields_json, _HIDDEN[section] | set(_RENAMED[section].values()))
+    for key, path in _RENAMED[section].items():
+        node, leaf = _field(fields_json, path)
+        tree[key] = node[leaf]
+    return tree
 
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "workers": 0,  # 0 -> all available cores
     "paths": {"out_root": "b2i_out", "data": "", "pretrain": ""},
-    "dataset": {
-        "n_subjects": 4,
-        "n_train_unique": 500,
-        "n_test_unique": 100,
-        "repetitions": 3,
-        "trials_per_run": 50,
-        "tr": 1.3,
-        "resolution": 32,
-        "noise_scale": 1.0,
-        "drift_scale": 1.0,
-        "voxel_lo": 400,
-        "voxel_hi": 600,
-    },
-    "train": {
-        "steps": 10000,
-        "pretrain_steps": 5000,
-        "batch_size": 32,
-        "max_lr": 1e-3,
-        "weight_decay": 0.01,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "warmup_steps": 500,
-        "cond_dropout": 0.1,
-        "regime": "lora",
-        "window_t": 3.0,
-        "window_d": 8.0,
-        "delta": 0.0,
-        "offset_lambda": 0.1,
-        "shuffle_conditioning": False,
-        "brain": {
-            "hidden": 128,
-            "tokens": 8,
-            "token_dim": 64,
-            "dropout": 0.5,
-            "timestep_layer_enabled": True,
-            "aggregation_position": AGG_OUT,
-        },
-        "unet": {"channels": [32, 64, 128], "t_max": 1000},
-    },
+    "dataset": _section_defaults("dataset"),
+    "train": _section_defaults("train"),
     "eval": {
         "steps": 20,
         "guidance": 3.0,
@@ -100,35 +111,33 @@ DEFAULT_CONFIG: dict = {
 
 
 def _merge_validate(defaults, given, path=""):
-    """Recursive merge rejecting unknown keys; returns the resolved dict."""
+    """Recursive merge rejecting unknown keys and values whose JSON type differs
+    from the default's (an int may stand for a float); returns the resolved dict."""
     if not isinstance(given, dict):
         raise ConfigError(path or "<root>", f"expected an object, got {type(given).__name__}")
-    out = {}
-    for key, dval in defaults.items():
-        if key in given:
-            gval = given[key]
-            if isinstance(dval, dict):
-                out[key] = _merge_validate(dval, gval, f"{path}.{key}" if path else key)
-            else:
-                out[key] = gval
-        else:
-            out[key] = json.loads(json.dumps(dval))  # deep copy
     for key in given:
         if key not in defaults:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+            raise ConfigError(f"{path}{key}", "unknown key")
+    out = {}
+    for key, dval in defaults.items():
+        gval = given.get(key, dval)
+        if isinstance(dval, dict):
+            out[key] = _merge_validate(dval, gval, f"{path}{key}.")
+        elif type(gval) is type(dval) or (type(dval) is float and type(gval) is int):
+            out[key] = json.loads(json.dumps(gval))  # deep copy
+        else:
+            raise ConfigError(f"{path}{key}", f"expected {type(dval).__name__}, got {type(gval).__name__}")
     return out
 
 
-def _apply_override(config: dict, dotted: str, raw: str):
-    keys = dotted.split(".")
-    node = config
-    for k in keys[:-1]:
-        if not isinstance(node, dict) or k not in node:
-            raise ConfigError(dotted, "unknown key")
-        node = node[k]
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(dotted, "unknown key")
+def _apply_override(given: dict, dotted: str, raw: str):
+    """Write one `--set` value into the given tree; `_merge_validate` checks it."""
+    *parents, leaf = dotted.split(".")
+    node = given
+    for k in parents:
+        node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(dotted, f"{k} is not an object")
     try:
         node[leaf] = json.loads(raw)
     except json.JSONDecodeError:
@@ -138,15 +147,15 @@ def _apply_override(config: dict, dotted: str, raw: str):
 def resolve_config(config_file: str | None, overrides: list[str]) -> dict:
     given = {}
     if config_file:
-        doc = json.loads(Path(config_file).read_text())
-        doc.pop("run", None)  # provenance block from an emitted resolved config
-        given = doc
-    config = _merge_validate(DEFAULT_CONFIG, given)
+        given = json.loads(Path(config_file).read_text())
+        if not isinstance(given, dict):
+            raise ConfigError(config_file, f"expected an object, got {type(given).__name__}")
+        given.pop("run", None)  # provenance block from an emitted resolved config
     for item in overrides:
         if "=" not in item:
             raise ConfigError(item, "override must look like key.path=value")
-        dotted, raw = item.split("=", 1)
-        _apply_override(config, dotted, raw)
+        _apply_override(given, *item.split("=", 1))
+    config = _merge_validate(DEFAULT_CONFIG, given)
     root = os.environ.get("BOLD2IMG_OUT", config["paths"]["out_root"])
     config["paths"]["out_root"] = root
     if not config["paths"]["data"]:
@@ -158,58 +167,38 @@ def resolve_config(config_file: str | None, overrides: list[str]) -> dict:
     return config
 
 
+def _flat(tree: dict, prefix: str = "") -> dict:
+    """Dotted key -> leaf value."""
+    out = {}
+    for k, v in tree.items():
+        out.update(_flat(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v})
+    return out
+
+
+def _section_config(c: dict, section: str, linked: dict):
+    """The section's dataclass from its keys (renamed to field paths) and the
+    `linked` field paths, which take their values from other keys."""
+    fields_json = config_to_json(_SECTIONS[section]())
+    values = {_RENAMED[section].get(k, k): v for k, v in _flat(c[section]).items()}
+    for path, value in {**values, **linked}.items():
+        node, leaf = _field(fields_json, path)
+        node[leaf] = value
+    return config_from_json(_SECTIONS[section], fields_json)
+
+
 def dataset_config(c: dict) -> DatasetConfig:
-    d = c["dataset"]
-    return DatasetConfig(
-        n_subjects=d["n_subjects"],
-        n_train_unique=d["n_train_unique"],
-        n_test_unique=d["n_test_unique"],
-        repetitions=d["repetitions"],
-        trials_per_run=d["trials_per_run"],
-        tr=d["tr"],
-        resolution=d["resolution"],
-        scene=SceneConfig(),
-        subject=SubjectConfig(voxel_range=(d["voxel_lo"], d["voxel_hi"])),
-        noise=NoiseConfig(noise_scale=d["noise_scale"], drift_scale=d["drift_scale"]),
-    )
+    return _section_config(c, "dataset", {})
 
 
 def train_config(c: dict) -> TrainConfig:
-    t = c["train"]
-    brain = BrainModuleConfig(
-        hidden=t["brain"]["hidden"],
-        tokens=t["brain"]["tokens"],
-        token_dim=t["brain"]["token_dim"],
-        dropout=t["brain"]["dropout"],
-        timestep_layer_enabled=t["brain"]["timestep_layer_enabled"],
-        aggregation_position=t["brain"]["aggregation_position"],
-    )
-    unet = UNetConfig(
-        resolution=c["dataset"]["resolution"],
-        channels=tuple(t["unet"]["channels"]),
-        tokens=t["brain"]["tokens"],
-        token_dim=t["brain"]["token_dim"],
-        t_max=t["unet"]["t_max"],
-    )
-    return TrainConfig(
-        steps=t["steps"],
-        pretrain_steps=t["pretrain_steps"],
-        batch_size=t["batch_size"],
-        max_lr=t["max_lr"],
-        weight_decay=t["weight_decay"],
-        betas=(t["beta1"], t["beta2"]),
-        warmup_steps=t["warmup_steps"],
-        cond_dropout=t["cond_dropout"],
-        finetune_regime=t["regime"],
-        window_t=t["window_t"],
-        window_d=t["window_d"],
-        delta=t["delta"],
-        offset_lambda=t["offset_lambda"],
-        shuffle_conditioning=t["shuffle_conditioning"],
-        seed=c["seed"],
-        brain=brain,
-        unet=unet,
-    )
+    brain = c["train"]["brain"]
+    linked = {
+        "seed": c["seed"],
+        "unet.resolution": c["dataset"]["resolution"],
+        "unet.tokens": brain["tokens"],
+        "unet.token_dim": brain["token_dim"],
+    }
+    return _section_config(c, "train", linked)
 
 
 def _write_resolved(config: dict, command: str, args: dict, out_dir: Path):
@@ -266,16 +255,10 @@ def cmd_pretrain_gen(config, args):
 
 def cmd_train(config, args):
     manifest = load_manifest(config["paths"]["data"])
+    for key in ("regime", "window_t", "window_d", "delta"):  # recorded in the resolved config
+        if getattr(args, key) is not None:
+            config["train"][key] = getattr(args, key)
     tc = train_config(config)
-    if args.regime:
-        tc = replace(tc, finetune_regime=args.regime)
-    if args.window_t is not None:
-        tc = replace(tc, window_t=args.window_t)
-    if args.window_d is not None:
-        tc = replace(tc, window_d=args.window_d)
-    if args.delta is not None:
-        tc = replace(tc, delta=args.delta)
-    tc.validate()
     split = _split_for(manifest, args.split, config)
     out = Path(args.out or Path(config["paths"]["out_root"]) / "train")
     subjects = args.subjects.split(",") if args.subjects else None
@@ -353,6 +336,7 @@ def cmd_sweep_time(config, args):
         deltas,
         steps=config["eval"]["steps"],
         guidance=config["eval"]["guidance"],
+        eval_resolution=config["eval"]["eval_resolution"],
         max_trials_per_subject=cap,
     )
     out = Path(args.out or Path(config["paths"]["out_root"]) / "sweep_time")
@@ -375,6 +359,9 @@ def cmd_sweep_duration(config, args):
         durations,
         out,
         RngKey(config["seed"], ("sweep-duration",)),
+        steps=config["eval"]["steps"],
+        guidance=config["eval"]["guidance"],
+        eval_resolution=config["eval"]["eval_resolution"],
     )
     emit_sweep(sweep, out, "sweep_duration")
     _write_resolved(config, "sweep-duration", vars(args), out)
@@ -399,6 +386,7 @@ def cmd_ablate_brainmod(config, args):
         report = evaluate_split(
             ckpt, manifest, split, RngKey(config["seed"], ("ablate", name)),
             steps=config["eval"]["steps"], guidance=config["eval"]["guidance"],
+            eval_resolution=config["eval"]["eval_resolution"],
         )
         emit_report(report, out / name)
         results[name] = report.mean
@@ -494,7 +482,7 @@ def dispatch(argv: list[str]) -> int:
             config["workers"] = args.workers
         return _COMMANDS[args.command](config, args)
     except ConfigError as e:
-        print(f"config error at {e.path}: {e}", file=sys.stderr)
+        print(f"config error at {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"error: {e}", file=sys.stderr)

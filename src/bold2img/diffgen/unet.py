@@ -10,7 +10,7 @@ are appended to the input so absolute position is available to the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

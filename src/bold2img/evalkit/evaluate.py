@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +341,7 @@ def duration_sweep(
     subjects: list[str] | None = None,
     steps: int = 20,
     guidance: float = 3.0,
+    eval_resolution: int | None = None,
 ) -> SweepResult:
     """Train one model per window duration and evaluate each on the split."""
     out_root = Path(out_root)
@@ -351,7 +352,10 @@ def duration_sweep(
         ckpt = train_single_stage(
             manifest, split, pretrained_ckpt, cfg, out_root / f"dur_{t_len}tr", subjects=subjects
         )
-        report = evaluate_split(ckpt, manifest, split, key.child("eval", t_len), steps=steps, guidance=guidance)
+        report = evaluate_split(
+            ckpt, manifest, split, key.child("eval", t_len), steps=steps, guidance=guidance,
+            eval_resolution=eval_resolution,
+        )
         points.append(
             {
                 "duration_s": dur,
@@ -361,5 +365,11 @@ def duration_sweep(
                 "per_subject": report.per_subject,
             }
         )
-    protocol = {"window_t": base_config.window_t, "durations": list(durations), "steps": steps, "guidance": guidance}
+    protocol = {
+        "window_t": base_config.window_t,
+        "durations": list(durations),
+        "steps": steps,
+        "guidance": guidance,
+        "eval_resolution": eval_resolution or manifest.resolution,
+    }
     return SweepResult("duration", points, protocol)

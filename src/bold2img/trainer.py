@@ -12,7 +12,7 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,6 @@ class TrainConfig:
     delta: float = 0.0
     offset_lambda: float = 0.1
     parameterization: str = "v"  # training target space; 'eps' matches the plain contract
-    pretrain_conditioning: str = "image"  # image | null (tokens fed while pretraining)
     shuffle_conditioning: bool = False
     seed: int = 0
     brain: BrainModuleConfig = field(default_factory=BrainModuleConfig)
@@ -79,23 +78,33 @@ class TrainConfig:
         if self.finetune_regime not in REGIMES:
             raise ValueError(f"unknown regime {self.finetune_regime!r}; choose from {REGIMES}")
 
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["betas"] = list(self.betas)
-        d["brain"] = asdict(self.brain)
-        d["unet"] = asdict(self.unet)
-        d["unet"]["channels"] = list(self.unet.channels)
-        return d
-
     @staticmethod
     def from_json(d: dict) -> "TrainConfig":
         d = dict(d)
-        d["betas"] = tuple(d["betas"])
-        d["brain"] = BrainModuleConfig(**d["brain"])
-        u = dict(d["unet"])
-        u["channels"] = tuple(u["channels"])
-        d["unet"] = UNetConfig(**u)
-        return TrainConfig(**d)
+        # Checkpoints written while pretraining had a second, unconditional mode record this key.
+        mode = d.pop("pretrain_conditioning", "image")
+        if mode != "image":
+            raise ValueError(f"pretrain_conditioning: only 'image' is supported, got {mode!r}")
+        return config_from_json(TrainConfig, d)
+
+
+def config_to_json(config) -> dict:
+    """A config dataclass as nested JSON-ready dicts (tuples become lists)."""
+    return json.loads(json.dumps(asdict(config)))
+
+
+def config_from_json(cls, d: dict):
+    """The inverse of `config_to_json`: fields whose default is a dataclass are
+    rebuilt recursively and those whose default is a tuple become tuples again.
+    A missing field keeps its default; an unknown one raises a TypeError."""
+    default, kw = cls(), dict(d)
+    for name in {f.name for f in fields(cls)} & set(kw):
+        dv = getattr(default, name)
+        if is_dataclass(dv):
+            kw[name] = config_from_json(type(dv), kw[name])
+        elif isinstance(dv, tuple):
+            kw[name] = tuple(kw[name])
+    return cls(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +190,9 @@ def save_train_state(out_dir, store: ParamStore, opt: OptimizerState, config: Tr
     for name in sorted(opt.m):
         full.add(f"optim/m/{name}", opt.m[name], trainable=False)
         full.add(f"optim/v/{name}", opt.v[name], trainable=False)
-    payload = {"step": opt.step, "train_config": config.to_json(), **extra}
+    payload = {"step": opt.step, "train_config": config_to_json(config), **extra}
     save_checkpoint(out_dir, full, payload)
-    (out_dir / "train_config.json").write_text(json.dumps(config.to_json(), sort_keys=True, indent=1))
+    (out_dir / "train_config.json").write_text(json.dumps(payload["train_config"], sort_keys=True, indent=1))
 
 
 def load_train_state(ckpt_dir) -> tuple[ParamStore, OptimizerState, TrainConfig, dict]:
@@ -287,11 +296,9 @@ def pretrain_generator(
     """Generator training on the train-split stimulus images, with uniformly
     sampled timesteps.
 
-    `config.pretrain_conditioning` picks the tokens. With "image" (the
-    default) they come from a frozen image encoder and drop to the learned
-    null embedding with probability cond_dropout, so the generator learns to
-    read token variation and guidance stays available. With "null" every
-    item gets the null embedding (unconditional training).
+    The tokens come from a frozen image encoder and drop to the learned null
+    embedding with probability cond_dropout, so the generator learns to read
+    token variation and guidance stays available.
     """
     config.validate()
     root = RngKey(config.seed, ("pretrain",))
@@ -310,17 +317,11 @@ def pretrain_generator(
 
     def batch_loss(skey: RngKey):
         idx = skey.child("batch").generator().integers(0, len(train_imgs), config.batch_size)
-        n_dropped = 0
-        if config.pretrain_conditioning == "image":
-            img_tok = image_tokens(raw_imgs[idx], config.unet, store)
-            drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
-            n_dropped = int(drop.sum())
-            null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
-            tokens = ops.where(drop[:, None, None], null_b, Tensor(img_tok))
-        elif config.pretrain_conditioning == "null":
-            tokens = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
-        else:
-            raise ValueError(f"unknown pretrain_conditioning {config.pretrain_conditioning!r}")
+        img_tok = image_tokens(raw_imgs[idx], config.unet, store)
+        drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
+        n_dropped = int(drop.sum())
+        null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
+        tokens = ops.where(drop[:, None, None], null_b, Tensor(img_tok))
         loss = diffusion_loss(
             train_imgs[idx], tokens, store, sched, config.unet, skey.child("loss"),
             use_lora=False, timestep_sampling="uniform", offset_lambda=config.offset_lambda,

@@ -20,7 +20,6 @@ from bold2img.synthcortex import DatasetConfig, DatasetManifest, build_dataset, 
 from bold2img.trainer import (
     TrainConfig,
     adapt_new_subject,
-    load_train_state,
     pretrain_generator,
     train_single_stage,
 )

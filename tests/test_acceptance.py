@@ -7,8 +7,6 @@ prints one ACCEPTANCE PASS/FAIL line.
 """
 
 import contextlib
-import json
-import shutil
 import time
 from pathlib import Path
 

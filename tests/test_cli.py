@@ -1,11 +1,21 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from bold2img.cli import DEFAULT_CONFIG, EXIT_CONFIG, EXIT_FAIL, EXIT_OK, dispatch, resolve_config
-from bold2img.trainer import load_train_state
+from bold2img.cli import (
+    DEFAULT_CONFIG,
+    EXIT_CONFIG,
+    EXIT_FAIL,
+    EXIT_OK,
+    dataset_config,
+    dispatch,
+    resolve_config,
+    train_config,
+)
+from bold2img.diffgen import UNetConfig
+from bold2img.synthcortex import DatasetConfig
+from bold2img.trainer import TrainConfig, load_train_state
 
 TINY_OVERRIDES = [
     "--set", "dataset.n_subjects=2",
@@ -62,6 +72,8 @@ def test_gen_data_writes_resolved_config(cli_world):
     doc = json.loads((root / "dataset" / "resolved_config.json").read_text())
     assert doc["run"]["command"] == "gen-data"
     assert doc["dataset"]["n_train_unique"] == 10
+    reloaded = resolve_config(str(root / "dataset" / "resolved_config.json"), [])
+    assert reloaded == {k: v for k, v in doc.items() if k != "run"}
     assert (root / "dataset" / "manifest.json").exists()
 
 
@@ -73,6 +85,8 @@ def test_train_regime_none_leaves_generator_untouched(cli_world, tmp_path):
     post, _, _, _ = load_train_state(out)
     unet_names = [n for n in pre.names() if n.startswith("unet/")]
     assert post.hash_of(unet_names) == pre.hash_of(unet_names)
+    doc = json.loads((out / "resolved_config.json").read_text())
+    assert doc["train"]["regime"] == "none"
 
 
 def test_multi_subject_needs_two(cli_world, tmp_path, capsys):
@@ -109,11 +123,23 @@ def test_sweep_time_command(cli_world, tmp_path):
         "--set", "eval.test_run_fraction=0.34",
         "--set", "eval.deltas_tr=[-3,0]",
         "--set", "eval.max_trials_per_subject=6",
+        "--set", "eval.eval_resolution=16",
         "sweep-time", "--general", str(gen_out), "--out", str(sweep_out),
     ) == EXIT_OK
     sweep = json.loads((sweep_out / "sweep_time.json").read_text())
     assert len(sweep["points"]) == 2
+    assert sweep["protocol"]["eval_resolution"] == 16
     assert (sweep_out / "sweep_time.svg").exists()
+
+
+def test_sweep_duration_honours_eval_keys(cli_world, tmp_path):
+    out = tmp_path / "dur"
+    assert _run(
+        Path(cli_world), "--set", "eval.steps=2", "--set", "eval.eval_resolution=16",
+        "sweep-duration", "--durations-tr", "2", "--out", str(out),
+    ) == EXIT_OK
+    protocol = json.loads((out / "sweep_duration.json").read_text())["protocol"]
+    assert protocol["steps"] == 2 and protocol["eval_resolution"] == 16
 
 
 def test_unknown_command_rejected():
@@ -127,3 +153,75 @@ def test_default_config_is_spec_scale():
     assert DEFAULT_CONFIG["train"]["pretrain_steps"] == 5_000
     assert DEFAULT_CONFIG["eval"]["steps"] == 20
     assert DEFAULT_CONFIG["eval"]["guidance"] == 3.0
+
+
+def test_default_config_is_the_dataclass_defaults():
+    config = resolve_config(None, [])
+    unet = UNetConfig(resolution=DatasetConfig().resolution, tokens=TrainConfig().brain.tokens,
+                      token_dim=TrainConfig().brain.token_dim)
+    assert train_config(config) == TrainConfig(unet=unet)
+    assert dataset_config(config) == DatasetConfig()
+
+
+def test_public_config_keys():
+    def dotted(tree, prefix=""):
+        for k, v in tree.items():
+            yield from dotted(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+
+    assert set(dotted(DEFAULT_CONFIG)) == {
+        "seed", "workers", "paths.out_root", "paths.data", "paths.pretrain",
+        "dataset.n_subjects", "dataset.n_train_unique", "dataset.n_test_unique", "dataset.repetitions",
+        "dataset.trials_per_run", "dataset.tr", "dataset.resolution", "dataset.noise_scale",
+        "dataset.drift_scale", "dataset.voxel_lo", "dataset.voxel_hi",
+        "train.steps", "train.pretrain_steps", "train.batch_size", "train.max_lr", "train.weight_decay",
+        "train.beta1", "train.beta2", "train.warmup_steps", "train.cond_dropout", "train.regime",
+        "train.window_t", "train.window_d", "train.delta", "train.offset_lambda", "train.shuffle_conditioning",
+        "train.brain.hidden", "train.brain.tokens", "train.brain.token_dim", "train.brain.dropout",
+        "train.brain.timestep_layer_enabled", "train.brain.aggregation_position",
+        "train.unet.channels", "train.unet.t_max",
+        "eval.steps", "eval.guidance", "eval.eval_resolution", "eval.test_run_fraction", "eval.deltas_tr",
+        "eval.max_trials_per_subject",
+    }
+
+
+def test_keys_reach_their_fields():
+    config = resolve_config(None, [
+        "seed=5", "dataset.resolution=16", "dataset.voxel_lo=25", "dataset.voxel_hi=40",
+        "dataset.noise_scale=2", "dataset.drift_scale=0.5", "train.beta1=0.8", "train.beta2=0.99",
+        "train.regime=all", "train.brain.tokens=4", "train.brain.token_dim=8", "train.unet.channels=[8,8,16]",
+    ])
+    tc, dc = train_config(config), dataset_config(config)
+    assert (tc.seed, tc.betas, tc.finetune_regime) == (5, (0.8, 0.99), "all")
+    assert tc.unet == UNetConfig(resolution=16, channels=(8, 8, 16), tokens=4, token_dim=8)
+    assert dc.subject.voxel_range == (25, 40) and dc.resolution == 16
+    assert (dc.noise.noise_scale, dc.noise.drift_scale) == (2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("dataset.n_subjects=abc", "config error at dataset.n_subjects: "),
+        ("dataset.n_subjects=true", "config error at dataset.n_subjects: "),
+        ("train.unet.channels=8", "config error at train.unet.channels: "),
+        ("train.regime=3", "config error at train.regime: "),
+    ],
+)
+def test_wrongly_typed_override_is_config_error(override, message, capsys):
+    assert dispatch(["--set", override, "gen-data"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_wrongly_typed_config_file_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"eval": {"deltas_tr": 3}}))
+    assert dispatch(["--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    assert "config error at eval.deltas_tr: " in capsys.readouterr().err
+    bad.write_text("[1]")
+    assert dispatch(["--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    bad.write_text(json.dumps({"train": {"steps": 5}}))
+    assert dispatch(["--config", str(bad), "--set", "train.steps.x=1", "gen-data"]) == EXIT_CONFIG
+
+
+def test_int_accepted_for_float_key():
+    config = resolve_config(None, ["train.max_lr=1", "dataset.tr=2"])
+    assert train_config(config).max_lr == 1 and dataset_config(config).tr == 2

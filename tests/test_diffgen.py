@@ -4,7 +4,6 @@ import pytest
 from bold2img.diffgen import (
     LORA_ALPHA,
     LORA_RANK,
-    UNetConfig,
     add_lora_params,
     bicubic_cdf,
     bicubic_transform,

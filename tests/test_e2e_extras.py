@@ -18,7 +18,6 @@ from bold2img.prep import build_split_standard
 from bold2img.substrate import RngKey
 from bold2img.synthcortex import DEFAULT_PALETTE, DatasetConfig, SubjectConfig, build_dataset, load_manifest
 from bold2img.trainer import (
-    TrainConfig,
     load_train_state,
     pretrain_generator,
     sample_unconditional,

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from bold2img.prep import (
     DEFAULT_CUTOFF_S,
-    Epoch,
     PreprocCache,
     SplitSpec,
     WindowError,
@@ -29,7 +28,6 @@ from bold2img.synthcortex import (
     NoiseConfig,
     RunTimeline,
     build_dataset,
-    make_timeline,
 )
 
 TR = 1.3

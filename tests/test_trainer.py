@@ -11,6 +11,7 @@ from bold2img.trainer import (
     TrainConfig,
     adapt_new_subject,
     assemble_training_set,
+    config_to_json,
     infer,
     load_train_state,
     pretrain_generator,
@@ -52,6 +53,22 @@ def world(tmp_path_factory):
     split = build_split_standard(manifest)
     pre = pretrain_generator(manifest, tiny_config(), root / "pre")
     return manifest, split, pre, root
+
+
+def test_train_config_json_round_trip():
+    cfg = tiny_config(betas=(0.8, 0.99))
+    doc = config_to_json(cfg)
+    assert doc["betas"] == [0.8, 0.99] and doc["unet"]["channels"] == [8, 8, 16]
+    assert TrainConfig.from_json(doc) == cfg
+
+
+def test_train_config_from_json_reads_the_removed_conditioning_key():
+    doc = config_to_json(tiny_config())
+    assert TrainConfig.from_json({**doc, "pretrain_conditioning": "image"}) == tiny_config()
+    with pytest.raises(ValueError, match="pretrain_conditioning"):
+        TrainConfig.from_json({**doc, "pretrain_conditioning": "null"})
+    with pytest.raises(TypeError, match="nope"):
+        TrainConfig.from_json({**doc, "nope": 1})
 
 
 def test_pretrain_zero_steps_is_identity(world, tmp_path):
