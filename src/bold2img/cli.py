@@ -17,8 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .brainmod import AGG_IN
-from .evalkit import duration_sweep, emit_report, emit_sweep, evaluate_split, time_sweep
-from .prep import PreprocCache, build_split_standard, build_split_time_resolved, cache_epochs, extract_epochs
+from .evalkit import EvalConfig, duration_sweep, emit_report, emit_sweep, evaluate_split, time_sweep
+from .prep import PreprocCache, build_split_standard, build_split_time_resolved, extract_epochs
 from .substrate import RngKey, write_tensor
 from .synthcortex import DatasetConfig, build_dataset, load_manifest
 from .trainer import (
@@ -43,9 +43,10 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-# The `train` and `dataset` sections are the fields of TrainConfig and
-# DatasetConfig, at their defaults, except where a public key differs from its
-# field path below the section's dataclass (a number indexes a tuple field) ...
+# The `train`, `dataset` and `eval` sections are the fields of TrainConfig,
+# DatasetConfig and EvalConfig, at their defaults, except where a public key
+# differs from its field path below the section's dataclass (a number indexes
+# a tuple field) ...
 _RENAMED = {
     "train": {"regime": "finetune_regime", "beta1": "betas.0", "beta2": "betas.1"},
     "dataset": {
@@ -54,6 +55,7 @@ _RENAMED = {
         "noise_scale": "noise.noise_scale",
         "drift_scale": "noise.drift_scale",
     },
+    "eval": {},
 }
 # ... and the fields with no key of their own besides the renamed ones: fixed
 # at their default, set through a renamed key, or linked to another key in
@@ -64,8 +66,9 @@ _HIDDEN = {
         "unet.resolution", "unet.in_channels", "unet.tokens", "unet.token_dim",
     },
     "dataset": {"scene", "subject", "noise"},
+    "eval": set(),
 }
-_SECTIONS = {"train": TrainConfig, "dataset": DatasetConfig}
+_SECTIONS = {"train": TrainConfig, "dataset": DatasetConfig, "eval": EvalConfig}
 
 
 def _field(fields_json: dict, path: str):
@@ -99,14 +102,7 @@ DEFAULT_CONFIG: dict = {
     "paths": {"out_root": "b2i_out", "data": "", "pretrain": ""},
     "dataset": _section_defaults("dataset"),
     "train": _section_defaults("train"),
-    "eval": {
-        "steps": 20,
-        "guidance": 3.0,
-        "eval_resolution": 32,
-        "test_run_fraction": 45.0 / 480.0,
-        "deltas_tr": list(range(-6, 10)),  # the 16 shifted windows
-        "max_trials_per_subject": 0,  # 0 -> all
-    },
+    "eval": _section_defaults("eval"),
 }
 
 
@@ -147,7 +143,10 @@ def _apply_override(given: dict, dotted: str, raw: str):
 def resolve_config(config_file: str | None, overrides: list[str]) -> dict:
     given = {}
     if config_file:
-        given = json.loads(Path(config_file).read_text())
+        try:
+            given = json.loads(Path(config_file).read_text())
+        except json.JSONDecodeError as e:
+            raise ConfigError(config_file, f"not JSON ({e})") from None
         if not isinstance(given, dict):
             raise ConfigError(config_file, f"expected an object, got {type(given).__name__}")
         given.pop("run", None)  # provenance block from an emitted resolved config
@@ -201,6 +200,10 @@ def train_config(c: dict) -> TrainConfig:
     return _section_config(c, "train", linked)
 
 
+def eval_config(c: dict) -> EvalConfig:
+    return _section_config(c, "eval", {})
+
+
 def _write_resolved(config: dict, command: str, args: dict, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = dict(config)
@@ -213,7 +216,7 @@ def _split_for(manifest, kind: str, config: dict):
         return build_split_standard(manifest)
     if kind == "time-resolved":
         return build_split_time_resolved(
-            manifest, RngKey(config["seed"], ("split",)), config["eval"]["test_run_fraction"]
+            manifest, RngKey(config["seed"], ("split",)), eval_config(config).test_run_fraction
         )
     raise ConfigError("split", f"unknown split kind {kind!r}")
 
@@ -235,12 +238,8 @@ def cmd_gen_data(config, args):
 def cmd_preprocess(config, args):
     manifest = load_manifest(config["paths"]["data"])
     cache = PreprocCache(manifest).build()
-    split = build_split_standard(manifest)
-    t, d = config["train"]["window_t"], config["train"]["window_d"]
-    refs = {s: split.train_refs[s] + split.test_refs[s] for s in manifest.subject_ids}
-    epoch_dir = cache_epochs(cache, refs, Path(config["paths"]["data"]) / f"epochs_t{t}_d{d}", t, d)
     _write_resolved(config, "preprocess", vars(args), cache.dir)
-    print(f"preprocessed runs cached in {cache.dir}; epochs in {epoch_dir}")
+    print(f"preprocessed runs cached in {cache.dir}")
     return EXIT_OK
 
 
@@ -284,9 +283,9 @@ def cmd_infer(config, args):
     _, _, tc, _ = load_train_state(args.ckpt)
     refs = {s: split.test_refs[s][: args.limit] if args.limit else split.test_refs[s] for s in split.test_refs}
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, args.delta or 0.0)
-    key = RngKey(config["seed"], ("infer",))
+    ev = eval_config(config)
     images, records = infer(
-        args.ckpt, manifest, epochs, key, steps=config["eval"]["steps"], guidance=config["eval"]["guidance"]
+        args.ckpt, manifest, epochs, RngKey(config["seed"], ("infer",)), steps=ev.steps, guidance=ev.guidance
     )
     out = Path(args.out or Path(config["paths"]["out_root"]) / "infer")
     out.mkdir(parents=True, exist_ok=True)
@@ -301,15 +300,7 @@ def cmd_infer(config, args):
 def cmd_eval(config, args):
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, args.split, config)
-    report = evaluate_split(
-        args.ckpt,
-        manifest,
-        split,
-        RngKey(config["seed"], ("eval",)),
-        steps=config["eval"]["steps"],
-        guidance=config["eval"]["guidance"],
-        eval_resolution=config["eval"]["eval_resolution"],
-    )
+    report = evaluate_split(args.ckpt, manifest, split, RngKey(config["seed"], ("eval",)), eval_config(config))
     out = Path(args.out or Path(config["paths"]["out_root"]) / "eval")
     emit_report(report, out)
     _write_resolved(config, "eval", vars(args), out)
@@ -325,19 +316,10 @@ def cmd_sweep_time(config, args):
     for item in args.specialized or []:
         delta_str, ckpt = item.split("=", 1)
         specialized[float(delta_str)] = ckpt
-    deltas = [k * manifest.tr for k in config["eval"]["deltas_tr"]]
-    cap = config["eval"]["max_trials_per_subject"] or None
+    ev = eval_config(config)
+    deltas = [k * manifest.tr for k in ev.deltas_tr]
     sweep = time_sweep(
-        args.general,
-        specialized,
-        manifest,
-        split,
-        RngKey(config["seed"], ("sweep-time",)),
-        deltas,
-        steps=config["eval"]["steps"],
-        guidance=config["eval"]["guidance"],
-        eval_resolution=config["eval"]["eval_resolution"],
-        max_trials_per_subject=cap,
+        args.general, specialized, manifest, split, RngKey(config["seed"], ("sweep-time",)), deltas, ev
     )
     out = Path(args.out or Path(config["paths"]["out_root"]) / "sweep_time")
     emit_sweep(sweep, out, "sweep_time")
@@ -359,9 +341,7 @@ def cmd_sweep_duration(config, args):
         durations,
         out,
         RngKey(config["seed"], ("sweep-duration",)),
-        steps=config["eval"]["steps"],
-        guidance=config["eval"]["guidance"],
-        eval_resolution=config["eval"]["eval_resolution"],
+        eval_config(config),
     )
     emit_sweep(sweep, out, "sweep_duration")
     _write_resolved(config, "sweep-duration", vars(args), out)
@@ -372,7 +352,7 @@ def cmd_sweep_duration(config, args):
 def cmd_ablate_brainmod(config, args):
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, "standard", config)
-    base = train_config(config)
+    base, ev = train_config(config), eval_config(config)
     variants = {
         "no_timestep_agg_out": replace(base.brain, timestep_layer_enabled=False),
         "timestep_agg_in": replace(base.brain, aggregation_position=AGG_IN),
@@ -383,11 +363,7 @@ def cmd_ablate_brainmod(config, args):
     for name, brain in sorted(variants.items()):
         tc = replace(base, brain=brain)
         ckpt = train_single_stage(manifest, split, config["paths"]["pretrain"], tc, out / name)
-        report = evaluate_split(
-            ckpt, manifest, split, RngKey(config["seed"], ("ablate", name)),
-            steps=config["eval"]["steps"], guidance=config["eval"]["guidance"],
-            eval_resolution=config["eval"]["eval_resolution"],
-        )
+        report = evaluate_split(ckpt, manifest, split, RngKey(config["seed"], ("ablate", name)), ev)
         emit_report(report, out / name)
         results[name] = report.mean
     (out / "ablation.json").write_text(json.dumps(results, sort_keys=True, indent=1))

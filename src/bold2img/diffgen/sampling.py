@@ -34,8 +34,8 @@ def ddim_sample(
     schedule: NoiseSchedule,
     shape: tuple,
     key: RngKey,
-    steps: int = 20,
-    guidance: float = 3.0,
+    steps: int,
+    guidance: float,
     clip_final: bool = True,
     x_init: np.ndarray | None = None,
 ) -> np.ndarray:

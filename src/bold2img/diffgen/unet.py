@@ -157,8 +157,8 @@ def unet_cross_attn_param_names(store: ParamStore) -> list[str]:
     return [n for n in store.names() if n.startswith("unet/xa_") and any(f"/{p}/" in n for p in "qkvo")]
 
 
-def _check(h: Tensor, block: str, enabled: bool):
-    if enabled and not np.all(np.isfinite(h.data)):
+def _check(h: Tensor, block: str):
+    if not np.all(np.isfinite(h.data)):
         raise NonFiniteActivation(f"non-finite activation leaving block {block!r}")
 
 
@@ -169,7 +169,6 @@ def unet_forward(
     store: ParamStore,
     config: UNetConfig,
     use_lora: bool = False,
-    check_finite: bool = True,
 ) -> Tensor:
     """Predict the noise for a batch: (B, R, R, 3) -> (B, R, R, 3).
 
@@ -195,7 +194,7 @@ def unet_forward(
         shift = ops.linear(temb, store[f"unet/{name}/temb/w"], store[f"unet/{name}/temb/b"])
         y = ops.add(y, ops.reshape(shift, (b, 1, 1, ch)))
         out = ops.add(h, y)
-        _check(out, name, check_finite)
+        _check(out, name)
         return out
 
     def xattn(h, name, ch):
@@ -208,7 +207,7 @@ def unet_forward(
         a = ops.attention(q, k, v)
         o = lora_linear(a, store, f"unet/{name}/o/w", f"unet/{name}/o/b", name, "o", use_lora)
         out = ops.add(h, ops.reshape(o, h.shape))
-        _check(out, name, check_finite)
+        _check(out, name)
         return out
 
     c0, c1, c2 = config.channels
@@ -234,7 +233,7 @@ def unet_forward(
     h = ops.group_norm(h, store["unet/out/gn/g"], store["unet/out/gn/bta"])
     h = ops.silu(h)
     out = ops.conv2d(h, store["unet/out/conv/w"], store["unet/out/conv/b"])
-    _check(out, "out", check_finite)
+    _check(out, "out")
     return out
 
 

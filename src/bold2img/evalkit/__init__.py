@@ -2,6 +2,7 @@
 
 from .evaluate import (
     METRICS,
+    EvalConfig,
     MetricsReport,
     SweepResult,
     aggregate_subjects,
@@ -27,6 +28,7 @@ from .report import emit_report, emit_sweep
 
 __all__ = [
     "METRICS",
+    "EvalConfig",
     "MetricsReport",
     "SweepResult",
     "aggregate_subjects",

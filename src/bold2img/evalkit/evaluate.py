@@ -1,4 +1,8 @@
-"""Trial-wise evaluation protocol, time sweeps, and duration sweeps."""
+"""Trial-wise evaluation protocol, time sweeps, and duration sweeps.
+
+One `EvalConfig` states the protocol (the CLI's `eval` section) and is passed
+whole to every entry point.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..prep import PreprocCache, SplitSpec, extract_epochs, pick_test_repetitions, window_length
+from ..prep import DEFAULT_TEST_RUN_FRACTION, PreprocCache, SplitSpec, extract_epochs, pick_test_repetitions, window_length
 from ..substrate.rng import RngKey
 from ..synthcortex.dataset import DatasetManifest
 from ..trainer import TrainConfig, infer, load_train_state, train_single_stage
@@ -19,6 +23,19 @@ RESERVED_ABSENT = ("effnet", "swav", "dreamsim")
 
 LOW = ProbeSpec("low")
 HIGH = ProbeSpec("high")
+
+
+@dataclass
+class EvalConfig:
+    steps: int = 20  # DDIM steps
+    guidance: float = 3.0  # classifier-free guidance scale
+    eval_resolution: int = 32  # metrics resolution; 0 -> the dataset's
+    test_run_fraction: float = DEFAULT_TEST_RUN_FRACTION  # time-resolved split
+    deltas_tr: tuple = tuple(range(-6, 10))  # the 16 shifted windows, in TRs
+    max_trials_per_subject: int = 0  # time-sweep trials per subject; 0 -> all
+
+    def resolution(self, manifest: DatasetManifest) -> int:
+        return self.eval_resolution or manifest.resolution
 
 
 @dataclass
@@ -157,30 +174,21 @@ def evaluate_split(
     manifest: DatasetManifest,
     split: SplitSpec,
     key: RngKey,
-    steps: int = 20,
-    guidance: float = 3.0,
-    eval_resolution: int | None = None,
+    ev: EvalConfig,
     decoder=None,
-    window_t: float | None = None,
-    window_d: float | None = None,
-    delta: float = 0.0,
 ) -> MetricsReport:
     """Trial-wise metrics, per-subject means, SEM across subjects.
 
     On the standard split, one seeded repetition of three per test stimulus;
     on the time-resolved split every test-run trial is scored (repetition
     locations there may fall on training runs, so the one-of-three protocol
-    does not apply).
+    does not apply). Windows come from the checkpoint's config, or from the
+    `TrainConfig` defaults when a `decoder` stands in for one.
     """
     if not split.test_stimuli:
         raise ValueError("split has an empty test side")
-    if ckpt_dir is not None:
-        _, _, tc, _ = load_train_state(ckpt_dir)
-        window_t = tc.window_t if window_t is None else window_t
-        window_d = tc.window_d if window_d is None else window_d
-    window_t = 3.0 if window_t is None else window_t
-    window_d = 8.0 if window_d is None else window_d
-    eval_res = eval_resolution or manifest.resolution
+    tc = load_train_state(ckpt_dir)[2] if ckpt_dir is not None else TrainConfig()
+    eval_res = ev.resolution(manifest)
 
     if split.kind == "time_resolved":
         rep_map = {}
@@ -189,23 +197,23 @@ def evaluate_split(
         rep_map = pick_test_repetitions(split, key.child("reps"))
         refs = chosen_test_refs(manifest, split, rep_map)
     cache = PreprocCache(manifest).build()
-    epochs, _ = extract_epochs(cache, refs, window_t, window_d, delta)
+    epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d)
     if decoder is not None:
         images = decoder(epochs)
     else:
-        # keyed like the sweep's per-shift evaluation, so an unshifted sweep
-        # point reproduces this report exactly
-        images, _ = infer(ckpt_dir, manifest, epochs, key.child("gen", delta), steps=steps, guidance=guidance)
+        # keyed like the sweep's per-shift evaluation (a float shift), so an
+        # unshifted sweep point reproduces this report exactly
+        images, _ = infer(ckpt_dir, manifest, epochs, key.child("gen", 0.0), steps=ev.steps, guidance=ev.guidance)
 
     per_subject = score_trials(manifest, images, epochs, eval_res)
     mean, sem = aggregate_subjects(per_subject)
     protocol = {
         "split": split.kind,
-        "window_t": window_t,
-        "window_d": window_d,
-        "delta": delta,
-        "steps": steps,
-        "guidance": guidance,
+        "window_t": tc.window_t,
+        "window_d": tc.window_d,
+        "delta": 0.0,
+        "steps": ev.steps,
+        "guidance": ev.guidance,
         "eval_resolution": eval_res,
         "repetition_map": rep_map,
         "seed_path": repr(key),
@@ -222,12 +230,11 @@ def _sweep_point_eval(
     manifest: DatasetManifest,
     epochs: list,
     key: RngKey,
-    eval_res: int,
-    steps: int,
-    guidance: float,
+    ev: EvalConfig,
     gt_cache: dict,
 ) -> tuple[dict, dict]:
-    images, _ = infer(ckpt, manifest, epochs, key, steps=steps, guidance=guidance)
+    eval_res = ev.resolution(manifest)
+    images, _ = infer(ckpt, manifest, epochs, key, steps=ev.steps, guidance=ev.guidance)
     per_subject = score_trials(manifest, images, epochs, eval_res, gt_cache)
     # identification of the previous / next stimulus from the same reconstructions
     neighbor: dict[str, dict[str, float]] = {}
@@ -257,38 +264,35 @@ def time_sweep(
     split: SplitSpec,
     key: RngKey,
     deltas: list[float],
-    steps: int = 20,
-    guidance: float = 3.0,
-    eval_resolution: int | None = None,
-    max_trials_per_subject: int | None = None,
+    ev: EvalConfig,
 ) -> SweepResult:
-    """Evaluate the general model on shifted test windows, and per-shift
-    specialized models on the same epochs. Requires the time-resolved split so
-    neighboring trials stay on the test side."""
+    """Evaluate the general model on test windows shifted by each of `deltas`
+    (seconds), and per-shift specialized models on the same epochs. Requires
+    the time-resolved split so neighboring trials stay on the test side."""
     if split.kind != "time_resolved":
         raise ValueError("time sweeps need the time-resolved split")
     _, _, tc, _ = load_train_state(general_ckpt)
     t, d = tc.window_t, tc.window_d
     t_len = window_length(d, manifest.tr)
-    eval_res = eval_resolution or manifest.resolution
+    cap = ev.max_trials_per_subject
     cache = PreprocCache(manifest).build()
     gt_cache: dict = {}
 
     refs = split.test_refs
-    if max_trials_per_subject is not None:
+    if cap:
         refs = {}
         for sid, lst in split.test_refs.items():
-            if len(lst) <= max_trials_per_subject:
+            if len(lst) <= cap:
                 refs[sid] = lst
             else:
-                pick = key.child("cap", sid).generator().choice(len(lst), max_trials_per_subject, replace=False)
+                pick = key.child("cap", sid).generator().choice(len(lst), cap, replace=False)
                 refs[sid] = [lst[i] for i in sorted(pick)]
 
     points = []
     for delta in sorted(deltas):
         epochs, skipped = extract_epochs(cache, refs, t, d, delta, skip_out_of_bounds=True)
         general_subj, neighbor = _sweep_point_eval(
-            general_ckpt, manifest, epochs, key.child("gen", delta), eval_res, steps, guidance, gt_cache
+            general_ckpt, manifest, epochs, key.child("gen", delta), ev, gt_cache
         )
         g_mean, g_sem = aggregate_subjects(general_subj)
         point = {
@@ -308,7 +312,7 @@ def time_sweep(
             }
         if delta in specialized_ckpts:
             spec_subj, _ = _sweep_point_eval(
-                specialized_ckpts[delta], manifest, epochs, key.child("spec", delta), eval_res, steps, guidance, gt_cache
+                specialized_ckpts[delta], manifest, epochs, key.child("spec", delta), ev, gt_cache
             )
             s_mean, s_sem = aggregate_subjects(spec_subj)
             point["specialized"] = {"per_subject": spec_subj, "mean": s_mean, "sem": s_sem}
@@ -321,10 +325,10 @@ def time_sweep(
         "window_t": t,
         "window_d": d,
         "deltas": sorted(deltas),
-        "steps": steps,
-        "guidance": guidance,
-        "eval_resolution": eval_res,
-        "max_trials_per_subject": max_trials_per_subject,
+        "steps": ev.steps,
+        "guidance": ev.guidance,
+        "eval_resolution": ev.resolution(manifest),
+        "max_trials_per_subject": cap or None,
         "specialized_available": sorted(specialized_ckpts),
     }
     return SweepResult("time", points, protocol)
@@ -338,10 +342,7 @@ def duration_sweep(
     durations: list[float],
     out_root,
     key: RngKey,
-    subjects: list[str] | None = None,
-    steps: int = 20,
-    guidance: float = 3.0,
-    eval_resolution: int | None = None,
+    ev: EvalConfig,
 ) -> SweepResult:
     """Train one model per window duration and evaluate each on the split."""
     out_root = Path(out_root)
@@ -349,13 +350,8 @@ def duration_sweep(
     for dur in durations:
         t_len = window_length(dur, manifest.tr)
         cfg = replace(base_config, window_d=dur)
-        ckpt = train_single_stage(
-            manifest, split, pretrained_ckpt, cfg, out_root / f"dur_{t_len}tr", subjects=subjects
-        )
-        report = evaluate_split(
-            ckpt, manifest, split, key.child("eval", t_len), steps=steps, guidance=guidance,
-            eval_resolution=eval_resolution,
-        )
+        ckpt = train_single_stage(manifest, split, pretrained_ckpt, cfg, out_root / f"dur_{t_len}tr")
+        report = evaluate_split(ckpt, manifest, split, key.child("eval", t_len), ev)
         points.append(
             {
                 "duration_s": dur,
@@ -368,8 +364,8 @@ def duration_sweep(
     protocol = {
         "window_t": base_config.window_t,
         "durations": list(durations),
-        "steps": steps,
-        "guidance": guidance,
-        "eval_resolution": eval_resolution or manifest.resolution,
+        "steps": ev.steps,
+        "guidance": ev.guidance,
+        "eval_resolution": ev.resolution(manifest),
     }
     return SweepResult("duration", points, protocol)

@@ -24,6 +24,7 @@ from .synthcortex.simulate import Event, FmriRun
 DEFAULT_CUTOFF_S = 128.0
 DEFAULT_WINDOW_T = 3.0
 DEFAULT_WINDOW_D = 8.0
+DEFAULT_TEST_RUN_FRACTION = 45.0 / 480.0  # share of runs on the test side of the time-resolved split
 DEGENERATE_STD = 1e-8
 
 
@@ -194,7 +195,7 @@ def build_split_standard(manifest: DatasetManifest) -> SplitSpec:
 def build_split_time_resolved(
     manifest: DatasetManifest,
     key: RngKey,
-    test_run_fraction: float = 45.0 / 480.0,
+    test_run_fraction: float = DEFAULT_TEST_RUN_FRACTION,
 ) -> SplitSpec:
     """Whole-run split: a seeded subset of runs is test, so successive trials
     always share a side."""
@@ -278,42 +279,6 @@ class PreprocCache:
                 run = preprocess_run(raw, self.cutoff_s)
             self._mem[key] = run
         return self._mem[key]
-
-
-def cache_epochs(
-    cache: PreprocCache,
-    refs: dict[str, list[tuple[int, int]]],
-    out_dir,
-    t: float = DEFAULT_WINDOW_T,
-    d: float = DEFAULT_WINDOW_D,
-    delta: float = 0.0,
-) -> Path:
-    """Write extracted epochs to disk: one stacked container per subject plus
-    a JSON index mapping each epoch to its row and provenance."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    epochs, _ = extract_epochs(cache, refs, t, d, delta)
-    by_subject: dict[str, list[Epoch]] = {}
-    for e in epochs:
-        by_subject.setdefault(e.subject_id, []).append(e)
-    index: dict = {"window_t": t, "window_d": d, "delta": delta, "subjects": {}}
-    for sid, eps in sorted(by_subject.items()):
-        write_tensor(out_dir / f"{sid}_epochs.bin", np.stack([e.X for e in eps]))
-        index["subjects"][sid] = {
-            "file": f"{sid}_epochs.bin",
-            "epochs": [
-                {
-                    "row": i,
-                    "stimulus_id": e.stimulus_id,
-                    "run_id": e.run_id,
-                    "event_index": e.event_index,
-                    "repetition": e.repetition,
-                }
-                for i, e in enumerate(eps)
-            ],
-        }
-    (out_dir / "index.json").write_text(json.dumps(index, sort_keys=True, indent=1))
-    return out_dir
 
 
 def extract_epochs(

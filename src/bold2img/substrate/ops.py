@@ -57,20 +57,6 @@ def add(a, b) -> Tensor:
     return make_node(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.data.shape)
-            a.accumulate_grad(ga, fresh=ga is not g)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape), fresh=True)
-
-    return make_node(out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data

@@ -47,10 +47,6 @@ class ParamStore:
         self._trainable[name] = flag
         self._params[name].requires_grad = flag
 
-    def freeze_all(self):
-        for n in self.names():
-            self.set_trainable(n, False)
-
     def set_trainable_by(self, predicate):
         """Set flags from a name predicate; everything else is frozen."""
         for n in self.names():
@@ -59,10 +55,6 @@ class ParamStore:
     def zero_grads(self):
         for t in self._params.values():
             t.grad = None
-
-    def n_params(self, only_trainable: bool = False) -> int:
-        names = self.trainable_names() if only_trainable else self.names()
-        return int(sum(self._params[n].data.size for n in names))
 
     def astype(self, dtype) -> "ParamStore":
         """Copy of the store in another dtype (float64 for gradient checks)."""

@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate_grad(self, g: np.ndarray, fresh: bool = False):
         """Add a gradient contribution.
 
@@ -112,35 +109,6 @@ class Tensor:
             # Graph edges are one-shot; free them so activations can be GC'd.
             node._parents = ()
             node._backward_fn = None
-
-    # -- operator sugar; heavy lifting lives in ops.py --------------------
-    def __add__(self, other):
-        from . import ops
-        return ops.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from . import ops
-        return ops.sub(self, other)
-
-    def __mul__(self, other):
-        from . import ops
-        return ops.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        from . import ops
-        return ops.scale(self, -1.0)
-
-    def __matmul__(self, other):
-        from . import ops
-        return ops.matmul(self, other)
-
-    def reshape(self, *shape):
-        from . import ops
-        return ops.reshape(self, shape if len(shape) > 1 else shape[0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}, grad={self.requires_grad})"

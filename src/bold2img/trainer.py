@@ -513,8 +513,8 @@ def infer(
     manifest: DatasetManifest,
     epochs: list[Epoch],
     key: RngKey,
-    steps: int = 20,
-    guidance: float = 3.0,
+    steps: int,
+    guidance: float,
     batch: int = 16,
 ) -> tuple[np.ndarray, list[dict]]:
     """One image per epoch via guided DDIM; dropout inactive.

@@ -30,7 +30,7 @@ from bold2img.diffgen import (
     unet_forward,
 )
 from bold2img.diffgen.unet import SMALL_CONFIG
-from bold2img.evalkit import evaluate_split, emit_report, emit_sweep, time_sweep
+from bold2img.evalkit import EvalConfig, evaluate_split, emit_report, emit_sweep, time_sweep
 from bold2img.prep import SplitSpec, dct_basis, detrend, first_window_index, window_length, zscore
 from bold2img.substrate import OptimizerState, ParamStore, RngKey, Tensor, adamw_step, gradcheck
 from bold2img.substrate.gradcheck import make_case, registered_ops
@@ -245,12 +245,12 @@ def test_criterion_6_end_to_end():
         joint, _ = world.ensure_joint(manifest)
         split = world.standard_split(manifest)
         key = RngKey(999, ("acc6",))
-        report = evaluate_split(joint, manifest, split, key)
+        report = evaluate_split(joint, manifest, split, key, EvalConfig())
         emit_report(report, world.cache_root() / "report_criterion6")
 
         bg = np.broadcast_to(DEFAULT_PALETTE[0], (32, 32, 3)).astype(np.float32)
         baseline = evaluate_split(
-            None, manifest, split, key, decoder=lambda eps: np.stack([bg] * len(eps))
+            None, manifest, split, key, EvalConfig(), decoder=lambda eps: np.stack([bg] * len(eps))
         )
         print(f"\n  two_way_low = {report.mean['two_way_low']:.1f} +- {report.sem['two_way_low']:.1f}")
         print(f"  miou = {report.mean['miou']:.3f} +- {report.sem['miou']:.3f} "
@@ -284,7 +284,7 @@ def test_criterion_7_time_resolved():
         deltas = [k * world.TR for k in (-6, -3, -2, 0, 2, 3)]
         sweep = time_sweep(
             general, specialized, manifest, split, RngKey(998, ("acc7",)),
-            deltas, max_trials_per_subject=120,
+            deltas, EvalConfig(max_trials_per_subject=120),
         )
         emit_sweep(sweep, world.cache_root() / "report_criterion7", "sweep_time")
 
@@ -326,7 +326,7 @@ def test_criterion_8_shuffle_control():
         manifest = world.ensure_dataset()
         shuffled = world.ensure_shuffle(manifest)
         split = world.standard_split(manifest)
-        report = evaluate_split(shuffled, manifest, split, RngKey(997, ("acc8",)))
+        report = evaluate_split(shuffled, manifest, split, RngKey(997, ("acc8",)), EvalConfig())
         print(f"\n  shuffled two_way_low = {report.mean['two_way_low']:.1f}")
         assert abs(report.mean["two_way_low"] - 50.0) <= 7.0
 
@@ -356,8 +356,8 @@ def test_criterion_9_multi_subject():
 
         split = _single_subject_split(world.standard_split(manifest), world.HELD_OUT_SUBJECT)
         key = RngKey(996, ("acc9",))
-        rep_adapted = evaluate_split(adapted, manifest, split, key)
-        rep_scratch = evaluate_split(scratch, manifest, split, key)
+        rep_adapted = evaluate_split(adapted, manifest, split, key, EvalConfig())
+        rep_scratch = evaluate_split(scratch, manifest, split, key, EvalConfig())
         a = rep_adapted.mean["two_way_low"]
         s = rep_scratch.mean["two_way_low"]
         print(f"\n  adapted={a:.1f} from-scratch={s:.1f} (25% of runs)")

@@ -10,10 +10,12 @@ from bold2img.cli import (
     EXIT_OK,
     dataset_config,
     dispatch,
+    eval_config,
     resolve_config,
     train_config,
 )
 from bold2img.diffgen import UNetConfig
+from bold2img.evalkit import EvalConfig
 from bold2img.synthcortex import DatasetConfig
 from bold2img.trainer import TrainConfig, load_train_state
 
@@ -161,6 +163,7 @@ def test_default_config_is_the_dataclass_defaults():
                       token_dim=TrainConfig().brain.token_dim)
     assert train_config(config) == TrainConfig(unet=unet)
     assert dataset_config(config) == DatasetConfig()
+    assert eval_config(config) == EvalConfig()
 
 
 def test_public_config_keys():
@@ -220,6 +223,17 @@ def test_wrongly_typed_config_file_is_config_error(tmp_path, capsys):
     assert dispatch(["--config", str(bad), "gen-data"]) == EXIT_CONFIG
     bad.write_text(json.dumps({"train": {"steps": 5}}))
     assert dispatch(["--config", str(bad), "--set", "train.steps.x=1", "gen-data"]) == EXIT_CONFIG
+
+
+def test_config_file_not_json_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "notjson.json"
+    bad.write_text("nope")
+    assert dispatch(["--config", str(bad), "gen-data"]) == EXIT_CONFIG
+    assert f"config error at {bad}: not JSON" in capsys.readouterr().err
+
+
+def test_selftest_exits_zero():
+    assert dispatch(["selftest"]) == EXIT_OK
 
 
 def test_int_accepted_for_float_key():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import acceptance_world as world
-from bold2img.evalkit import evaluate_split, segment_by_palette
+from bold2img.evalkit import EvalConfig, evaluate_split, segment_by_palette
 from bold2img.prep import build_split_standard
 from bold2img.substrate import RngKey
 from bold2img.synthcortex import DEFAULT_PALETTE, DatasetConfig, SubjectConfig, build_dataset, load_manifest
@@ -67,7 +67,7 @@ def test_duration_trend_low_level_identification():
         if not (out / "manifest.json").exists():
             cfg = world.desk_train_config(steps=2500, window_d=k * TR)
             train_single_stage(manifest, split, pre, cfg, out, subjects=["sub01", "sub02"])
-        report = evaluate_split(out, manifest, _two_subject_split(split), RngKey(71, ("dur", k)))
+        report = evaluate_split(out, manifest, _two_subject_split(split), RngKey(71, ("dur", k)), EvalConfig())
         scores[k] = report.mean["two_way_low"]
         # a 1-TR model consumes (C, 1) windows by construction
         ckpt_cfg = load_train_state(out)[2]
@@ -114,7 +114,7 @@ def test_identical_subjects_score_symmetrically():
     if not (out / "manifest.json").exists():
         train_single_stage(manifest, split, pre, cfg, out, subjects=["sub01", "sub02"])
 
-    report = evaluate_split(out, manifest, split, RngKey(809, ("twins",)))
+    report = evaluate_split(out, manifest, split, RngKey(809, ("twins",)), EvalConfig())
     a = report.per_subject["sub01"]["two_way_low"]
     b = report.per_subject["sub02"]["two_way_low"]
     print(f"\n  identical subjects: sub01={a:.1f} sub02={b:.1f}")
@@ -145,8 +145,8 @@ def test_time_sweep_delta_zero_matches_evaluate_split():
     general = world.ensure_tr_general(manifest)
     split = world.tr_split(manifest)
     key = RngKey(515, ("eqcheck",))
-    sweep = time_sweep(general, {}, manifest, split, key, [0.0])
-    report = evaluate_split(general, manifest, split, key)
+    sweep = time_sweep(general, {}, manifest, split, key, [0.0], EvalConfig())
+    report = evaluate_split(general, manifest, split, key, EvalConfig())
     for metric in ("two_way_low", "miou", "pixcorr"):
         a = sweep.points[0]["general"]["mean"][metric]
         b = report.mean[metric]

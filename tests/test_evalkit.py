@@ -7,6 +7,7 @@ import pytest
 from bold2img.brainmod import BrainModuleConfig
 from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import (
+    EvalConfig,
     MetricsReport,
     ProbeSpec,
     emit_report,
@@ -243,7 +244,7 @@ def _perfect_decoder(manifest):
 
 def test_evaluate_perfect_decoder_hits_optima(eval_world):
     manifest, split, _ = eval_world
-    report = evaluate_split(None, manifest, split, RngKey(1, ("ev",)), decoder=_perfect_decoder(manifest))
+    report = evaluate_split(None, manifest, split, RngKey(1, ("ev",)), EvalConfig(), decoder=_perfect_decoder(manifest))
     assert report.mean["pixcorr"] == pytest.approx(1.0)
     assert report.mean["ssim"] == pytest.approx(1.0)
     assert report.mean["miou"] == pytest.approx(1.0)
@@ -259,7 +260,7 @@ def test_evaluate_constant_decoder(eval_world):
     manifest, split, _ = eval_world
     gray = np.full((32, 32, 3), 0.5, dtype=np.float32)
     decoder = lambda epochs: np.stack([gray] * len(epochs))
-    report = evaluate_split(None, manifest, split, RngKey(1, ("ev",)), decoder=decoder)
+    report = evaluate_split(None, manifest, split, RngKey(1, ("ev",)), EvalConfig(), decoder=decoder)
     assert report.mean["pixcorr"] == 0.0
     for sid in report.per_subject:
         assert report.per_subject[sid]["flagged_constant"] == 6
@@ -273,7 +274,7 @@ def test_evaluate_background_decoder_miou_baseline(eval_world):
     manifest, split, _ = eval_world
     bg = np.broadcast_to(DEFAULT_PALETTE[0], (32, 32, 3)).astype(np.float32)
     decoder = lambda epochs: np.stack([bg] * len(epochs))
-    report = evaluate_split(None, manifest, split, RngKey(1, ("ev",)), decoder=decoder)
+    report = evaluate_split(None, manifest, split, RngKey(1, ("ev",)), EvalConfig(), decoder=decoder)
     assert 0.0 < report.mean["miou"] < 1.0
     assert abs(report.mean["pixcorr"]) < 0.3
 
@@ -281,8 +282,8 @@ def test_evaluate_background_decoder_miou_baseline(eval_world):
 def test_evaluate_deterministic_protocol(eval_world):
     manifest, split, _ = eval_world
     dec = _perfect_decoder(manifest)
-    r1 = evaluate_split(None, manifest, split, RngKey(9, ("det",)), decoder=dec)
-    r2 = evaluate_split(None, manifest, split, RngKey(9, ("det",)), decoder=dec)
+    r1 = evaluate_split(None, manifest, split, RngKey(9, ("det",)), EvalConfig(), decoder=dec)
+    r2 = evaluate_split(None, manifest, split, RngKey(9, ("det",)), EvalConfig(), decoder=dec)
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
     assert r1.protocol["repetition_map"] == r2.protocol["repetition_map"]
 
@@ -293,12 +294,12 @@ def test_evaluate_empty_test_side_errors(eval_world):
 
     empty = SplitSpec("standard", split.train_refs, {s: [] for s in manifest.subject_ids}, [])
     with pytest.raises(ValueError, match="empty test side"):
-        evaluate_split(None, manifest, empty, RngKey(0), decoder=_perfect_decoder(manifest))
+        evaluate_split(None, manifest, empty, RngKey(0), EvalConfig(), decoder=_perfect_decoder(manifest))
 
 
 def test_report_emission_roundtrip(eval_world, tmp_path):
     manifest, split, _ = eval_world
-    report = evaluate_split(None, manifest, split, RngKey(2, ("emit",)), decoder=_perfect_decoder(manifest))
+    report = evaluate_split(None, manifest, split, RngKey(2, ("emit",)), EvalConfig(), decoder=_perfect_decoder(manifest))
     files = emit_report(report, tmp_path)
     loaded = MetricsReport.from_json(json.loads(files[0].read_text()))
     assert loaded.to_json() == report.to_json()
@@ -341,7 +342,7 @@ def test_time_sweep_structure(sweep_world, tmp_path):
     deltas = [-3 * 1.3, 0.0, 2 * 1.3]
     sweep = time_sweep(
         general, {-3 * 1.3: spec}, manifest, split, RngKey(40, ("sweep",)),
-        deltas, steps=3, max_trials_per_subject=8,
+        deltas, EvalConfig(steps=3, max_trials_per_subject=8),
     )
     ends = [p["window_end"] for p in sweep.points]
     assert ends == sorted(ends) and len(ends) == 3
@@ -364,4 +365,4 @@ def test_time_sweep_requires_time_resolved_split(sweep_world):
     manifest, _, general, _ = sweep_world
     std = build_split_standard(manifest)
     with pytest.raises(ValueError, match="time-resolved"):
-        time_sweep(general, {}, manifest, std, RngKey(0), [0.0])
+        time_sweep(general, {}, manifest, std, RngKey(0), [0.0], EvalConfig())

@@ -310,19 +310,3 @@ def test_epochs_shifted_out_of_bounds_counted(small_dataset, tmp_path):
     assert skipped > 0
     assert len(epochs) + skipped == sum(len(v) for v in split.test_refs.values())
 
-
-def test_epoch_cache_on_disk(small_dataset, tmp_path):
-    import json
-
-    from bold2img.prep import cache_epochs
-    from bold2img.substrate import read_tensor
-
-    _, m = small_dataset
-    cache = PreprocCache(m, cache_dir=tmp_path / "pp3").build()
-    split = build_split_standard(m)
-    out = cache_epochs(cache, split.test_refs, tmp_path / "epochs")
-    index = json.loads((out / "index.json").read_text())
-    for sid, entry in index["subjects"].items():
-        arr = read_tensor(out / entry["file"])
-        assert arr.shape == (len(entry["epochs"]), m.subject_voxels[sid], 6)
-        assert entry["epochs"][0]["row"] == 0

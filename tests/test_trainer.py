@@ -250,7 +250,7 @@ def test_infer_window_mismatch_errors(world, tmp_path):
     cache = PreprocCache(manifest).build()
     epochs, _ = extract_epochs(cache, {"sub01": split.test_refs["sub01"][:1]}, d=4 * 1.3)
     with pytest.raises(ValueError, match="samples"):
-        infer(ckpt, manifest, epochs, RngKey(0))
+        infer(ckpt, manifest, epochs, RngKey(0), steps=2, guidance=3.0)
 
 
 def test_shuffle_conditioning_permutes_images(world):
