@@ -17,7 +17,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from .brainmod import AGG_IN
-from .evalkit import EvalConfig, duration_sweep, emit_report, emit_sweep, evaluate_split, time_sweep
+from .evalkit import (
+    EvalConfig,
+    duration_sweep,
+    emit_report,
+    emit_sweep,
+    evaluate_split,
+    match_specialized,
+    time_sweep,
+)
 from .prep import PreprocCache, build_split_standard, build_split_time_resolved, extract_epochs
 from .substrate import RngKey, write_tensor
 from .synthcortex import DatasetConfig, build_dataset, load_manifest
@@ -318,6 +326,10 @@ def cmd_sweep_time(config, args):
         specialized[float(delta_str)] = ckpt
     ev = eval_config(config)
     deltas = [k * manifest.tr for k in ev.deltas_tr]
+    try:
+        specialized = match_specialized(specialized, deltas, manifest.tr)
+    except ValueError as e:
+        raise ConfigError("--specialized", str(e)) from None
     sweep = time_sweep(
         args.general, specialized, manifest, split, RngKey(config["seed"], ("sweep-time",)), deltas, ev
     )

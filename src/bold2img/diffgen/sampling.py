@@ -64,20 +64,18 @@ def ddim_sample(
 def cfg_predictor(unet_call, tokens, null_tokens):
     """Wrap a conditional noise model into a guided predictor.
 
-    `unet_call(x, t, tokens_batch)` runs the network; the conditional and
-    unconditional passes are batched into one call.
+    `unet_call(x, t, tokens_batch)` runs the network; a token batch k times
+    the image batch gives k row blocks of output, one per token block. The
+    guided pass sends `x` and `t` once with the conditional and null tokens
+    stacked, so the network's token-free prefix runs once for both.
     """
-    import numpy as _np
 
     def predict(x, t_batch, guidance):
         if guidance == 1.0:
             return unet_call(x, t_batch, tokens)
         b = x.shape[0]
-        null_b = _np.broadcast_to(null_tokens, tokens.shape)
-        both = _np.concatenate([tokens, null_b], axis=0)
-        x2 = _np.concatenate([x, x], axis=0)
-        t2 = _np.concatenate([t_batch, t_batch], axis=0)
-        eps = unet_call(x2, t2, both)
+        both = np.concatenate([tokens, np.broadcast_to(null_tokens, tokens.shape)], axis=0)
+        eps = unet_call(x, t_batch, both)
         return cfg_combine(eps[:b], eps[b:], guidance)
 
     return predict

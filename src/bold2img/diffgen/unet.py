@@ -6,6 +6,12 @@ Cross-attention on the P x D conditioning tokens sits at the 16^2 and 8^2
 feature maps on both the encoder and decoder paths; all four of its
 projections carry optional low-rank adapters. Two fixed coordinate channels
 are appended to the input so absolute position is available to the stack.
+
+The timestep embedding, `conv_in`, `enc1`, `down1` and `enc2` read no
+tokens. A call whose token batch is k times the image batch, as guided
+sampling makes with its conditional and null halves, runs that prefix once
+on the images and tiles its outputs k times before the first
+cross-attention.
 """
 
 from __future__ import annotations
@@ -170,17 +176,30 @@ def unet_forward(
     config: UNetConfig,
     use_lora: bool = False,
 ) -> Tensor:
-    """Predict the noise for a batch: (B, R, R, 3) -> (B, R, R, 3).
+    """Predict the noise for a batch: (B, R, R, 3) -> (k*B, R, R, 3).
 
-    `t` is a (B,) integer array of schedule indices; `tokens` is (B, P, D).
+    `t` is a (B,) integer array of schedule indices; `tokens` is (k*B, P, D)
+    for an integer k >= 1. The token-free prefix runs once on the B rows and
+    is tiled k times; output row block j pairs with token block j.
     """
     x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
     t = np.atleast_1d(np.asarray(t))
     if np.any(t < 0) or np.any(t >= config.t_max):
         raise ValueError("timestep index out of schedule range")
     b = x.shape[0]
-    if tokens.shape != (b, config.tokens, config.token_dim):
-        raise ValueError(f"tokens shape {tokens.shape} != {(b, config.tokens, config.token_dim)}")
+    n_tok = tokens.shape[0]
+    if tokens.shape[1:] != (config.tokens, config.token_dim) or n_tok == 0 or n_tok % b:
+        raise ValueError(
+            f"tokens shape {tokens.shape} is not (k*{b}, {config.tokens}, {config.token_dim}) for an integer k >= 1"
+        )
+    k = n_tok // b
+    if b == 1 and k > 1:
+        # a one-row matmul runs as BLAS gemv, which rounds differently from
+        # the gemm of k rows; a single image is tiled first to keep its bits
+        x, t, b, k = ops.concat([x] * k, axis=0), np.tile(t, k), k, 1
+
+    def tile(h):
+        return h if k == 1 else ops.concat([h] * k, axis=0)
 
     temb = Tensor(ops.sinusoidal_embedding(t, TEMB_DIM))
     temb = ops.linear(temb, store["unet/temb/l1/w"], store["unet/temb/l1/b"])
@@ -188,19 +207,18 @@ def unet_forward(
     temb = ops.linear(temb, store["unet/temb/l2/w"], store["unet/temb/l2/b"])
 
     def resblock(h, name, ch):
-        y = ops.group_norm(h, store[f"unet/{name}/gn/g"], store[f"unet/{name}/gn/bta"])
-        y = ops.silu(y)
+        y = ops.group_norm_silu(h, store[f"unet/{name}/gn/g"], store[f"unet/{name}/gn/bta"])
         y = ops.conv2d(y, store[f"unet/{name}/conv/w"], store[f"unet/{name}/conv/b"])
         shift = ops.linear(temb, store[f"unet/{name}/temb/w"], store[f"unet/{name}/temb/b"])
-        y = ops.add(y, ops.reshape(shift, (b, 1, 1, ch)))
+        y = ops.add(y, ops.reshape(shift, (h.shape[0], 1, 1, ch)))
         out = ops.add(h, y)
         _check(out, name)
         return out
 
     def xattn(h, name, ch):
-        hw = h.shape[1] * h.shape[2]
+        bh, hw = h.shape[0], h.shape[1] * h.shape[2]
         y = ops.group_norm(h, store[f"unet/{name}/gn/g"], store[f"unet/{name}/gn/bta"])
-        y = ops.reshape(y, (b, hw, ch))
+        y = ops.reshape(y, (bh, hw, ch))
         q = lora_linear(y, store, f"unet/{name}/q/w", f"unet/{name}/q/b", name, "q", use_lora)
         k = lora_linear(tokens, store, f"unet/{name}/k/w", f"unet/{name}/k/b", name, "k", use_lora)
         v = lora_linear(tokens, store, f"unet/{name}/v/w", f"unet/{name}/v/b", name, "v", use_lora)
@@ -216,6 +234,8 @@ def unet_forward(
     h32 = resblock(h, "enc1", c0)
     h = ops.conv2d(h32, store["unet/down1/w"], store["unet/down1/b"], stride=2)
     h = resblock(h, "enc2", c1)
+    # everything above reads no tokens; from here on each row block has its own
+    h32, h, temb = tile(h32), tile(h), tile(temb)
     h16 = xattn(h, "xa_e16", c1)
     h = ops.conv2d(h16, store["unet/down2/w"], store["unet/down2/b"], stride=2)
     h = resblock(h, "enc3", c2)
@@ -230,8 +250,7 @@ def unet_forward(
     h = ops.upsample_nearest2x(ops.conv2d(h, store["unet/up2/w"], store["unet/up2/b"]))
     h = ops.add(h, h32)
     h = resblock(h, "dec2", c0)
-    h = ops.group_norm(h, store["unet/out/gn/g"], store["unet/out/gn/bta"])
-    h = ops.silu(h)
+    h = ops.group_norm_silu(h, store["unet/out/gn/g"], store["unet/out/gn/bta"])
     out = ops.conv2d(h, store["unet/out/conv/w"], store["unet/out/conv/b"])
     _check(out, "out")
     return out

@@ -257,6 +257,23 @@ def _sweep_point_eval(
     return per_subject, neighbor
 
 
+def match_specialized(specialized_ckpts: dict[float, object], deltas: list[float], tr: float) -> dict[float, object]:
+    """Key each specialized checkpoint by the sweep shift it belongs to.
+
+    Shifts match by TR multiple, so a shift typed in decimal (-3.9 s at TR
+    1.3) finds the computed -3 * 1.3 = -3.9000000000000004; a shift that is
+    no TR multiple or no sweep point raises ValueError naming it.
+    """
+    by_k = {round(d / tr): d for d in deltas}
+    matched = {}
+    for delta, ckpt in specialized_ckpts.items():
+        k = round(delta / tr)
+        if abs(delta / tr - k) > 1e-6 or k not in by_k:
+            raise ValueError(f"specialized delta {delta} matches no sweep point (shifts {sorted(deltas)})")
+        matched[by_k[k]] = ckpt
+    return matched
+
+
 def time_sweep(
     general_ckpt,
     specialized_ckpts: dict[float, object],
@@ -268,7 +285,8 @@ def time_sweep(
 ) -> SweepResult:
     """Evaluate the general model on test windows shifted by each of `deltas`
     (seconds), and per-shift specialized models on the same epochs. Requires
-    the time-resolved split so neighboring trials stay on the test side."""
+    the time-resolved split so neighboring trials stay on the test side.
+    `specialized_ckpts` is keyed by shift in seconds, matched by TR multiple."""
     if split.kind != "time_resolved":
         raise ValueError("time sweeps need the time-resolved split")
     _, _, tc, _ = load_train_state(general_ckpt)
@@ -278,6 +296,7 @@ def time_sweep(
     cache = PreprocCache(manifest).build()
     gt_cache: dict = {}
 
+    specialized_ckpts = match_specialized(specialized_ckpts, deltas, manifest.tr)
     refs = split.test_refs
     if cap:
         refs = {}

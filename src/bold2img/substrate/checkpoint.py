@@ -10,6 +10,7 @@ runs, rendered stimuli, and cached epochs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -39,19 +40,25 @@ def write_tensor(path, arr: np.ndarray):
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a tensor container")
-        version, code = struct.unpack("<II", f.read(8))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        (ndim,) = struct.unpack("<I", f.read(4))
-        shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-        data = np.frombuffer(f.read(), dtype=_DTYPES[code])
-        expected = int(np.prod(shape)) if ndim else 1
-        if data.size != expected:
-            raise ValueError(f"{path}: payload has {data.size} values, header says {expected}")
-    return data.reshape(shape).astype(data.dtype.newbyteorder("="))
+    buf = Path(path).read_bytes()
+    if buf[:4] != MAGIC:
+        raise ValueError(f"{path}: not a tensor container")
+    if len(buf) < 16:
+        raise ValueError(f"{path}: truncated header")
+    version, code, ndim = struct.unpack_from("<III", buf, 4)
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported container version {version}")
+    if code not in _DTYPES:
+        raise ValueError(f"{path}: unknown dtype code {code}")
+    start = 16 + 4 * ndim
+    if len(buf) < start:
+        raise ValueError(f"{path}: truncated header")
+    shape = struct.unpack_from(f"<{ndim}I", buf, 16)
+    dtype = np.dtype(_DTYPES[code])
+    expected = math.prod(shape)
+    if len(buf) - start != expected * dtype.itemsize:
+        raise ValueError(f"{path}: payload has {len(buf) - start} bytes, header says {expected} {dtype.name} values")
+    return np.frombuffer(buf, dtype=dtype, offset=start).reshape(shape).astype(dtype.newbyteorder("="))
 
 
 def _blob_name(param_name: str) -> str:

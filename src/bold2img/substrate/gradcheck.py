@@ -92,6 +92,13 @@ def _factory_norm(kind):
     return f
 
 
+def _factory_group_norm_x(key: RngKey):
+    # the group_norm case with its input as a parameter, so dx is checked too
+    p, (x,) = _factory_norm("group")(key)
+    p.add("x", x)
+    return p, []
+
+
 def _factory_unary(shape):
     def f(key: RngKey):
         p = ParamStore()
@@ -116,6 +123,9 @@ register(
     "conv2d_s1_frozen", lambda p, ins: ops.conv2d(p["x"], Tensor(ins[0]), Tensor(ins[1]), stride=1), _factory_conv_frozen
 )
 register("group_norm", lambda p, ins: ops.group_norm(Tensor(ins[0]), p["g"], p["b"], groups=8), _factory_norm("group"))
+register(
+    "group_norm_silu", lambda p, ins: ops.group_norm_silu(p["x"], p["g"], p["b"], groups=8), _factory_group_norm_x
+)
 register("layer_norm", lambda p, ins: ops.layer_norm(Tensor(ins[0]), p["g"], p["b"]), _factory_norm("layer"))
 register("gelu", lambda p, ins: ops.gelu(p["x"]), _factory_unary((3, 7)))
 register("silu", lambda p, ins: ops.silu(p["x"]), _factory_unary((3, 7)))

@@ -256,6 +256,17 @@ class _BufferPool:
 _POOL = _BufferPool()
 
 
+def _padded(x: np.ndarray, dtype) -> np.ndarray:
+    """x zero-padded by one pixel on each side, in a pooled buffer of `dtype`."""
+    bb, h, w, c = x.shape
+    xp = _POOL.acquire((bb, h + 2, w + 2, c), dtype)
+    # a pooled buffer's border holds whatever its last user wrote there
+    xp[:, [0, -1]] = 0
+    xp[:, :, [0, -1]] = 0
+    xp[:, 1:-1, 1:-1] = x
+    return xp
+
+
 def _im2col_flat(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
     """Column matrix (B*OH*OW, 9*C) in a pooled buffer.
 
@@ -284,8 +295,9 @@ def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tu
     bb, h, ww_, _ = x.shape
     oh = (h + 2 - kh) // stride + 1
     ow = (ww_ + 2 - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    xp = _padded(x, x.dtype)
     col = _im2col_flat(xp, stride, oh, ow)
+    _POOL.release(xp)
     y = col.reshape(bb * oh * ow, 9 * cin) @ w4.reshape(kh * kw * cin, cout)
     if not keep_col:
         _POOL.release(col)
@@ -315,10 +327,7 @@ def _conv_shifted(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
     cout = w4.shape[3]
     hp, wp = h + 2, w + 2
     dtype = np.result_type(x, w4)
-    xp = _POOL.acquire((bb, hp, wp, c), dtype)
-    xp[:, [0, -1]] = 0
-    xp[:, :, [0, -1]] = 0
-    xp[:, 1:-1, 1:-1] = x
+    xp = _padded(x, dtype)
     rows = xp.reshape(bb * hp * wp, c)
     wk = w4.astype(dtype, copy=False)
     taps = [(ki * wp + kj, wk[ki, kj]) for ki in range(3) for kj in range(3)]
@@ -411,54 +420,93 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
 # normalization
 
 
-def group_norm(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tensor:
-    """Normalize (B, H, W, C) over spatial dims and channels within a group."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    bb, h, w, c = x.data.shape
+def _group_norm_affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int, eps: float):
+    """Group-norm forward on (B, H, W, C): (y3, x3, mu, inv).
+
+    y3 is the (B, H*W, C) output in a fresh buffer, x3 the input viewed the
+    same way, mu and inv the (B, G) mean and inverse standard deviation.
+    """
+    bb, h, w, c = x.shape
     if c % groups:
         raise ValueError(f"channels {c} not divisible by groups {groups}")
     cg = c // groups
     n = h * w * cg
-    x3 = x.data.reshape(bb, h * w, c)
+    x3 = x.reshape(bb, h * w, c)
     # per-(batch, group) moments via per-(batch, channel) sums
     s_bc = x3.sum(axis=1)  # (B, C)
     q_bc = np.einsum("bsc,bsc->bc", x3, x3)  # (B, C)
     mu = s_bc.reshape(bb, groups, cg).sum(axis=2) / n  # (B, G)
     ex2 = q_bc.reshape(bb, groups, cg).sum(axis=2) / n
     inv = 1.0 / np.sqrt(ex2 - mu * mu + eps)  # (B, G)
-    # y = x * a + s with per-(batch, channel) affine factors, one fused pass
-    a_bc = np.repeat(inv, cg, axis=1) * gamma.data  # (B, C)
-    s_bc_fact = beta.data - np.repeat(mu, cg, axis=1) * a_bc
-    out = (x3 * a_bc[:, None, :] + s_bc_fact[:, None, :]).reshape(bb, h, w, c)
+    # y = x * a + s with per-(batch, channel) affine factors, in one buffer
+    a_bc = np.repeat(inv, cg, axis=1) * gamma  # (B, C)
+    s_bc_fact = beta - np.repeat(mu, cg, axis=1) * a_bc
+    y3 = x3 * a_bc[:, None, :]
+    y3 += s_bc_fact[:, None, :]
+    return y3, x3, mu, inv
+
+
+def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, x3, mu, inv):
+    """Accumulate the group-norm gradients for output gradient g."""
+    bb, h, w, c = x.data.shape
+    groups = mu.shape[1]
+    cg = c // groups
+    n = h * w * cg
+    g3 = g.reshape(bb, h * w, c)
+    if beta.requires_grad:
+        beta.accumulate_grad(g3.sum(axis=(0, 1)), fresh=True)
+    need_gamma = gamma.requires_grad
+    need_x = x.requires_grad
+    if not (need_gamma or need_x):
+        return
+    gs_bc = g3.sum(axis=1)  # (B, C)
+    gx_bc = np.einsum("bsc,bsc->bc", g3, x3)  # (B, C)
+    inv_bc = np.repeat(inv, cg, axis=1)
+    mu_bc = np.repeat(mu, cg, axis=1)
+    gxhat_bc = (gx_bc - mu_bc * gs_bc) * inv_bc  # sum over space of g * xhat
+    if need_gamma:
+        gamma.accumulate_grad(gxhat_bc.sum(axis=0), fresh=True)
+    if need_x:
+        # dx = inv * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat))
+        m1 = ((gs_bc * gamma.data).reshape(bb, groups, cg).sum(axis=2) / n)
+        m2 = ((gxhat_bc * gamma.data).reshape(bb, groups, cg).sum(axis=2) / n)
+        m1_bc = np.repeat(m1, cg, axis=1)
+        m2_bc = np.repeat(m2, cg, axis=1)
+        coef_a = inv_bc * gamma.data  # (B, C) multiplies g
+        coef_b = inv_bc * inv_bc * m2_bc  # multiplies (x - mu)
+        coef_c = inv_bc * m1_bc + coef_b * (-mu_bc)  # constant term
+        dx = g3 * coef_a[:, None, :]
+        dx -= x3 * coef_b[:, None, :]
+        dx -= coef_c[:, None, :]
+        x.accumulate_grad(dx.reshape(bb, h, w, c), fresh=True)
+
+
+def group_norm(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tensor:
+    """Normalize (B, H, W, C) over spatial dims and channels within a group."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data, groups, eps)
 
     def backward(g):
-        g3 = g.reshape(bb, h * w, c)
-        if beta.requires_grad:
-            beta.accumulate_grad(g3.sum(axis=(0, 1)), fresh=True)
-        need_gamma = gamma.requires_grad
-        need_x = x.requires_grad
-        if not (need_gamma or need_x):
-            return
-        gs_bc = g3.sum(axis=1)  # (B, C)
-        gx_bc = np.einsum("bsc,bsc->bc", g3, x3)  # (B, C)
-        inv_bc = np.repeat(inv, cg, axis=1)
-        mu_bc = np.repeat(mu, cg, axis=1)
-        gxhat_bc = (gx_bc - mu_bc * gs_bc) * inv_bc  # sum over space of g * xhat
-        if need_gamma:
-            gamma.accumulate_grad(gxhat_bc.sum(axis=0), fresh=True)
-        if need_x:
-            # dx = inv * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat))
-            m1 = ((gs_bc * gamma.data).reshape(bb, groups, cg).sum(axis=2) / n)
-            m2 = ((gxhat_bc * gamma.data).reshape(bb, groups, cg).sum(axis=2) / n)
-            m1_bc = np.repeat(m1, cg, axis=1)
-            m2_bc = np.repeat(m2, cg, axis=1)
-            coef_a = inv_bc * gamma.data  # (B, C) multiplies g
-            coef_b = inv_bc * inv_bc * m2_bc  # multiplies (x - mu)
-            coef_c = inv_bc * m1_bc + coef_b * (-mu_bc)  # constant term
-            dx = g3 * coef_a[:, None, :]
-            dx -= x3 * coef_b[:, None, :]
-            dx -= coef_c[:, None, :]
-            x.accumulate_grad(dx.reshape(bb, h, w, c), fresh=True)
+        _group_norm_backward(g, x, gamma, beta, x3, mu, inv)
+
+    return make_node(y3.reshape(x.data.shape), (x, gamma, beta), backward)
+
+
+def group_norm_silu(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tensor:
+    """silu(group_norm(x)) as one node, bitwise equal to the two ops.
+
+    The sigmoid and the SiLU run in place, so the pair allocates two
+    full-size buffers (the output and the sigmoid kept for the backward)
+    where the two ops allocate seven, and the graph keeps no normalised copy.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data, groups, eps)
+    out = y3.reshape(x.data.shape)
+    sig = _sigmoid(out)
+    out *= sig
+
+    def backward(g):
+        _group_norm_backward(_silu_grad(g, sig, out), x, gamma, beta, x3, mu, inv)
 
     return make_node(out, (x, gamma, beta), backward)
 
@@ -504,19 +552,32 @@ def gelu(x) -> Tensor:
     return make_node(out.astype(x.data.dtype, copy=False), (x,), backward)
 
 
+def _sigmoid(y: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-y)) in one fresh buffer."""
+    sig = np.negative(y)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    return sig
+
+
+def _silu_grad(g: np.ndarray, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """d/dy (y * sig) = sig + out * (1 - sig), times g, built in place."""
+    d = 1.0 - sig
+    d *= out
+    d += sig
+    d *= g
+    return d
+
+
 def silu(x) -> Tensor:
     x = as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
+    sig = _sigmoid(x.data)
     out = x.data * sig
 
     def backward(g):
         if x.requires_grad:
-            # d/dx (x * sig) = sig + out * (1 - sig), built in place
-            d = 1.0 - sig
-            d *= out
-            d += sig
-            d *= g
-            x.accumulate_grad(d, fresh=True)
+            x.accumulate_grad(_silu_grad(g, sig, out), fresh=True)
 
     return make_node(out, (x,), backward)
 

@@ -484,7 +484,9 @@ def make_noise_predictor(store: ParamStore, config: TrainConfig, sched, use_lora
     def unet_call(x, t, tk):
         out = unet_forward(x, t, Tensor(tk), store, config.unet, use_lora=use_lora).data
         if config.parameterization == "v":
-            return eps_from_v(x, out, t, sched)
+            # one output row block per token block, each for the same x and t
+            k = out.shape[0] // x.shape[0]
+            return eps_from_v(np.tile(x, (k, 1, 1, 1)), out, np.tile(t, k), sched)
         return out
 
     return unet_call

@@ -127,11 +127,27 @@ def test_sweep_time_command(cli_world, tmp_path):
         "--set", "eval.max_trials_per_subject=6",
         "--set", "eval.eval_resolution=16",
         "sweep-time", "--general", str(gen_out), "--out", str(sweep_out),
+        # typed in decimal: the sweep computes -3 * 1.3 = -3.9000000000000004
+        "--specialized=-3.9=" + str(gen_out),
     ) == EXIT_OK
     sweep = json.loads((sweep_out / "sweep_time.json").read_text())
     assert len(sweep["points"]) == 2
     assert sweep["protocol"]["eval_resolution"] == 16
+    assert [p["specialized"] is not None for p in sweep["points"]] == [True, False]
     assert (sweep_out / "sweep_time.svg").exists()
+
+
+@pytest.mark.parametrize("delta", ["-2.6", "-3.5"])
+def test_sweep_time_specialized_delta_off_the_sweep_is_config_error(cli_world, tmp_path, capsys, delta):
+    # -2.6 s is -2 TR, not among the shifts; -3.5 s is no TR multiple
+    code = _run(
+        Path(cli_world),
+        "--set", "eval.test_run_fraction=0.34",
+        "--set", "eval.deltas_tr=[-3,0]",
+        "sweep-time", "--general", str(tmp_path / "unused"), f"--specialized={delta}=ckpt",
+    )
+    assert code == EXIT_CONFIG
+    assert f"specialized delta {delta} matches no sweep point" in capsys.readouterr().err
 
 
 def test_sweep_duration_honours_eval_keys(cli_world, tmp_path):

@@ -23,7 +23,8 @@ from bold2img.diffgen import (
     unet_forward,
 )
 from bold2img.diffgen.unet import SMALL_CONFIG, NonFiniteActivation
-from bold2img.substrate import ParamStore, RngKey, Tensor
+from bold2img.substrate import ParamStore, RngKey, Tensor, no_grad
+from bold2img.trainer import TrainConfig, make_noise_predictor
 
 SCHED = make_schedule()
 
@@ -204,6 +205,34 @@ def test_unet_rejects_bad_timestep(small_unet):
     tokens = Tensor(np.zeros((1, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim), dtype=np.float32))
     with pytest.raises(ValueError, match="timestep"):
         unet_forward(x, np.array([SMALL_CONFIG.t_max]), tokens, small_unet, SMALL_CONFIG)
+
+
+@pytest.mark.parametrize("n_tokens", [0, 3, 5])
+def test_unet_rejects_token_batch_not_a_multiple(small_unet, n_tokens):
+    x = np.zeros((2, 8, 8, 3), dtype=np.float32)
+    tokens = Tensor(np.zeros((n_tokens, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim), dtype=np.float32))
+    with pytest.raises(ValueError, match="tokens shape"):
+        unet_forward(x, np.array([3, 4]), tokens, small_unet, SMALL_CONFIG)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_shared_prefix_cfg_call_is_bitwise_the_doubled_batch(b):
+    key = RngKey(19, ("prefix", b))
+    store = init_unet(SMALL_CONFIG, key.child("init"))
+    create_lora_adapters(SMALL_CONFIG, key.child("lora"), store)
+    for name in store.names():
+        if name.startswith("lora/") and name.endswith("/b"):
+            store[name].data[:] = key.child("loraB", name).normal(store[name].shape, 0.1)
+    store["unet/out/conv/w"].data[:] = key.child("outw").normal(store["unet/out/conv/w"].shape, 0.1)
+    unet_call = make_noise_predictor(store, TrainConfig(unet=SMALL_CONFIG, parameterization="v"), SCHED, True)
+    x = key.child("x").normal((b, 8, 8, 3))
+    t = np.arange(1, b + 1) * 97
+    both = key.child("tk").normal((2 * b, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim))
+    with no_grad():
+        shared = unet_call(x, t, both)
+        doubled = unet_call(np.concatenate([x, x]), np.concatenate([t, t]), both)
+    assert shared.shape == (2 * b, 8, 8, 3)
+    assert shared.tobytes() == doubled.tobytes()
 
 
 def test_unet_nonfinite_names_block(small_unet):

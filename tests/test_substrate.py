@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,29 @@ def test_layer_norm_zero_variance_returns_shift():
     np.testing.assert_allclose(y.data, 0.5, atol=1e-6)
 
 
+@pytest.mark.parametrize("grad", [True, False])
+def test_group_norm_silu_is_bitwise_the_two_ops(grad):
+    key = RngKey(31, ("gn_silu",))
+    xd = key.child("x").normal((3, 8, 8, 16))
+    gd = 1.0 + key.child("g").normal((16,), 0.2)
+    bd = key.child("b").normal((16,), 0.2)
+    up = key.child("up").normal((3, 8, 8, 16))
+    results = []
+    for fused in (True, False):
+        x, g, b = (Tensor(a.copy(), requires_grad=True) for a in (xd, gd, bd))
+        if grad:
+            y = ops.group_norm_silu(x, g, b) if fused else ops.silu(ops.group_norm(x, g, b))
+            ops.mean(ops.mul(y, Tensor(up))).backward()
+            results.append([y.data, x.grad, g.grad, b.grad])
+        else:
+            with no_grad():
+                y = ops.group_norm_silu(x, g, b) if fused else ops.silu(ops.group_norm(x, g, b))
+            results.append([y.data])
+    for fused, plain in zip(*results):
+        assert fused.dtype == plain.dtype == np.float32
+        assert fused.tobytes() == plain.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # convolution lowerings: the shifted-GEMM kernel against the im2col reference
 
@@ -310,6 +335,21 @@ def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, shifte
         assert x.grad.dtype == dx_ref.dtype and _rel_err(x.grad, dx_ref) <= _CONV_TOL[dtype]
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_gemm_pads_with_zeros_whatever_the_pool_holds(stride):
+    shape = (2, 9, 7, 5)
+    key = RngKey(25, ("conv_pad", stride))
+    x = key.child("x").normal(shape)
+    w = key.child("w").normal((3, 3, 5, 4), 0.3)
+    padded = (shape[0], shape[1] + 2, shape[2] + 2, shape[3])
+    ops._POOL.release(np.full(padded, np.nan, dtype=np.float32))
+    y, _ = ops._conv_gemm(x, w, stride, keep_col=False)
+    oh, ow = (shape[1] - 1) // stride + 1, (shape[2] - 1) // stride + 1
+    col = ops._im2col_flat(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), stride, oh, ow)
+    ref = col.reshape(-1, 45) @ w.reshape(45, 4)
+    assert y.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # RNG
 
@@ -366,4 +406,48 @@ def test_corrupt_container_rejected(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="not a tensor container"):
+        read_tensor(p)
+
+
+def _valid_blob(tmp_path):
+    p = tmp_path / "valid.bin"
+    write_tensor(p, np.arange(6, dtype=np.float32).reshape(2, 3))
+    return p.read_bytes()
+
+
+_HEADER_BYTES = 4 + 8 + 4 + 4 * 2  # magic, version and dtype code, rank, two dims
+
+
+@settings(max_examples=80, deadline=None)
+@given(at=st.integers(0, _HEADER_BYTES - 1), flip=st.integers(1, 255))
+def test_container_with_a_flipped_header_byte_reads_or_names_the_file(tmp_path_factory, at, flip):
+    tmp_path = tmp_path_factory.mktemp("blob")
+    blob = bytearray(_valid_blob(tmp_path))
+    blob[at] ^= flip
+    p = tmp_path / "flipped.bin"
+    p.write_bytes(bytes(blob))
+    try:
+        arr = read_tensor(p)
+    except ValueError as e:
+        assert str(p) in str(e)
+    else:
+        # only a flip that leaves the header consistent (float32 -> int32) reads
+        assert arr.nbytes == len(blob) - _HEADER_BYTES
+
+
+def test_container_truncated_at_every_offset_names_the_file(tmp_path):
+    blob = _valid_blob(tmp_path)
+    p = tmp_path / "cut.bin"
+    for cut in range(len(blob)):
+        p.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(p))):
+            read_tensor(p)
+
+
+def test_container_unknown_dtype_code_names_the_file(tmp_path):
+    blob = bytearray(_valid_blob(tmp_path))
+    blob[8] = 7
+    p = tmp_path / "code.bin"
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unknown dtype code 7"):
         read_tensor(p)
