@@ -34,54 +34,55 @@ class BrainModuleConfig:
     hidden: int = 128  # paper-scale value: 1552
     tokens: int = 8  # paper-scale: 257
     token_dim: int = 64  # paper-scale: 768
-    window_samples: int = 6
     dropout: float = 0.5
     timestep_layer_enabled: bool = True
     aggregation_position: str = AGG_OUT
 
     def validate(self):
-        if min(self.hidden, self.tokens, self.token_dim, self.window_samples) <= 0:
-            raise ValueError("hidden, tokens, token_dim and window_samples must be positive")
+        if min(self.hidden, self.tokens, self.token_dim) <= 0:
+            raise ValueError("hidden, tokens and token_dim must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.aggregation_position not in (AGG_IN, AGG_OUT):
             raise ValueError(f"aggregation_position must be IN or OUT, got {self.aggregation_position}")
 
-    @property
-    def n_timestep_mats(self) -> int:
-        if self.aggregation_position == AGG_IN or not self.timestep_layer_enabled:
-            return 1
-        return self.window_samples
-
 
 def init_brain_module(
     config: BrainModuleConfig,
     subject_voxels: dict[str, int],
+    n_samples: int,
     key: RngKey,
     store: ParamStore | None = None,
 ) -> ParamStore:
-    """Fresh parameters: scaled-normal weights (std 1/sqrt(fan_in)), zero biases,
-    uniform-average aggregation weights."""
+    """Fresh parameters for windows of `n_samples` time samples: scaled-normal
+    weights (std 1/sqrt(fan_in)), zero biases, uniform-average aggregation
+    weights. The aggregation weights hold one entry per sample, so the stored
+    module itself records its window length."""
     config.validate()
+    if n_samples <= 0:
+        raise ValueError(f"a window needs a positive number of samples, got {n_samples}")
     if not subject_voxels:
         raise ValueError("need at least one subject")
     store = store if store is not None else ParamStore()
-    h, p, d, t = config.hidden, config.tokens, config.token_dim, config.window_samples
-    for sid in sorted(subject_voxels):
-        add_subject_layers(store, config, sid, subject_voxels[sid], key)
+    h, p, d, t = config.hidden, config.tokens, config.token_dim, n_samples
     store.add("brain/ln/g", np.ones(h, dtype=np.float32))
     store.add("brain/ln/b", np.zeros(h, dtype=np.float32))
     store.add("brain/agg/w", np.full(t, 1.0 / t, dtype=np.float32))
     store.add("brain/agg/b", np.zeros(1, dtype=np.float32))
     store.add("brain/out/w", key.child("out").normal((h, p * d), 1.0 / np.sqrt(h)))
     store.add("brain/out/b", np.zeros(p * d, dtype=np.float32))
+    for sid in sorted(subject_voxels):
+        add_subject_layers(store, config, sid, subject_voxels[sid], key)
     return store
 
 
 def add_subject_layers(store: ParamStore, config: BrainModuleConfig, sid: str, n_voxels: int, key: RngKey):
-    """Per-subject entries: the voxel projection and the timestep stack."""
+    """Per-subject entries: the voxel projection and the timestep stack, one
+    matrix per window sample (or a single one when aggregation comes first or
+    the timestep layer is shared)."""
     h = config.hidden
-    m = config.n_timestep_mats
+    per_sample = config.aggregation_position == AGG_OUT and config.timestep_layer_enabled
+    m = store["brain/agg/w"].shape[0] if per_sample else 1
     store.add(f"brain/subject/{sid}/w", key.child("subj", sid).normal((n_voxels, h), 1.0 / np.sqrt(n_voxels)))
     store.add(f"brain/subject/{sid}/b", np.zeros(h, dtype=np.float32))
     store.add(f"brain/tstep/{sid}/w", key.child("tstep", sid).normal((m, h, h), 1.0 / np.sqrt(h)))
@@ -101,8 +102,9 @@ def brain_forward_batch(
     if f"brain/subject/{subject_id}/w" not in store:
         raise KeyError(f"no subject layer for {subject_id!r}")
     b, c, t = x.shape
-    if t != config.window_samples:
-        raise ValueError(f"window has {t} samples, config expects {config.window_samples}")
+    n_samples = store["brain/agg/w"].shape[0]
+    if t != n_samples:
+        raise ValueError(f"window has {t} samples, the brain module expects {n_samples}")
     if training and key is None:
         raise ValueError("training mode needs an rng key for dropout")
 
@@ -141,7 +143,7 @@ def brain_forward_batch(
 
 
 def _variant_config(name: str) -> BrainModuleConfig:
-    small = dict(hidden=8, tokens=2, token_dim=3, window_samples=4, dropout=0.5)
+    small = dict(hidden=8, tokens=2, token_dim=3, dropout=0.5)
     if name == "full":
         return BrainModuleConfig(**small)
     if name == "shared":
@@ -154,8 +156,8 @@ def _variant_config(name: str) -> BrainModuleConfig:
 def _brain_factory(variant: str):
     def factory(key: RngKey):
         config = _variant_config(variant)
-        store = init_brain_module(config, {"s01": 5}, key.child("init"))
-        x = key.child("x").normal((2, 5, config.window_samples), 1.0, np.float32)
+        store = init_brain_module(config, {"s01": 5}, 4, key.child("init"))
+        x = key.child("x").normal((2, 5, 4), 1.0, np.float32)
         return store.astype(np.float64), [x.astype(np.float64)]
 
     return factory

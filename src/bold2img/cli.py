@@ -70,7 +70,7 @@ _RENAMED = {
 # `train_config`.
 _HIDDEN = {
     "train": {
-        "betas", "adam_eps", "parameterization", "seed", "brain.window_samples",
+        "betas", "adam_eps", "parameterization", "seed",
         "unet.resolution", "unet.in_channels", "unet.tokens", "unet.token_dim",
     },
     "dataset": {"scene", "subject", "noise"},
@@ -322,8 +322,11 @@ def cmd_sweep_time(config, args):
     split = _split_for(manifest, "time-resolved", config)
     specialized = {}
     for item in args.specialized or []:
-        delta_str, ckpt = item.split("=", 1)
-        specialized[float(delta_str)] = ckpt
+        try:
+            delta_str, ckpt = item.split("=", 1)
+            specialized[float(delta_str)] = ckpt
+        except ValueError:
+            raise ConfigError("--specialized", f"expected DELTA=CKPT with a number DELTA, got {item!r}") from None
     ev = eval_config(config)
     deltas = [k * manifest.tr for k in ev.deltas_tr]
     try:

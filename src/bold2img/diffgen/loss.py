@@ -26,7 +26,6 @@ def diffusion_loss(
     schedule: NoiseSchedule,
     config: UNetConfig,
     key: RngKey,
-    use_lora: bool = False,
     timestep_sampling: str = "bicubic",
     offset_lambda: float = 0.1,
     parameterization: str = "eps",
@@ -62,5 +61,5 @@ def diffusion_loss(
         out = predictor(x_t, t, tokens)
         out = out if isinstance(out, Tensor) else Tensor(out)
     else:
-        out = unet_forward(x_t, t, tokens, store, config, use_lora=use_lora)
+        out = unet_forward(x_t, t, tokens, store, config)
     return ops.mse_loss(out, target)

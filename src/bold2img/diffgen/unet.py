@@ -168,19 +168,13 @@ def _check(h: Tensor, block: str):
         raise NonFiniteActivation(f"non-finite activation leaving block {block!r}")
 
 
-def unet_forward(
-    x,
-    t,
-    tokens: Tensor,
-    store: ParamStore,
-    config: UNetConfig,
-    use_lora: bool = False,
-) -> Tensor:
+def unet_forward(x, t, tokens: Tensor, store: ParamStore, config: UNetConfig) -> Tensor:
     """Predict the noise for a batch: (B, R, R, 3) -> (k*B, R, R, 3).
 
     `t` is a (B,) integer array of schedule indices; `tokens` is (k*B, P, D)
     for an integer k >= 1. The token-free prefix runs once on the B rows and
-    is tiled k times; output row block j pairs with token block j.
+    is tiled k times; output row block j pairs with token block j. The
+    cross-attention projections run their LoRA adapters if `store` holds them.
     """
     x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
     t = np.atleast_1d(np.asarray(t))
@@ -219,11 +213,11 @@ def unet_forward(
         bh, hw = h.shape[0], h.shape[1] * h.shape[2]
         y = ops.group_norm(h, store[f"unet/{name}/gn/g"], store[f"unet/{name}/gn/bta"])
         y = ops.reshape(y, (bh, hw, ch))
-        q = lora_linear(y, store, f"unet/{name}/q/w", f"unet/{name}/q/b", name, "q", use_lora)
-        k = lora_linear(tokens, store, f"unet/{name}/k/w", f"unet/{name}/k/b", name, "k", use_lora)
-        v = lora_linear(tokens, store, f"unet/{name}/v/w", f"unet/{name}/v/b", name, "v", use_lora)
+        q = lora_linear(y, store, f"unet/{name}/q/w", f"unet/{name}/q/b", name, "q")
+        k = lora_linear(tokens, store, f"unet/{name}/k/w", f"unet/{name}/k/b", name, "k")
+        v = lora_linear(tokens, store, f"unet/{name}/v/w", f"unet/{name}/v/b", name, "v")
         a = ops.attention(q, k, v)
-        o = lora_linear(a, store, f"unet/{name}/o/w", f"unet/{name}/o/b", name, "o", use_lora)
+        o = lora_linear(a, store, f"unet/{name}/o/w", f"unet/{name}/o/b", name, "o")
         out = ops.add(h, ops.reshape(o, h.shape))
         _check(out, name)
         return out
@@ -278,7 +272,7 @@ def _small_factory(key: RngKey):
 
 
 def _small_build(store: ParamStore, inputs):
-    return unet_forward(Tensor(inputs[0]), inputs[1], store["tokens"], store, SMALL_CONFIG, use_lora=True)
+    return unet_forward(Tensor(inputs[0]), inputs[1], store["tokens"], store, SMALL_CONFIG)
 
 
 from ..substrate.gradcheck import register as _register  # noqa: E402

@@ -69,9 +69,3 @@ class ParamStore:
             h.update(n.encode())
             h.update(self._params[n].data.tobytes())
         return h.hexdigest()
-
-    def clone(self) -> "ParamStore":
-        out = ParamStore()
-        for n in self.names():
-            out.add(n, self._params[n].data.copy(), self._trainable[n])
-        return out

@@ -42,6 +42,8 @@ from .substrate.checkpoint import load_checkpoint, save_checkpoint
 from .synthcortex.dataset import DatasetManifest
 
 REGIMES = ("all", "linear", "cross_attn", "none", "lora")
+# new-subject adaptation: the shared trunk, adapters and null embedding train at this fraction of max_lr
+ADAPT_TRUNK_LR_SCALE = 0.1
 
 
 class TrainingDiverged(RuntimeError):
@@ -85,6 +87,9 @@ class TrainConfig:
         mode = d.pop("pretrain_conditioning", "image")
         if mode != "image":
             raise ValueError(f"pretrain_conditioning: only 'image' is supported, got {mode!r}")
+        # Older checkpoints record the window length, which the brain module's weights now carry.
+        if "brain" in d:
+            d["brain"] = {k: v for k, v in d["brain"].items() if k != "window_samples"}
         return config_from_json(TrainConfig, d)
 
 
@@ -111,11 +116,8 @@ def config_from_json(cls, d: dict):
 # regimes
 
 
-def regime_trainable_names(store: ParamStore, regime: str, include_brain: bool = True) -> set[str]:
-    names: set[str] = set()
-    if include_brain:
-        names |= {n for n in store.names() if n.startswith("brain/")}
-        names.add("cond/null_tokens")
+def regime_trainable_names(store: ParamStore, regime: str) -> set[str]:
+    names = {n for n in store.names() if n.startswith("brain/")} | {"cond/null_tokens"}
     if regime == "all":
         names |= {n for n in store.names() if n.startswith("unet/")}
     elif regime == "linear":
@@ -185,14 +187,13 @@ def assemble_training_set(
 
 
 def save_train_state(out_dir, store: ParamStore, opt: OptimizerState, config: TrainConfig, extra: dict):
-    out_dir = Path(out_dir)
-    full = store.clone()
+    full = ParamStore()  # the same arrays, plus the AdamW moments
+    for name in store.names():
+        full.add(name, store[name].data, store.is_trainable(name))
     for name in sorted(opt.m):
         full.add(f"optim/m/{name}", opt.m[name], trainable=False)
         full.add(f"optim/v/{name}", opt.v[name], trainable=False)
-    payload = {"step": opt.step, "train_config": config_to_json(config), **extra}
-    save_checkpoint(out_dir, full, payload)
-    (out_dir / "train_config.json").write_text(json.dumps(payload["train_config"], sort_keys=True, indent=1))
+    save_checkpoint(out_dir, full, {"step": opt.step, "train_config": config_to_json(config), **extra})
 
 
 def load_train_state(ckpt_dir) -> tuple[ParamStore, OptimizerState, TrainConfig, dict]:
@@ -324,7 +325,7 @@ def pretrain_generator(
         tokens = ops.where(drop[:, None, None], null_b, Tensor(img_tok))
         loss = diffusion_loss(
             train_imgs[idx], tokens, store, sched, config.unet, skey.child("loss"),
-            use_lora=False, timestep_sampling="uniform", offset_lambda=config.offset_lambda,
+            timestep_sampling="uniform", offset_lambda=config.offset_lambda,
             parameterization=config.parameterization,
         )
         return loss, n_dropped
@@ -355,9 +356,7 @@ def _train_joint(
     cache = PreprocCache(manifest).build()
     refs = {sid: split.train_refs[sid] for sid in subjects}
     data = assemble_training_set(manifest, cache, refs, config, shuffle_key=root.child("labels"))
-    brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
     sched = make_schedule(config.unet.t_max)
-    use_lora = config.finetune_regime == "lora"
 
     def batch_loss(skey: RngKey):
         pick = skey.child("batch").generator().integers(0, data.n_total, config.batch_size)
@@ -369,7 +368,7 @@ def _train_joint(
             rows_idx = by_sid[sid]
             x = data.x[sid][rows_idx]
             token_parts.append(
-                brain_forward_batch(x, store, brain_cfg, sid, training=True, key=skey.child("drop", sid))
+                brain_forward_batch(x, store, config.brain, sid, training=True, key=skey.child("drop", sid))
             )
             image_parts.append(data.images[sid][rows_idx])
         tokens = token_parts[0] if len(token_parts) == 1 else ops.concat(token_parts, axis=0)
@@ -382,7 +381,7 @@ def _train_joint(
             tokens = ops.where(drop[:, None, None], null_b, tokens)
         loss = diffusion_loss(
             x0, tokens, store, sched, config.unet, skey.child("loss"),
-            use_lora=use_lora, timestep_sampling="bicubic", offset_lambda=config.offset_lambda,
+            timestep_sampling="bicubic", offset_lambda=config.offset_lambda,
             parameterization=config.parameterization,
         )
         return loss, n_dropped
@@ -419,9 +418,9 @@ def train_single_stage(
         store, _, _, _ = load_train_state(pretrained_ckpt)
         opt = OptimizerState()
         root = RngKey(config.seed, ("joint",))
-        brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
         voxels = {sid: manifest.subject_voxels[sid] for sid in subjects}
-        init_brain_module(brain_cfg, voxels, root.child("init", "brain"), store)
+        n_samples = window_length(config.window_d, manifest.tr)
+        init_brain_module(config.brain, voxels, n_samples, root.child("init", "brain"), store)
         if config.finetune_regime == "lora":
             create_lora_adapters(config.unet, root.child("init", "lora"), store)
     trainable = regime_trainable_names(store, config.finetune_regime)
@@ -437,13 +436,13 @@ def adapt_new_subject(
     sessions_used: int,
     config: TrainConfig,
     out_dir,
-    trunk_lr_scale: float = 0.1,
 ) -> Path:
     """Adapt a pretrained multi-subject model to an unseen subject.
 
     Fresh subject/timestep layers train at full rate; the shared trunk,
-    adapters and null embedding finetune at max_lr * trunk_lr_scale. Only the
-    first `sessions_used` runs of the new subject are used.
+    adapters and null embedding finetune at max_lr * ADAPT_TRUNK_LR_SCALE.
+    Only the first `sessions_used` runs of the new subject are used. The
+    checkpoint's adapters, if any, run and train whatever the regime.
     """
     config.validate()
     n_runs = len(manifest.runs[new_subject])
@@ -455,8 +454,7 @@ def adapt_new_subject(
     if config.finetune_regime == "lora" and not any(n.startswith("lora/") for n in store.names()):
         raise ValueError("regime 'lora' requires adapters attached to the store")
     root = RngKey(config.seed, ("adapt", new_subject))
-    brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
-    add_subject_layers(store, brain_cfg, new_subject, manifest.subject_voxels[new_subject], root.child("fresh"))
+    add_subject_layers(store, config.brain, new_subject, manifest.subject_voxels[new_subject], root.child("fresh"))
 
     fresh_prefix = (f"brain/subject/{new_subject}/", f"brain/tstep/{new_subject}/")
     scale = {}  # the trainable entries and their LR factors
@@ -466,7 +464,7 @@ def adapt_new_subject(
         elif n.startswith("brain/subject/") or n.startswith("brain/tstep/"):
             continue  # other subjects' layers stay frozen, bit for bit
         elif n.startswith("brain/") or n.startswith("lora/") or n == "cond/null_tokens":
-            scale[n] = trunk_lr_scale
+            scale[n] = ADAPT_TRUNK_LR_SCALE
     store.set_trainable_by(lambda n: n in scale)
 
     refs = [(r, e) for r, e in split.train_refs[new_subject] if r < sessions_used]
@@ -478,11 +476,11 @@ def adapt_new_subject(
 # inference
 
 
-def make_noise_predictor(store: ParamStore, config: TrainConfig, sched, use_lora: bool):
+def make_noise_predictor(store: ParamStore, config: TrainConfig, sched):
     """Wrap the network as an eps-predictor regardless of its training target."""
 
     def unet_call(x, t, tk):
-        out = unet_forward(x, t, Tensor(tk), store, config.unet, use_lora=use_lora).data
+        out = unet_forward(x, t, Tensor(tk), store, config.unet).data
         if config.parameterization == "v":
             # one output row block per token block, each for the same x and t
             k = out.shape[0] // x.shape[0]
@@ -498,7 +496,7 @@ def sample_unconditional(ckpt_dir, n: int, key: RngKey, steps: int = 20, batch: 
     sched = make_schedule(config.unet.t_max)
     null = store["cond/null_tokens"].data
     r = config.unet.resolution
-    unet_call = make_noise_predictor(store, config, sched, use_lora=False)
+    unet_call = make_noise_predictor(store, config, sched)
     out = np.empty((n, r, r, 3), dtype=np.float32)
     with no_grad():
         for lo in range(0, n, batch):
@@ -521,23 +519,22 @@ def infer(
 ) -> tuple[np.ndarray, list[dict]]:
     """One image per epoch via guided DDIM; dropout inactive.
 
-    The initial noise is keyed per epoch (subject, run, event, shift), so
-    results do not depend on batch composition.
+    The initial noise is keyed per epoch (subject, run, event, shift), so a
+    trial starts from the same noise in any batch. Its result can still differ
+    in the last bits with the batch size, because BLAS may round a GEMM
+    differently depending on its row count.
     """
     store, _, config, _ = load_train_state(ckpt_dir)
-    brain_cfg = replace(config.brain, window_samples=window_length(config.window_d, manifest.tr))
     sched = make_schedule(config.unet.t_max)
-    use_lora = config.finetune_regime == "lora" and any(n.startswith("lora/") for n in store.names())
     r = config.unet.resolution
     null = store["cond/null_tokens"].data
 
+    n_samples = store["brain/agg/w"].shape[0]
     for e in epochs:
-        if e.n_samples != brain_cfg.window_samples:
-            raise ValueError(
-                f"epoch {e.stimulus_id} has {e.n_samples} samples; checkpoint expects {brain_cfg.window_samples}"
-            )
+        if e.n_samples != n_samples:
+            raise ValueError(f"epoch {e.stimulus_id} has {e.n_samples} samples; checkpoint expects {n_samples}")
 
-    unet_call = make_noise_predictor(store, config, sched, use_lora)
+    unet_call = make_noise_predictor(store, config, sched)
 
     images = np.empty((len(epochs), r, r, 3), dtype=np.float32)
     records = []
@@ -546,7 +543,7 @@ def infer(
             group = epochs[lo : lo + batch]
             toks = []
             for e in group:
-                t = brain_forward_batch(e.X[None], store, brain_cfg, e.subject_id, training=False)
+                t = brain_forward_batch(e.X[None], store, config.brain, e.subject_id, training=False)
                 toks.append(t.data[0])
             tokens = np.stack(toks)
             init = np.stack(

@@ -131,12 +131,15 @@ def test_criterion_3_diffusion():
 
         store = init_unet(SMALL_CONFIG, key.child("unet"))
         init_null_tokens(SMALL_CONFIG, key.child("null"), store)
+        # the output conv starts at zero; give it weights so the outputs carry signal
+        store["unet/out/conv/w"].data[:] = key.child("outw").normal(store["unet/out/conv/w"].shape, 0.1)
         x = key.child("ux").normal((2, 8, 8, 3))
         tokens = Tensor(key.child("tk").normal((2, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim)))
         t = np.array([5, 800])
-        plain = unet_forward(x, t, tokens, store, SMALL_CONFIG, use_lora=False).data
+        plain = unet_forward(x, t, tokens, store, SMALL_CONFIG).data
         create_lora_adapters(SMALL_CONFIG, key.child("lora"), store)
-        adapted = unet_forward(x, t, tokens, store, SMALL_CONFIG, use_lora=True).data
+        adapted = unet_forward(x, t, tokens, store, SMALL_CONFIG).data
+        assert np.abs(plain).max() > 0
         assert plain.tobytes() == adapted.tobytes(), "fresh adapters changed the forward pass"
 
         c = key.child("c").normal((64,))
@@ -170,16 +173,16 @@ def test_criterion_4_brain_module():
             ("shared", {"timestep_layer_enabled": False}),
             ("agg_in", {"aggregation_position": "IN"}),
         ]:
-            cfg = BrainModuleConfig(hidden=32, tokens=8, token_dim=16, window_samples=6, **kw)
-            store = init_brain_module(cfg, {"a": 400, "b": 600}, key.child(variant))
+            cfg = BrainModuleConfig(hidden=32, tokens=8, token_dim=16, **kw)
+            store = init_brain_module(cfg, {"a": 400, "b": 600}, 6, key.child(variant))
             for sid, c in (("a", 400), ("b", 600)):
                 out = brain_forward_batch(key.child("x", variant, sid).normal((2, c, 6)), store, cfg, sid)
                 assert out.shape == (2, 8, 16), (variant, sid)
 
-        cfg_full = BrainModuleConfig(hidden=32, tokens=8, token_dim=16, window_samples=6)
-        cfg_shared = BrainModuleConfig(hidden=32, tokens=8, token_dim=16, window_samples=6, timestep_layer_enabled=False)
-        full = init_brain_module(cfg_full, {"a": 100}, key.child("eq"))
-        shared = init_brain_module(cfg_shared, {"a": 100}, key.child("eq"))
+        cfg_full = BrainModuleConfig(hidden=32, tokens=8, token_dim=16)
+        cfg_shared = BrainModuleConfig(hidden=32, tokens=8, token_dim=16, timestep_layer_enabled=False)
+        full = init_brain_module(cfg_full, {"a": 100}, 6, key.child("eq"))
+        shared = init_brain_module(cfg_shared, {"a": 100}, 6, key.child("eq"))
         m = key.child("mat").normal((32, 32))
         full["brain/tstep/a/w"].data[:] = m[None]
         shared["brain/tstep/a/w"].data[:] = m[None]

@@ -150,6 +150,16 @@ def test_sweep_time_specialized_delta_off_the_sweep_is_config_error(cli_world, t
     assert f"specialized delta {delta} matches no sweep point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("item", ["abc", "x=ckpt"])
+def test_sweep_time_malformed_specialized_is_config_error(cli_world, tmp_path, capsys, item):
+    code = _run(
+        Path(cli_world), "--set", "eval.test_run_fraction=0.34",
+        "sweep-time", "--general", str(tmp_path / "unused"), f"--specialized={item}",
+    )
+    assert code == EXIT_CONFIG
+    assert f"config error at --specialized: expected DELTA=CKPT with a number DELTA, got {item!r}" in capsys.readouterr().err
+
+
 def test_sweep_duration_honours_eval_keys(cli_world, tmp_path):
     out = tmp_path / "dur"
     assert _run(

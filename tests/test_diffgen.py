@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bold2img.diffgen import (
-    LORA_ALPHA,
     LORA_RANK,
     add_lora_params,
     bicubic_cdf,
@@ -138,16 +137,16 @@ def test_lora_zero_b_is_identity_on_weight():
     store = ParamStore()
     store.add("w", key.child("w").normal((4, 5), 1.0, np.float64))
     store.add("b", key.child("b").normal((5,), 1.0, np.float64))
-    add_lora_params(store, key, "site", "q", 4, 5)
     x = Tensor(key.child("x").normal((3, 4), 1.0, np.float64))
-    adapted = lora_linear(x, store, "w", "b", "site", "q", use_lora=True)
-    plain = lora_linear(x, store, "w", "b", "site", "q", use_lora=False)
+    plain = lora_linear(x, store, "w", "b", "site", "q")
+    add_lora_params(store, key, "site", "q", 4, 5)
+    adapted = lora_linear(x, store, "w", "b", "site", "q")
     np.testing.assert_array_equal(adapted.data, plain.data)
 
 
 def test_lora_scale_is_one_at_rank4_alpha4():
-    assert LORA_RANK == 4 and LORA_ALPHA / LORA_RANK == 1.0
-    # with W = 0 and zero bias the output is the low-rank path at the default scale
+    # alpha = r, so with W = 0 and zero bias the output is exactly the unscaled low-rank path
+    assert LORA_RANK == 4
     key = RngKey(8, ("ls",))
     store = ParamStore()
     store.add("w", np.zeros((3, 2)))
@@ -155,18 +154,18 @@ def test_lora_scale_is_one_at_rank4_alpha4():
     a = store.add("lora/site/q/a", key.child("a").normal((3, LORA_RANK), 1.0, np.float64)).data
     b = store.add("lora/site/q/b", key.child("b").normal((LORA_RANK, 2), 1.0, np.float64)).data
     x = key.child("x").normal((4, 3), 1.0, np.float64)
-    out = lora_linear(Tensor(x), store, "w", "b", "site", "q", use_lora=True)
-    np.testing.assert_allclose(out.data, (x @ a) @ b, rtol=1e-12, atol=1e-12)
+    out = lora_linear(Tensor(x), store, "w", "b", "site", "q")
+    np.testing.assert_array_equal(out.data, (x @ a) @ b)
 
 
 def test_lora_hand_example():
-    # y = x W + (alpha/r) (x A) B with W = I, A = e1, B = e1^T at rank 1
+    # y = x W + (x A) B with W = I, A = e1, B = e1^T at rank 1
     store = ParamStore()
     store.add("w", np.eye(2))
     store.add("b", np.zeros(2))
     store.add("lora/site/q/a", np.array([[1.0], [0.0]]))
     store.add("lora/site/q/b", np.array([[1.0, 0.0]]))
-    out = lora_linear(Tensor(np.array([[1.0, 1.0]])), store, "w", "b", "site", "q", use_lora=True, alpha=1.0, rank=1)
+    out = lora_linear(Tensor(np.array([[1.0, 1.0]])), store, "w", "b", "site", "q")
     np.testing.assert_array_equal(out.data, [[2.0, 1.0]])
 
 
@@ -189,15 +188,40 @@ def test_unet_output_shape(small_unet):
     assert out.shape == x.shape
 
 
+def _signal_copy(store, key):
+    """A copy of `store` (the shared fixture keeps no adapters) whose
+    zero-initialized output conv is given weights, so outputs carry signal."""
+    out = store.astype(np.float32)
+    out["unet/out/conv/w"].data[:] = key.child("outw").normal(out["unet/out/conv/w"].shape, 0.1)
+    return out
+
+
 def test_unet_fresh_adapters_equal_adapter_free(small_unet):
     key = RngKey(12, ("fa",))
-    create_lora_adapters(SMALL_CONFIG, key, small_unet)
+    store = _signal_copy(small_unet, key)
     x = key.child("x").normal((2, 8, 8, 3))
     tokens = Tensor(key.child("tk").normal((2, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim)))
     t = np.array([5, 17])
-    plain = unet_forward(x, t, tokens, small_unet, SMALL_CONFIG, use_lora=False)
-    adapted = unet_forward(x, t, tokens, small_unet, SMALL_CONFIG, use_lora=True)
+    plain = unet_forward(x, t, tokens, store, SMALL_CONFIG)
+    create_lora_adapters(SMALL_CONFIG, key, store)
+    adapted = unet_forward(x, t, tokens, store, SMALL_CONFIG)
+    assert np.abs(plain.data).max() > 0
     assert np.array_equal(plain.data, adapted.data)
+
+
+def test_unet_runs_adapters_exactly_when_stored(small_unet):
+    key = RngKey(13, ("ra",))
+    store = _signal_copy(small_unet, key)
+    x = key.child("x").normal((2, 8, 8, 3))
+    tokens = Tensor(key.child("tk").normal((2, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim)))
+    t = np.array([5, 17])
+    plain = unet_forward(x, t, tokens, store, SMALL_CONFIG).data
+    create_lora_adapters(SMALL_CONFIG, key, store)
+    for name in store.names():
+        if name.startswith("lora/") and name.endswith("/b"):
+            store[name].data[:] = key.child(name).normal(store[name].shape, 0.1)
+    adapted = unet_forward(x, t, tokens, store, SMALL_CONFIG).data
+    assert not np.array_equal(adapted, plain)
 
 
 def test_unet_rejects_bad_timestep(small_unet):
@@ -224,7 +248,7 @@ def test_shared_prefix_cfg_call_is_bitwise_the_doubled_batch(b):
         if name.startswith("lora/") and name.endswith("/b"):
             store[name].data[:] = key.child("loraB", name).normal(store[name].shape, 0.1)
     store["unet/out/conv/w"].data[:] = key.child("outw").normal(store["unet/out/conv/w"].shape, 0.1)
-    unet_call = make_noise_predictor(store, TrainConfig(unet=SMALL_CONFIG, parameterization="v"), SCHED, True)
+    unet_call = make_noise_predictor(store, TrainConfig(unet=SMALL_CONFIG, parameterization="v"), SCHED)
     x = key.child("x").normal((b, 8, 8, 3))
     t = np.arange(1, b + 1) * 97
     both = key.child("tk").normal((2 * b, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim))

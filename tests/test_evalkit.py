@@ -326,7 +326,7 @@ def sweep_world(tmp_path_factory):
     manifest = build_dataset(cfg, RngKey(30), root / "ds")
     split = build_split_time_resolved(manifest, RngKey(31), test_run_fraction=0.34)
     tiny_unet = UNetConfig(resolution=32, channels=(8, 8, 16), tokens=4, token_dim=8)
-    tiny_brain = BrainModuleConfig(hidden=16, tokens=4, token_dim=8, window_samples=6)
+    tiny_brain = BrainModuleConfig(hidden=16, tokens=4, token_dim=8)
     tc = TrainConfig(steps=4, pretrain_steps=3, batch_size=8, warmup_steps=1, seed=7, brain=tiny_brain, unet=tiny_unet)
     pre = pretrain_generator(manifest, tc, root / "pre")
     general = train_single_stage(manifest, split, pre, tc, root / "gen")

@@ -1,3 +1,6 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from bold2img.trainer import (
 )
 
 TINY_UNET = UNetConfig(resolution=32, channels=(8, 8, 16), tokens=4, token_dim=8)
-TINY_BRAIN = BrainModuleConfig(hidden=16, tokens=4, token_dim=8, window_samples=6)
+TINY_BRAIN = BrainModuleConfig(hidden=16, tokens=4, token_dim=8)
 
 
 def tiny_config(**kw):
@@ -69,6 +72,20 @@ def test_train_config_from_json_reads_the_removed_conditioning_key():
         TrainConfig.from_json({**doc, "pretrain_conditioning": "null"})
     with pytest.raises(TypeError, match="nope"):
         TrainConfig.from_json({**doc, "nope": 1})
+
+
+def test_checkpoint_config_records_no_window_length(world, tmp_path):
+    _, _, pre, _ = world
+    doc = json.loads((pre / "manifest.json").read_text())
+    assert "window_samples" not in doc["extra"]["train_config"]["brain"]
+    assert not (pre / "train_config.json").exists()
+    # a checkpoint written when the config still held the window length loads
+    old = tmp_path / "old"
+    shutil.copytree(pre, old)
+    doc["extra"]["train_config"]["brain"]["window_samples"] = 6
+    (old / "manifest.json").write_text(json.dumps(doc))
+    _, _, config, _ = load_train_state(old)
+    assert config == tiny_config()
 
 
 def test_pretrain_zero_steps_is_identity(world, tmp_path):
@@ -186,7 +203,7 @@ def test_multi_subject_shared_trunk_and_param_count(world, tmp_path):
     cfg = tiny_config(steps=3, warmup_steps=1)
     out = train_single_stage(manifest, split, pre, cfg, tmp_path / "ms", subjects=["sub01", "sub02", "sub03"])
     store, _, _, _ = load_train_state(out)
-    h, t = TINY_BRAIN.hidden, TINY_BRAIN.window_samples
+    h, t = TINY_BRAIN.hidden, 6  # the default 8 s window at TR 1.3
     for sid in ["sub01", "sub02", "sub03"]:
         c = manifest.subject_voxels[sid]
         per_subject = sum(
@@ -214,6 +231,24 @@ def test_adapt_new_subject(world, tmp_path):
     assert "brain/subject/sub03/w" in s_adapt
     # trunk moved (finetuned at reduced rate)
     assert not np.array_equal(s_adapt["brain/out/w"].data, s_multi["brain/out/w"].data)
+
+
+def test_adapt_runs_checkpoint_adapters_under_any_regime(world, tmp_path):
+    manifest, split, pre, _ = world
+    multi = train_single_stage(manifest, split, pre, tiny_config(steps=3, warmup_steps=1), tmp_path / "base",
+                               subjects=["sub01", "sub02"])
+    cfg = tiny_config(steps=3, warmup_steps=1, finetune_regime="all")
+    adapted = adapt_new_subject(multi, manifest, split, "sub03", 1, cfg, tmp_path / "adapted")
+    bare = tmp_path / "bare"  # the same checkpoint with its adapters deleted
+    shutil.copytree(adapted, bare)
+    doc = json.loads((bare / "manifest.json").read_text())
+    doc["tensors"] = [e for e in doc["tensors"] if "lora/" not in e["name"]]
+    (bare / "manifest.json").write_text(json.dumps(doc))
+    cache = PreprocCache(manifest).build()
+    epochs, _ = extract_epochs(cache, {"sub03": split.test_refs["sub03"][:2]})
+    with_lora, _ = infer(adapted, manifest, epochs, RngKey(3, ("gen",)), steps=2, guidance=3.0)
+    without, _ = infer(bare, manifest, epochs, RngKey(3, ("gen",)), steps=2, guidance=3.0)
+    assert not np.array_equal(with_lora, without)
 
 
 def test_adapt_rejects_known_subject(world, tmp_path):
