@@ -8,7 +8,10 @@ alive when the weight needs a gradient, because dW is then a single K=9C
 GEMM; the stride-1 shifted lowering adds nine GEMMs over row-shifted slices
 of the flat padded input and never builds the column matrix. Backward
 closures hand freshly allocated arrays to `accumulate_grad(..., fresh=True)`
-so no defensive copies happen on the hot path.
+so no defensive copies happen on the hot path. Scratch and output arrays are
+plain `np.empty`; the CLI makes the allocator keep freed memory
+(`cli._retain_freed_memory`), so allocating them anew each call does not
+fault in fresh pages.
 """
 
 from __future__ import annotations
@@ -223,44 +226,11 @@ def linear(x, w, b=None) -> Tensor:
 # convolution
 
 
-import threading
-
-
-class _BufferPool:
-    """Recycles large scratch arrays; fresh multi-MB allocations fault in
-    zero pages on every call, which dominates conv cost on small machines."""
-
-    def __init__(self, max_per_shape: int = 8):
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._lock = threading.Lock()
-        self._max = max_per_shape
-
-    def acquire(self, shape: tuple, dtype) -> np.ndarray:
-        key = (shape, np.dtype(dtype).str)
-        with self._lock:
-            lst = self._free.get(key)
-            if lst:
-                return lst.pop()
-        return np.empty(shape, dtype)
-
-    def release(self, arr: np.ndarray | None):
-        if arr is None:
-            return
-        key = (arr.shape, arr.dtype.str)
-        with self._lock:
-            lst = self._free.setdefault(key, [])
-            if len(lst) < self._max:
-                lst.append(arr)
-
-
-_POOL = _BufferPool()
-
-
 def _padded(x: np.ndarray, dtype) -> np.ndarray:
-    """x zero-padded by one pixel on each side, in a pooled buffer of `dtype`."""
+    """x zero-padded by one pixel on each side, in a new buffer of `dtype`."""
     bb, h, w, c = x.shape
-    xp = _POOL.acquire((bb, h + 2, w + 2, c), dtype)
-    # a pooled buffer's border holds whatever its last user wrote there
+    xp = np.empty((bb, h + 2, w + 2, c), dtype)
+    # reused heap memory holds whatever its last user wrote there
     xp[:, [0, -1]] = 0
     xp[:, :, [0, -1]] = 0
     xp[:, 1:-1, 1:-1] = x
@@ -268,14 +238,14 @@ def _padded(x: np.ndarray, dtype) -> np.ndarray:
 
 
 def _im2col_flat(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Column matrix (B*OH*OW, 9*C) in a pooled buffer.
+    """Column matrix (B*OH*OW, 9*C) of the padded input.
 
     Per kernel row the (kj, c) window is one contiguous 3C-run of the padded
     input, so the gather is three strided copies per batch chunk.
     """
     b, _, _, c = xp.shape
     s0, s1, s2, s3 = xp.strides
-    col = _POOL.acquire((b, oh, ow, 3, 3 * c), xp.dtype)
+    col = np.empty((b, oh, ow, 3, 3 * c), xp.dtype)
     for ki in range(3):
         view = np.lib.stride_tricks.as_strided(
             xp[:, ki:],
@@ -287,7 +257,7 @@ def _im2col_flat(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
 
 
 def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """im2col conv, one GEMM; returns (output 4-D, pooled column matrix or None).
+    """im2col conv, one GEMM; returns (output 4-D, column matrix or None).
 
     Also the reference that tests hold the shifted lowering to.
     """
@@ -297,12 +267,8 @@ def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tu
     ow = (ww_ + 2 - kw) // stride + 1
     xp = _padded(x, x.dtype)
     col = _im2col_flat(xp, stride, oh, ow)
-    _POOL.release(xp)
     y = col.reshape(bb * oh * ow, 9 * cin) @ w4.reshape(kh * kw * cin, cout)
-    if not keep_col:
-        _POOL.release(col)
-        col = None
-    return y.reshape(bb, oh, ow, cout), col
+    return y.reshape(bb, oh, ow, cout), col if keep_col else None
 
 
 # Shape rule and block size of the shifted lowering, set from the per-shape
@@ -319,7 +285,8 @@ def _conv_shifted(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
     pixel (b, i, j) is anchored at row r = (b*(H+2) + i)*(W+2) + j and reads
     tap (ki, kj) from row r + ki*(W+2) + kj, so each tap adds one GEMM of a
     row-shifted slice. Anchors in the padding give junk rows that the final
-    crop drops. Rows go in L2-sized blocks through one reused product buffer.
+    crop drops. Rows go in L2-sized blocks through one product buffer; the
+    padded input and the output are new arrays on every call.
     Only numpy's matmul is used: scipy's BLAS wrappers load a second OpenBLAS
     and switching between the two libraries costs milliseconds per call.
     """
@@ -332,7 +299,7 @@ def _conv_shifted(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
     wk = w4.astype(dtype, copy=False)
     taps = [(ki * wp + kj, wk[ki, kj]) for ki in range(3) for kj in range(3)]
     n = bb * hp * wp - 2 * wp - 2  # one past the last valid anchor
-    yp = _POOL.acquire((bb, hp, wp, cout), dtype)
+    yp = np.empty((bb, hp, wp, cout), dtype)
     acc_rows = yp.reshape(bb * hp * wp, cout)
     prod = np.empty((min(_SHIFT_BLOCK_ROWS, n), cout), dtype)
     for r0 in range(0, n, _SHIFT_BLOCK_ROWS):
@@ -343,10 +310,7 @@ def _conv_shifted(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
         for off, wt in taps[1:]:
             np.matmul(rows[r0 + off : r1 + off], wt, out=p)
             acc += p
-    y = yp[:, :h, :w].copy()
-    _POOL.release(xp)
-    _POOL.release(yp)
-    return y
+    return yp[:, :h, :w].copy()
 
 
 def _conv_s1_nocol(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
@@ -396,7 +360,6 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
             )
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), fresh=True)
-        _POOL.release(col)
         if x.requires_grad:
             if stride == 1:
                 # input gradient is a convolution of g with the rotated,

@@ -442,9 +442,14 @@ def adapt_new_subject(
     Fresh subject/timestep layers train at full rate; the shared trunk,
     adapters and null embedding finetune at max_lr * ADAPT_TRUNK_LR_SCALE.
     Only the first `sessions_used` runs of the new subject are used. The
-    checkpoint's adapters, if any, run and train whatever the regime.
+    checkpoint's adapters, if any, run and train. That set is fixed, so the
+    only regimes accepted are 'none' and 'lora' (which also requires adapters).
     """
     config.validate()
+    if config.finetune_regime not in ("none", "lora"):
+        raise ValueError(
+            f"regime {config.finetune_regime!r} does not apply to adaptation, which honours only 'none' and 'lora'"
+        )
     n_runs = len(manifest.runs[new_subject])
     if not 1 <= sessions_used <= n_runs:
         raise ValueError(f"sessions_used must be in [1, {n_runs}], got {sessions_used}")

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import bold2img
+from bold2img import cli
 from bold2img.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -96,6 +102,20 @@ def test_multi_subject_needs_two(cli_world, tmp_path, capsys):
     out = tmp_path / "m1"
     assert _run(root, "train", "--multi-subject", "--subjects", "sub01", "--out", str(out)) == EXIT_FAIL
     assert "at least 2 subjects" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("regime", ["all", "linear", "cross_attn"])
+def test_adapt_rejects_regime_it_cannot_honour(cli_world, tmp_path, capsys, regime):
+    root = Path(cli_world)
+    base = tmp_path / "base"
+    assert _run(root, "train", "--subjects", "sub01", "--out", str(base)) == EXIT_OK
+    out = tmp_path / "adapted"
+    code = _run(root, "train", "--adapt-subject", "sub02", "--sessions-used", "1", "--from-ckpt", str(base),
+                "--regime", regime, "--out", str(out))
+    assert code == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert f"regime {regime!r}" in err and "'none' and 'lora'" in err
     assert not out.exists()
 
 
@@ -265,3 +285,52 @@ def test_selftest_exits_zero():
 def test_int_accepted_for_float_key():
     config = resolve_config(None, ["train.max_lr=1", "dataset.tr=2"])
     assert train_config(config).max_lr == 1 and dataset_config(config).tr == 2
+
+
+# A desk B=32 pretraining step, measured in a fresh interpreter so that the
+# count does not depend on what the test process allocated before.
+_FAULT_PROBE = """
+import resource
+from bold2img.cli import _retain_freed_memory
+from bold2img.diffgen import UNetConfig, init_unet, unet_forward
+from bold2img.substrate import RngKey, Tensor, ops
+
+_retain_freed_memory()
+cfg = UNetConfig()
+key = RngKey(0, ("fault_probe",))
+store = init_unet(cfg, key.child("init"))
+assert store.trainable_names() == store.names()
+b, r = 32, cfg.resolution
+x = key.child("x").normal((b, r, r, 3))
+t = key.child("t").generator().integers(0, cfg.t_max, b)
+tokens = Tensor(key.child("tokens").normal((b, cfg.tokens, cfg.token_dim)))
+eps = key.child("eps").normal((b, r, r, 3))
+
+
+def step():
+    store.zero_grads()
+    ops.mse_loss(unet_forward(x, t, tokens, store, cfg), eps).backward()
+
+
+step()
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc page faults")
+def test_retained_memory_serves_steady_training_steps_without_page_faults():
+    src = str(Path(bold2img.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert done.returncode == 0, done.stderr
+    faults_per_step = float(done.stdout.split()[-1])
+    assert faults_per_step < 300  # about 34k when glibc returns freed pages to the kernel
+
+
+def test_retain_freed_memory_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert cli._retain_freed_memory() is None

@@ -335,18 +335,39 @@ def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, shifte
         assert x.grad.dtype == dx_ref.dtype and _rel_err(x.grad, dx_ref) <= _CONV_TOL[dtype]
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_gemm_pads_with_zeros_whatever_the_pool_holds(stride):
+def _allocator_fills(monkeypatch, value):
+    """Make np.empty return arrays filled with `value`, as reused memory may be."""
+    empty = np.empty
+
+    def filled(shape, dtype=float, order="C"):
+        a = empty(shape, dtype, order)
+        a.fill(value)
+        return a
+
+    monkeypatch.setattr(np, "empty", filled)
+
+
+@pytest.mark.parametrize("lowering", ["gemm-s1", "gemm-s2", "shifted"])
+def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypatch):
     shape = (2, 9, 7, 5)
-    key = RngKey(25, ("conv_pad", stride))
+    key = RngKey(25, ("conv_pad", lowering))
     x = key.child("x").normal(shape)
     w = key.child("w").normal((3, 3, 5, 4), 0.3)
-    padded = (shape[0], shape[1] + 2, shape[2] + 2, shape[3])
-    ops._POOL.release(np.full(padded, np.nan, dtype=np.float32))
-    y, _ = ops._conv_gemm(x, w, stride, keep_col=False)
-    oh, ow = (shape[1] - 1) // stride + 1, (shape[2] - 1) // stride + 1
-    col = ops._im2col_flat(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), stride, oh, ow)
-    ref = col.reshape(-1, 45) @ w.reshape(45, 4)
+    if lowering == "shifted":
+        conv = ops._conv_shifted
+        _allocator_fills(monkeypatch, 0.0)
+        ref = conv(x, w)
+    else:
+        stride = int(lowering[-1])
+
+        def conv(x, w):
+            return ops._conv_gemm(x, w, stride, keep_col=False)[0]
+
+        oh, ow = (shape[1] - 1) // stride + 1, (shape[2] - 1) // stride + 1
+        col = ops._im2col_flat(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), stride, oh, ow)
+        ref = (col.reshape(-1, 45) @ w.reshape(45, 4)).reshape(shape[0], oh, ow, 4)
+    _allocator_fills(monkeypatch, np.nan)
+    y = conv(x, w)
     assert y.tobytes() == ref.tobytes()
 
 

@@ -237,7 +237,8 @@ def test_adapt_runs_checkpoint_adapters_under_any_regime(world, tmp_path):
     manifest, split, pre, _ = world
     multi = train_single_stage(manifest, split, pre, tiny_config(steps=3, warmup_steps=1), tmp_path / "base",
                                subjects=["sub01", "sub02"])
-    cfg = tiny_config(steps=3, warmup_steps=1, finetune_regime="all")
+    # 'none' is the one regime adaptation accepts besides 'lora'
+    cfg = tiny_config(steps=3, warmup_steps=1, finetune_regime="none")
     adapted = adapt_new_subject(multi, manifest, split, "sub03", 1, cfg, tmp_path / "adapted")
     bare = tmp_path / "bare"  # the same checkpoint with its adapters deleted
     shutil.copytree(adapted, bare)
