@@ -70,10 +70,7 @@ _RENAMED = {
 # at their default, set through a renamed key, or linked to another key in
 # `train_config`.
 _HIDDEN = {
-    "train": {
-        "betas", "adam_eps", "parameterization", "seed",
-        "unet.resolution", "unet.in_channels", "unet.tokens", "unet.token_dim",
-    },
+    "train": {"betas", "seed", "unet.resolution", "unet.tokens", "unet.token_dim"},
     "dataset": {"scene", "subject", "noise"},
     "eval": set(),
 }

@@ -28,17 +28,15 @@ def diffusion_loss(
     key: RngKey,
     timestep_sampling: str = "bicubic",
     offset_lambda: float = 0.1,
-    parameterization: str = "eps",
     predictor=None,
 ) -> Tensor:
-    """Mean-squared error between the network output and its denoising target.
+    """Mean-squared error between the network output and the velocity target.
 
     Per batch item: a timestep from the configured sampler, offset noise, the
-    forward-noised image, one prediction. The target is the injected noise
-    ('eps', the default contract) or the velocity ('v'); training uses 'v'
-    because at a small step budget the eps target makes high-noise structure
-    statistically invisible. `predictor` overrides the network (test stubs);
-    it receives (x_t, t, tokens) and returns an ndarray in the target space.
+    forward-noised image, one prediction. The target is the velocity, not the
+    injected noise: at a small step budget an eps target makes high-noise
+    structure statistically invisible. `predictor` overrides the network
+    (test stubs); it receives (x_t, t, tokens) and returns an ndarray.
     """
     if x0.shape[0] == 0:
         raise ValueError("empty batch")
@@ -51,15 +49,9 @@ def diffusion_loss(
         raise ValueError(f"unknown timestep sampling {timestep_sampling!r}")
     eps = offset_noise(key.child("eps"), x0.shape, offset_lambda)
     x_t = q_sample(x0, t, eps, schedule)
-    if parameterization == "eps":
-        target = eps
-    elif parameterization == "v":
-        target = v_target(x0, t, eps, schedule)
-    else:
-        raise ValueError(f"unknown parameterization {parameterization!r}")
     if predictor is not None:
         out = predictor(x_t, t, tokens)
         out = out if isinstance(out, Tensor) else Tensor(out)
     else:
         out = unet_forward(x_t, t, tokens, store, config)
-    return ops.mse_loss(out, target)
+    return ops.mse_loss(out, v_target(x0, t, eps, schedule))

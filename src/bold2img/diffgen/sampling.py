@@ -36,14 +36,14 @@ def ddim_sample(
     key: RngKey,
     steps: int,
     guidance: float,
-    clip_final: bool = True,
     x_init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Deterministic (eta=0) DDIM.
 
     `predict(x, t_batch, guidance)` returns the guided noise estimate for a
     (B, ...) batch at one schedule index; drawing the initial noise is the
-    only use of `key` (`x_init` overrides it for controlled starts).
+    only use of `key` (`x_init` overrides it for controlled starts). The
+    sample is returned in the diffusion space, unclipped.
     """
     idx = ddim_indices(schedule.t_max, steps)
     x = key.child("init").normal(shape, dtype=np.float32) if x_init is None else x_init.astype(np.float32)
@@ -58,7 +58,7 @@ def ddim_sample(
                 x = np.float32(np.sqrt(ab_next)) * x0_hat + np.float32(np.sqrt(1.0 - ab_next)) * eps
             else:
                 x = x0_hat
-    return np.clip(x, 0.0, 1.0) if clip_final else x
+    return x
 
 
 def cfg_predictor(unet_call, tokens, null_tokens):

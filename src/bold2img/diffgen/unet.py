@@ -27,6 +27,7 @@ from ..substrate.tensor import Tensor
 from .lora import add_lora_params, lora_linear
 
 TEMB_DIM = 128
+IN_CHANNELS = 3  # RGB images
 XATTN_SITES = ("xa_e16", "xa_e8", "xa_d8", "xa_d16")
 
 
@@ -37,7 +38,6 @@ class NonFiniteActivation(RuntimeError):
 @dataclass
 class UNetConfig:
     resolution: int = 32
-    in_channels: int = 3
     channels: tuple = (32, 64, 128)
     tokens: int = 8
     token_dim: int = 64
@@ -88,7 +88,7 @@ def init_unet(config: UNetConfig, key: RngKey, store: ParamStore | None = None) 
 
     dense("temb/l1", TEMB_DIM, TEMB_DIM)
     dense("temb/l2", TEMB_DIM, TEMB_DIM)
-    conv("conv_in", config.in_channels + 2, c0)
+    conv("conv_in", IN_CHANNELS + 2, c0)
     resblock("enc1", c0)
     conv("down1", c0, c1)
     resblock("enc2", c1)
@@ -104,7 +104,7 @@ def init_unet(config: UNetConfig, key: RngKey, store: ParamStore | None = None) 
     conv("up2", c1, c0)
     resblock("dec2", c0)
     gn("out/gn", c0)
-    conv("out/conv", c0, config.in_channels, zero=True)
+    conv("out/conv", c0, IN_CHANNELS, zero=True)
     return store
 
 
@@ -127,7 +127,7 @@ def init_image_encoder(config: UNetConfig, key: RngKey, store: ParamStore) -> Pa
     produces tokens in the same slot. Never trainable.
     """
     side = config.resolution // IMG_ENC_POOL
-    d_in = side * side * config.in_channels
+    d_in = side * side * IN_CHANNELS
     store.add(
         "cond/img_enc/w",
         key.child("img_enc").normal((d_in, config.tokens * config.token_dim), 1.0 / np.sqrt(d_in)),
@@ -169,7 +169,7 @@ def _check(h: Tensor, block: str):
 
 
 def unet_forward(x, t, tokens: Tensor, store: ParamStore, config: UNetConfig) -> Tensor:
-    """Predict the noise for a batch: (B, R, R, 3) -> (k*B, R, R, 3).
+    """Predict the velocity for a batch: (B, R, R, 3) -> (k*B, R, R, 3).
 
     `t` is a (B,) integer array of schedule indices; `tokens` is (k*B, P, D)
     for an integer k >= 1. The token-free prefix runs once on the B rows and

@@ -84,10 +84,6 @@ class SweepResult:
             "protocol": self.protocol,
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "SweepResult":
-        return SweepResult(d["kind"], d["points"], d["protocol"], d["schema_version"])
-
 
 def aggregate_subjects(per_subject: dict[str, dict[str, float]]) -> tuple[dict, dict]:
     """Cross-subject mean and SEM (sample std / sqrt(n))."""

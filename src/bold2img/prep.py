@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .substrate.checkpoint import read_tensor, write_tensor
+from .substrate.checkpoint import write_tensor
 from .substrate.rng import RngKey
 from .synthcortex.dataset import DatasetManifest
 from .synthcortex.simulate import Event, FmriRun
@@ -268,16 +268,10 @@ class PreprocCache:
         return self
 
     def get(self, subject: str, run_idx: int) -> FmriRun:
+        """A preprocessed run from the cache, which `build` must have filled."""
         key = (subject, run_idx)
         if key not in self._mem:
-            p = self._path(subject, run_idx)
-            raw = self.manifest.load_run(subject, run_idx)
-            if p.exists():
-                data = read_tensor(p)
-                run = FmriRun(data, raw.timeline, subject, raw.run_id)
-            else:
-                run = preprocess_run(raw, self.cutoff_s)
-            self._mem[key] = run
+            self._mem[key] = self.manifest.load_run(subject, run_idx, self._path(subject, run_idx))
         return self._mem[key]
 
 

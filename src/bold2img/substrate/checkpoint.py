@@ -58,7 +58,11 @@ def read_tensor(path) -> np.ndarray:
     expected = math.prod(shape)
     if len(buf) - start != expected * dtype.itemsize:
         raise ValueError(f"{path}: payload has {len(buf) - start} bytes, header says {expected} {dtype.name} values")
-    return np.frombuffer(buf, dtype=dtype, offset=start).reshape(shape).astype(dtype.newbyteorder("="))
+    try:
+        arr = np.frombuffer(buf, dtype=dtype, offset=start).reshape(shape)
+    except ValueError as e:  # a zero dim passes the size check; numpy still bounds the others
+        raise ValueError(f"{path}: shape {shape} is not readable: {e}") from None
+    return arr.astype(dtype.newbyteorder("="))
 
 
 def _blob_name(param_name: str) -> str:

@@ -30,20 +30,18 @@ class LrSchedule:
             raise ValueError("need 0 <= warmup_steps < total_steps")
 
 
-def lr_at(step: int, schedule: LrSchedule) -> tuple[float, bool]:
-    """Learning rate at `step`: linear ramp to max_lr, then cosine to 0.
-
-    Returns (lr, clamped); clamped flags a step past the schedule end.
-    """
+def lr_at(step: int, schedule: LrSchedule) -> float:
+    """Learning rate at `step`: linear ramp to max_lr, then cosine to 0, and 0
+    past the schedule end."""
     if step < 0:
         raise ValueError("step must be >= 0")
     if step > schedule.total_steps:
-        return 0.0, True
+        return 0.0
     if step < schedule.warmup_steps:
-        return schedule.max_lr * step / schedule.warmup_steps, False
+        return schedule.max_lr * step / schedule.warmup_steps
     span = schedule.total_steps - schedule.warmup_steps
     frac = (step - schedule.warmup_steps) / span
-    return schedule.max_lr * 0.5 * (1.0 + math.cos(math.pi * frac)), False
+    return schedule.max_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
 def adamw_step(

@@ -104,9 +104,11 @@ class DatasetManifest:
         spec.validate()
         return spec
 
-    def load_run(self, subject: str, run_idx: int) -> FmriRun:
+    def load_run(self, subject: str, run_idx: int, path=None) -> FmriRun:
+        """The run with its timeline; `path` reads the data from another file
+        of the same shape (a preprocessed copy) instead of the raw run."""
         entry = self.runs[subject][run_idx]
-        data = read_tensor(self.root / entry["file"])
+        data = read_tensor(path if path is not None else self.root / entry["file"])
         events = [Event(e["onset"], e["stimulus_id"], e["duration"]) for e in entry["events"]]
         tl = RunTimeline(self.tr, data.shape[1], events)
         return FmriRun(data, tl, subject, entry["run_id"])

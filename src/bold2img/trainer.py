@@ -1,7 +1,8 @@
 """Training orchestration: one step loop drives generator pretraining and the
 joint stage (one subject, several subjects, or adaptation to a new subject);
-each phase supplies only its batch loss and LR schedule. Also the finetuning
-regimes and inference.
+each phase supplies only its batch of images and conditioning tokens, its
+timestep sampling and its LR schedule. Also the finetuning regimes and
+inference.
 
 One parameter store carries everything (unet/*, brain/*, lora/*, cond/*);
 a regime is just a trainable-name predicate over that store. All per-step
@@ -50,6 +51,20 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+# Keys that older checkpoints record and the code now fixes, each with the one
+# value that still loads (None: any value). Pretraining once had an
+# unconditional mode and training an 'eps' target; the optimizer epsilon and
+# the image channels were never settable; the window length is now read from
+# the brain module's weights.
+_RETIRED_KEYS = {
+    "pretrain_conditioning": "image",
+    "parameterization": "v",
+    "adam_eps": 1e-8,
+    "unet.in_channels": 3,
+    "brain.window_samples": None,
+}
+
+
 @dataclass
 class TrainConfig:
     steps: int = 10_000
@@ -58,7 +73,6 @@ class TrainConfig:
     max_lr: float = 1e-3
     weight_decay: float = 0.01
     betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     warmup_steps: int = 500
     cond_dropout: float = 0.1
     finetune_regime: str = "lora"
@@ -66,7 +80,6 @@ class TrainConfig:
     window_d: float = DEFAULT_WINDOW_D
     delta: float = 0.0
     offset_lambda: float = 0.1
-    parameterization: str = "v"  # training target space; 'eps' matches the plain contract
     shuffle_conditioning: bool = False
     seed: int = 0
     brain: BrainModuleConfig = field(default_factory=BrainModuleConfig)
@@ -82,14 +95,16 @@ class TrainConfig:
 
     @staticmethod
     def from_json(d: dict) -> "TrainConfig":
-        d = dict(d)
-        # Checkpoints written while pretraining had a second, unconditional mode record this key.
-        mode = d.pop("pretrain_conditioning", "image")
-        if mode != "image":
-            raise ValueError(f"pretrain_conditioning: only 'image' is supported, got {mode!r}")
-        # Older checkpoints record the window length, which the brain module's weights now carry.
-        if "brain" in d:
-            d["brain"] = {k: v for k, v in d["brain"].items() if k != "window_samples"}
+        d = json.loads(json.dumps(d))  # deep copy
+        for path, fixed in _RETIRED_KEYS.items():
+            *parents, leaf = path.split(".")
+            node = d
+            for k in parents:
+                node = node.get(k, {})
+            if leaf in node:
+                value = node.pop(leaf)
+                if fixed is not None and value != fixed:
+                    raise ValueError(f"{path}: retired key, only {fixed!r} is supported, got {value!r}")
         return config_from_json(TrainConfig, d)
 
 
@@ -245,7 +260,8 @@ class _DivergenceGuard:
 
 
 def _train_loop(
-    batch_loss,
+    batch,
+    timestep_sampling: str,
     lr_sched: LrSchedule | None,
     store: ParamStore,
     opt: OptimizerState,
@@ -257,12 +273,16 @@ def _train_loop(
     stop_after: int | None = None,
     lr_scale: dict[str, float] | None = None,
 ) -> Path:
-    """The step loop of every training phase.
+    """The step loop of every training phase, and its one objective.
 
-    `batch_loss(skey) -> (loss, n_dropped)` builds one step's loss from the
-    step key; the loop owns the rest: gradients of the trainable entries, the
-    LR schedule, AdamW (with an optional per-name `lr_scale`), the divergence
-    guard, the loss rows and the final save. Without a schedule no step runs.
+    `batch(skey) -> (x0, tokens)` draws one step's diffusion-space images and
+    their conditioning tokens from the step key. The loop owns the rest: each
+    row's tokens drop to the learned null embedding with probability
+    cond_dropout, so classifier-free guidance works at inference; the loss
+    regresses the velocity at timesteps drawn by `timestep_sampling`; then
+    the gradients of the trainable entries, the LR schedule, AdamW (with an
+    optional per-name `lr_scale`), the divergence guard, the loss rows and
+    the final save. Without a schedule no step runs.
     `stop_after` interrupts the run early (the schedule keeps its length);
     resuming from the saved state then reproduces the uninterrupted run.
     """
@@ -271,15 +291,25 @@ def _train_loop(
     trainable = store.trainable_names()
     total = 0 if lr_sched is None else lr_sched.total_steps
     last = total if stop_after is None else min(total, opt.step + stop_after)
+    sched = make_schedule(config.unet.t_max)
     guard = _DivergenceGuard()
     rows = []
     for step in range(opt.step, last):
         store.zero_grads()
-        loss, n_dropped = batch_loss(root.child("step", step))
+        skey = root.child("step", step)
+        x0, tokens = batch(skey)
+        drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
+        n_dropped = int(drop.sum())
+        if n_dropped:
+            null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
+            tokens = ops.where(drop[:, None, None], null_b, tokens)
+        loss = diffusion_loss(
+            x0, tokens, store, sched, config.unet, skey.child("loss"), timestep_sampling, config.offset_lambda
+        )
         loss.backward()
         grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in trainable}
-        lr, _ = lr_at(step, lr_sched)
-        adamw_step(store, grads, opt, lr, config.weight_decay, *config.betas, config.adam_eps, lr_scale=lr_scale)
+        lr = lr_at(step, lr_sched)
+        adamw_step(store, grads, opt, lr, config.weight_decay, *config.betas, lr_scale=lr_scale)
         guard.check(step, loss.item())
         rows.append((step, loss.item(), lr, n_dropped))
     _loss_csv(out_dir, rows, resumed)
@@ -297,9 +327,8 @@ def pretrain_generator(
     """Generator training on the train-split stimulus images, with uniformly
     sampled timesteps.
 
-    The tokens come from a frozen image encoder and drop to the learned null
-    embedding with probability cond_dropout, so the generator learns to read
-    token variation and guidance stays available.
+    The tokens come from a frozen image encoder, so the generator learns to
+    read token variation; the step loop drops them to the null embedding.
     """
     config.validate()
     root = RngKey(config.seed, ("pretrain",))
@@ -314,26 +343,15 @@ def pretrain_generator(
 
     raw_imgs = np.stack([manifest.load_image(s) for s in manifest.train_stimuli()])
     train_imgs = image_to_diffusion(raw_imgs)
-    sched = make_schedule(config.unet.t_max)
 
-    def batch_loss(skey: RngKey):
+    def batch(skey: RngKey):
         idx = skey.child("batch").generator().integers(0, len(train_imgs), config.batch_size)
-        img_tok = image_tokens(raw_imgs[idx], config.unet, store)
-        drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
-        n_dropped = int(drop.sum())
-        null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
-        tokens = ops.where(drop[:, None, None], null_b, Tensor(img_tok))
-        loss = diffusion_loss(
-            train_imgs[idx], tokens, store, sched, config.unet, skey.child("loss"),
-            timestep_sampling="uniform", offset_lambda=config.offset_lambda,
-            parameterization=config.parameterization,
-        )
-        return loss, n_dropped
+        return train_imgs[idx], Tensor(image_tokens(raw_imgs[idx], config.unet, store))
 
     total = config.pretrain_steps
     lr_sched = LrSchedule(config.max_lr, min(config.warmup_steps, total - 1), total) if total else None
     return _train_loop(
-        batch_loss, lr_sched, store, opt, config, root, out_dir, resume_from is not None,
+        batch, "uniform", lr_sched, store, opt, config, root, out_dir, resume_from is not None,
         {"phase": "pretrain"}, stop_after,
     )
 
@@ -356,9 +374,8 @@ def _train_joint(
     cache = PreprocCache(manifest).build()
     refs = {sid: split.train_refs[sid] for sid in subjects}
     data = assemble_training_set(manifest, cache, refs, config, shuffle_key=root.child("labels"))
-    sched = make_schedule(config.unet.t_max)
 
-    def batch_loss(skey: RngKey):
+    def batch(skey: RngKey):
         pick = skey.child("batch").generator().integers(0, data.n_total, config.batch_size)
         by_sid: dict[str, list[int]] = {}
         for sid, row in (data.flat_index[i] for i in pick):
@@ -372,23 +389,13 @@ def _train_joint(
             )
             image_parts.append(data.images[sid][rows_idx])
         tokens = token_parts[0] if len(token_parts) == 1 else ops.concat(token_parts, axis=0)
-        x0 = image_to_diffusion(np.concatenate(image_parts, axis=0))
-
-        drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
-        n_dropped = int(drop.sum())
-        if n_dropped:
-            null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
-            tokens = ops.where(drop[:, None, None], null_b, tokens)
-        loss = diffusion_loss(
-            x0, tokens, store, sched, config.unet, skey.child("loss"),
-            timestep_sampling="bicubic", offset_lambda=config.offset_lambda,
-            parameterization=config.parameterization,
-        )
-        return loss, n_dropped
+        return image_to_diffusion(np.concatenate(image_parts, axis=0)), tokens
 
     lr_sched = LrSchedule(config.max_lr, config.warmup_steps, config.steps)
     extra = {"phase": "joint", "subjects": subjects, "split": split.kind}
-    return _train_loop(batch_loss, lr_sched, store, opt, config, root, out_dir, resumed, extra, stop_after, lr_scale)
+    return _train_loop(
+        batch, "bicubic", lr_sched, store, opt, config, root, out_dir, resumed, extra, stop_after, lr_scale
+    )
 
 
 def train_single_stage(
@@ -403,12 +410,10 @@ def train_single_stage(
 ) -> Path:
     """Joint training of the brain module and conditioned generator.
 
-    Every repetition is its own sample (no averaging); with probability
-    cond_dropout a batch item's tokens are replaced by the learned null
-    embedding so classifier-free guidance works at inference. Several
-    subjects (default: all of the manifest) share one trunk, adapters and
-    null embedding; each has its own input and timestep layers. Timesteps
-    are drawn from the bicubic schedule.
+    Every repetition is its own sample (no averaging). Several subjects
+    (default: all of the manifest) share one trunk, adapters and null
+    embedding; each has its own input and timestep layers. Timesteps are
+    drawn from the bicubic schedule.
     """
     config.validate()
     subjects = sorted(subjects if subjects is not None else manifest.subject_ids)
@@ -481,16 +486,14 @@ def adapt_new_subject(
 # inference
 
 
-def make_noise_predictor(store: ParamStore, config: TrainConfig, sched):
-    """Wrap the network as an eps-predictor regardless of its training target."""
+def make_noise_predictor(store: ParamStore, config: UNetConfig, sched):
+    """Wrap the velocity-trained network as an eps-predictor."""
 
     def unet_call(x, t, tk):
-        out = unet_forward(x, t, Tensor(tk), store, config.unet).data
-        if config.parameterization == "v":
-            # one output row block per token block, each for the same x and t
-            k = out.shape[0] // x.shape[0]
-            return eps_from_v(np.tile(x, (k, 1, 1, 1)), out, np.tile(t, k), sched)
-        return out
+        v = unet_forward(x, t, Tensor(tk), store, config).data
+        # one output row block per token block, each for the same x and t
+        k = v.shape[0] // x.shape[0]
+        return eps_from_v(np.tile(x, (k, 1, 1, 1)), v, np.tile(t, k), sched)
 
     return unet_call
 
@@ -501,14 +504,14 @@ def sample_unconditional(ckpt_dir, n: int, key: RngKey, steps: int = 20, batch: 
     sched = make_schedule(config.unet.t_max)
     null = store["cond/null_tokens"].data
     r = config.unet.resolution
-    unet_call = make_noise_predictor(store, config, sched)
+    unet_call = make_noise_predictor(store, config.unet, sched)
     out = np.empty((n, r, r, 3), dtype=np.float32)
     with no_grad():
         for lo in range(0, n, batch):
             b = min(batch, n - lo)
             tokens = np.broadcast_to(null, (b,) + null.shape).copy()
             predict = cfg_predictor(unet_call, tokens, null)
-            x = ddim_sample(predict, sched, (b, r, r, 3), key.child(lo), steps=steps, guidance=1.0, clip_final=False)
+            x = ddim_sample(predict, sched, (b, r, r, 3), key.child(lo), steps=steps, guidance=1.0)
             out[lo : lo + b] = diffusion_to_image(x)
     return out
 
@@ -539,7 +542,7 @@ def infer(
         if e.n_samples != n_samples:
             raise ValueError(f"epoch {e.stimulus_id} has {e.n_samples} samples; checkpoint expects {n_samples}")
 
-    unet_call = make_noise_predictor(store, config, sched)
+    unet_call = make_noise_predictor(store, config.unet, sched)
 
     images = np.empty((len(epochs), r, r, 3), dtype=np.float32)
     records = []
@@ -558,10 +561,7 @@ def infer(
                 ]
             )
             predict = cfg_predictor(unet_call, tokens, null)
-            out = ddim_sample(
-                predict, sched, (len(group), r, r, 3), key, steps=steps, guidance=guidance,
-                clip_final=False, x_init=init,
-            )
+            out = ddim_sample(predict, sched, (len(group), r, r, 3), key, steps=steps, guidance=guidance, x_init=init)
             images[lo : lo + len(group)] = diffusion_to_image(out)
             for e in group:
                 records.append(

@@ -20,10 +20,11 @@ from bold2img.diffgen import (
     q_sample,
     sample_timestep_bicubic,
     unet_forward,
+    v_target,
 )
 from bold2img.diffgen.unet import SMALL_CONFIG, NonFiniteActivation
 from bold2img.substrate import ParamStore, RngKey, Tensor, no_grad
-from bold2img.trainer import TrainConfig, make_noise_predictor
+from bold2img.trainer import make_noise_predictor
 
 SCHED = make_schedule()
 
@@ -248,7 +249,7 @@ def test_shared_prefix_cfg_call_is_bitwise_the_doubled_batch(b):
         if name.startswith("lora/") and name.endswith("/b"):
             store[name].data[:] = key.child("loraB", name).normal(store[name].shape, 0.1)
     store["unet/out/conv/w"].data[:] = key.child("outw").normal(store["unet/out/conv/w"].shape, 0.1)
-    unet_call = make_noise_predictor(store, TrainConfig(unet=SMALL_CONFIG, parameterization="v"), SCHED)
+    unet_call = make_noise_predictor(store, SMALL_CONFIG, SCHED)
     x = key.child("x").normal((b, 8, 8, 3))
     t = np.arange(1, b + 1) * 97
     both = key.child("tk").normal((2 * b, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim))
@@ -345,7 +346,7 @@ def test_ddim_deterministic(small_unet):
     a = ddim_sample(predict, SCHED, (1, 8, 8, 3), key.child("s"), steps=20, guidance=3.0)
     b = ddim_sample(predict, SCHED, (1, 8, 8, 3), key.child("s"), steps=20, guidance=3.0)
     assert a.tobytes() == b.tobytes()
-    assert a.min() >= 0.0 and a.max() <= 1.0
+    assert np.all(np.isfinite(a))
 
 
 # ---------------------------------------------------------------------------
@@ -359,47 +360,56 @@ def test_loss_zero_for_exact_predictor(small_unet):
     eps = offset_noise(key.child("loss", "eps"), x0.shape, 0.1)
     loss = diffusion_loss(
         x0, tokens, small_unet, SCHED, SMALL_CONFIG, key.child("loss"),
-        predictor=lambda xt, t, tk: eps,
+        predictor=lambda xt, t, tk: v_target(x0, t, eps, SCHED),
     )
     assert loss.item() == 0.0
 
 
+def test_loss_v_parameterization_target():
+    # the target is the velocity, not the injected noise: a predictor that
+    # returns eps is scored against v, and its loss is exactly mse(eps, v)
+    key = RngKey(22, ("lv",))
+    x0 = key.child("x").uniform((4, 8, 8, 3))
+    eps = offset_noise(key.child("loss", "eps"), x0.shape, 0.1)
+    seen = {}
+
+    def stub(xt, t, tk):
+        seen["t"] = t
+        return eps
+
+    loss = diffusion_loss(
+        x0, Tensor(np.zeros((4, 2, 4), dtype=np.float32)), None, SCHED, SMALL_CONFIG,
+        key.child("loss"), predictor=stub,
+    )
+    v = v_target(x0, seen["t"], eps, SCHED)
+    assert loss.item() == pytest.approx(float(np.mean((eps - v) ** 2)), rel=1e-5)
+    assert loss.item() > 0.0
+
+
 def test_loss_for_zero_predictor_matches_noise_power():
+    # predictor 0 at x0 = 0: the loss is mean(v^2) = mean(abar_t * eps^2), and
+    # offset noise has variance 1 + lambda^2, so its expectation is
+    # E_t[abar_t] * (1 + lambda^2) with t from the bicubic sampler
+    p_t = np.diff(bicubic_cdf(np.arange(SCHED.t_max), SCHED.t_max), prepend=0.0)
+    mean_ab = p_t @ SCHED.alpha_bars
+    sd_ab = np.sqrt(p_t @ SCHED.alpha_bars**2 - mean_ab**2)
     key = RngKey(20, ("lz",))
-    x0 = np.zeros((64, 16, 16, 3), dtype=np.float32)
-    tokens = Tensor(np.zeros((64, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim), dtype=np.float32))
+    b, calls = 512, 10
+    x0 = np.zeros((b, 8, 8, 3), dtype=np.float32)
+    tokens = Tensor(np.zeros((b, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim), dtype=np.float32))
     losses = [
         diffusion_loss(
             x0, tokens, None, SCHED, SMALL_CONFIG, key.child("loss", i),
             predictor=lambda xt, t, tk: np.zeros_like(xt),
         ).item()
-        for i in range(10)
+        for i in range(calls)
     ]
-    # predictor 0: loss = mean(eps^2), and offset noise has variance 1 + lambda^2
-    assert np.mean(losses) == pytest.approx(1.01, rel=0.02)
-
-
-def test_loss_v_parameterization_target():
-    from bold2img.diffgen import v_target
-
-    key = RngKey(22, ("lv",))
-    x0 = key.child("x").uniform((4, 8, 8, 3))
-    sched = SCHED
-    # stub reproducing the exact v target -> zero loss
-    eps = offset_noise(key.child("loss", "eps"), x0.shape, 0.1)
-
-    def stub(xt, t, tk):
-        return v_target(x0, t, eps, sched)
-
-    loss = diffusion_loss(
-        x0, Tensor(np.zeros((4, 2, 4), dtype=np.float32)), None, sched, SMALL_CONFIG,
-        key.child("loss"), parameterization="v", predictor=stub,
-    )
-    assert loss.item() == 0.0
+    # the spread of abar over the sampled timesteps dominates the error
+    assert np.mean(losses) == pytest.approx(mean_ab * 1.01, abs=4 * 1.01 * sd_ab / np.sqrt(b * calls))
 
 
 def test_eps_from_v_roundtrip():
-    from bold2img.diffgen import eps_from_v, v_target
+    from bold2img.diffgen import eps_from_v
 
     key = RngKey(23, ("vr",))
     x0 = key.child("x").uniform((2, 8, 8, 3))

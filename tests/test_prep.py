@@ -301,6 +301,19 @@ def test_preproc_cache_and_epochs(small_dataset, tmp_path):
     assert event_idx == e0.event_index
 
 
+def test_cache_get_reads_only_the_cache(small_dataset, tmp_path):
+    _, m = small_dataset
+    cache = PreprocCache(m, cache_dir=tmp_path / "pp3").build()
+    sid = m.subject_ids[0]
+    run, ref = cache.get(sid, 0), preprocess_run(m.load_run(sid, 0))
+    assert run.timeline == ref.timeline and run.run_id == ref.run_id
+    np.testing.assert_array_equal(run.data, ref.data)
+    missing = cache.dir / f"{sid}_run001.bin"
+    missing.unlink()
+    with pytest.raises(FileNotFoundError, match=missing.name):
+        cache.get(sid, 1)
+
+
 def test_epochs_shifted_out_of_bounds_counted(small_dataset, tmp_path):
     _, m = small_dataset
     cache = PreprocCache(m, cache_dir=tmp_path / "pp2").build()

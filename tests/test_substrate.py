@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 # the gradcheck inventory is read at collection time; these imports register
@@ -161,21 +161,17 @@ def test_adamw_grads_must_cover_trainable_set():
 
 def test_lr_schedule_endpoints():
     sched = LrSchedule(max_lr=1e-3, warmup_steps=1000, total_steps=10000)
-    assert lr_at(0, sched) == (0.0, False)
-    lr, clamped = lr_at(1000, sched)
-    assert lr == pytest.approx(1e-3) and not clamped
-    lr, clamped = lr_at(10000, sched)
-    assert lr == pytest.approx(0.0, abs=1e-18) and not clamped
-    lr, clamped = lr_at(10001, sched)
-    assert lr == 0.0 and clamped
+    assert lr_at(0, sched) == 0.0
+    assert lr_at(1000, sched) == pytest.approx(1e-3)
+    assert lr_at(10000, sched) == pytest.approx(0.0, abs=1e-18)
+    assert lr_at(10001, sched) == 0.0  # past the end
 
 
 @given(st.integers(min_value=0, max_value=10000))
 @settings(max_examples=200, deadline=None)
 def test_lr_always_in_range(step):
     sched = LrSchedule(max_lr=1e-3, warmup_steps=1000, total_steps=10000)
-    lr, _ = lr_at(step, sched)
-    assert 0.0 <= lr <= 1e-3 + 1e-12
+    assert 0.0 <= lr_at(step, sched) <= 1e-3 + 1e-12
 
 
 def test_lr_schedule_validation():
@@ -441,6 +437,7 @@ _HEADER_BYTES = 4 + 8 + 4 + 4 * 2  # magic, version and dtype code, rank, two di
 
 @settings(max_examples=80, deadline=None)
 @given(at=st.integers(0, _HEADER_BYTES - 1), flip=st.integers(1, 255))
+@example(at=12, flip=10)  # rank 2 -> 8: the payload is read as dims, one of them 0
 def test_container_with_a_flipped_header_byte_reads_or_names_the_file(tmp_path_factory, at, flip):
     tmp_path = tmp_path_factory.mktemp("blob")
     blob = bytearray(_valid_blob(tmp_path))

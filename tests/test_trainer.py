@@ -74,6 +74,25 @@ def test_train_config_from_json_reads_the_removed_conditioning_key():
         TrainConfig.from_json({**doc, "nope": 1})
 
 
+@pytest.mark.parametrize(
+    "key, value", [("parameterization", "v"), ("adam_eps", 1e-8), ("unet.in_channels", 3)]
+)
+def test_train_config_from_json_reads_retired_keys_at_their_fixed_value(key, value):
+    def with_key(v):
+        doc = config_to_json(tiny_config())
+        *parents, leaf = key.split(".")
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[leaf] = v
+        return doc
+
+    assert TrainConfig.from_json(with_key(value)) == tiny_config()
+    other = "eps" if key == "parameterization" else value * 2
+    with pytest.raises(ValueError, match=key):
+        TrainConfig.from_json(with_key(other))
+
+
 def test_checkpoint_config_records_no_window_length(world, tmp_path):
     _, _, pre, _ = world
     doc = json.loads((pre / "manifest.json").read_text())
@@ -174,10 +193,14 @@ def test_lora_regime_without_adapters_errors(world):
         regime_trainable_names(store, "lora")
 
 
-def test_cond_dropout_rate(world, tmp_path):
+@pytest.mark.parametrize("phase", ["pretrain", "joint"])
+def test_cond_dropout_rate(world, tmp_path, phase):
     manifest, split, pre, _ = world
-    cfg = tiny_config(steps=40, warmup_steps=2, cond_dropout=0.25, batch_size=8)
-    out = train_single_stage(manifest, split, pre, cfg, tmp_path / "cd", subjects=["sub01"])
+    cfg = tiny_config(steps=40, pretrain_steps=40, warmup_steps=2, cond_dropout=0.25, batch_size=8)
+    if phase == "pretrain":
+        out = pretrain_generator(manifest, cfg, tmp_path / "cd")
+    else:
+        out = train_single_stage(manifest, split, pre, cfg, tmp_path / "cd", subjects=["sub01"])
     rows = (out / "loss.csv").read_text().strip().splitlines()[1:]
     dropped = sum(int(r.split(",")[3]) for r in rows)
     n = 40 * 8
