@@ -9,6 +9,7 @@ rows never mix (everything is per voxel).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .substrate.checkpoint import write_tensor
+from .substrate.checkpoint import read_json_object, write_tensor
 from .substrate.rng import RngKey
 from .synthcortex.dataset import DatasetManifest
 from .synthcortex.simulate import Event, FmriRun
@@ -131,7 +132,7 @@ def extract_window(
     repetition: int = -1,
     event_index: int = -1,
 ) -> Epoch:
-    """Cut the (C, T) window for one event; hard error if it leaves the run."""
+    """The (C, T) window for one event, a view of the run; hard error if it leaves the run."""
     tr = run.timeline.tr
     t_len = window_length(d, tr)
     try:
@@ -151,7 +152,7 @@ def extract_window(
         else None
     )
     return Epoch(
-        X=np.ascontiguousarray(run.data[:, n0 : n0 + t_len]),
+        X=run.data[:, n0 : n0 + t_len],
         stimulus_id=event.stimulus_id,
         subject_id=run.subject_id,
         repetition=repetition,
@@ -241,37 +242,69 @@ def pick_test_repetitions(split: SplitSpec, key: RngKey) -> dict[str, int]:
 
 
 class PreprocCache:
-    """Preprocessed runs on disk next to the dataset, keyed by cutoff."""
+    """Preprocessed runs on disk next to the dataset. `index.json` records the
+    cutoff and the sha256 of the dataset's manifest they were made from; a
+    cache made from other settings is rebuilt by `build` and refused by `get`.
+    Cached runs are read-only, so the windows cut from them stay views."""
 
     def __init__(self, manifest: DatasetManifest, cutoff_s: float = DEFAULT_CUTOFF_S, cache_dir=None):
         self.manifest = manifest
         self.cutoff_s = cutoff_s
         self.dir = Path(cache_dir) if cache_dir else manifest.root / f"preproc_c{int(cutoff_s)}"
         self._mem: dict[tuple[str, int], FmriRun] = {}
+        self._current = False
 
     def _path(self, subject: str, run_idx: int) -> Path:
         return self.dir / f"{subject}_run{run_idx:03d}.bin"
 
+    def _stamp(self) -> dict:
+        digest = hashlib.sha256((self.manifest.root / "manifest.json").read_bytes()).hexdigest()
+        return {"cutoff_s": self.cutoff_s, "manifest_sha256": digest}
+
+    def _stale(self, stamp: dict) -> str | None:
+        """Why `index.json` does not describe runs made with `stamp`, or None."""
+        index = self.dir / "index.json"
+        try:
+            recorded = read_json_object(index)
+        except (OSError, ValueError) as e:  # missing or unreadable
+            return str(e)
+        for k, v in stamp.items():
+            if recorded.get(k) != v:
+                return f"{index} records {k} {recorded.get(k)!r}, the dataset has {v!r}"
+        return None
+
     def build(self) -> "PreprocCache":
         self.dir.mkdir(parents=True, exist_ok=True)
+        stamp = self._stamp()
+        stale = written = self._stale(stamp) is not None
+        if stale:  # no index until every run is rewritten
+            (self.dir / "index.json").unlink(missing_ok=True)
         index = {}
         for subj in self.manifest.subject_ids:
             for r in range(len(self.manifest.runs[subj])):
                 p = self._path(subj, r)
-                if not p.exists():
+                if stale or not p.exists():
                     run = preprocess_run(self.manifest.load_run(subj, r), self.cutoff_s)
                     write_tensor(p, run.data)
+                    written = True
                 index[f"{subj}/{r}"] = p.name
-        (self.dir / "index.json").write_text(
-            json.dumps({"cutoff_s": self.cutoff_s, "runs": index}, sort_keys=True, indent=1)
-        )
+        if written:  # a current index stays in place: another process may be reading it
+            (self.dir / "index.json").write_text(json.dumps({**stamp, "runs": index}, sort_keys=True, indent=1))
+        self._current = True
         return self
 
     def get(self, subject: str, run_idx: int) -> FmriRun:
-        """A preprocessed run from the cache, which `build` must have filled."""
+        """A read-only preprocessed run from the cache, which `build` must have
+        filled from this dataset."""
+        if not self._current:
+            stale = self._stale(self._stamp())
+            if stale:
+                raise ValueError(f"stale preprocessing cache: {stale}; run `preprocess` again")
+            self._current = True
         key = (subject, run_idx)
         if key not in self._mem:
             self._mem[key] = self.manifest.load_run(subject, run_idx, self._path(subject, run_idx))
+            self._mem[key].data.flags.writeable = False
         return self._mem[key]
 
 

@@ -89,15 +89,30 @@ def save_checkpoint(cdir, params: ParamStore, extra: dict | None = None):
     (cdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
 
 
+def read_json_object(path) -> dict:
+    """The JSON object in `path`; a file that holds anything else raises a
+    ValueError naming it."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: holds a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
 def load_checkpoint(cdir) -> tuple[ParamStore, dict]:
     cdir = Path(cdir)
-    manifest = json.loads((cdir / "manifest.json").read_text())
+    manifest = read_json_object(cdir / "manifest.json")
     if manifest.get("schema_version") != 1:
         raise ValueError(f"{cdir}: unsupported checkpoint schema")
     params = ParamStore()
-    for e in manifest["tensors"]:
-        arr = read_tensor(cdir / e["file"])
-        if list(arr.shape) != e["shape"]:
-            raise ValueError(f"{e['name']}: blob shape {arr.shape} != manifest {e['shape']}")
-        params.add(e["name"], arr, trainable=e["trainable"])
-    return params, manifest["extra"]
+    try:
+        for e in manifest["tensors"]:
+            arr = read_tensor(cdir / e["file"])
+            if list(arr.shape) != e["shape"]:
+                raise ValueError(f"{cdir / e['file']}: {e['name']} has shape {arr.shape}, manifest says {e['shape']}")
+            params.add(e["name"], arr, trainable=e["trainable"])
+        return params, manifest["extra"]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{cdir / 'manifest.json'}: malformed ({type(e).__name__}: {e})") from None

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..substrate.checkpoint import read_tensor, write_tensor
+from ..substrate.checkpoint import read_json_object, read_tensor, write_tensor
 from ..substrate.rng import RngKey
 from .scenes import DEFAULT_PALETTE, SceneConfig, StimulusScene, render_mask, render_scene, sample_scene, validate_palette
 from .simulate import TR_DEFAULT, FmriRun, NoiseConfig, RunTimeline, Event, make_timeline, simulate_run
@@ -244,20 +244,23 @@ def _write_manifest(m: DatasetManifest):
 
 def load_manifest(root) -> DatasetManifest:
     root = Path(root)
-    doc = json.loads((root / "manifest.json").read_text())
+    doc = read_json_object(root / "manifest.json")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{root}: unsupported dataset schema")
-    return DatasetManifest(
-        root=root,
-        palette=np.asarray(doc["palette"], dtype=np.float32),
-        tr=doc["tr"],
-        resolution=doc["resolution"],
-        subject_ids=[s["id"] for s in doc["subjects"]],
-        subject_voxels={s["id"]: s["n_voxels"] for s in doc["subjects"]},
-        stimulus_ids=[s["id"] for s in doc["stimuli"]],
-        scenes={s["id"]: StimulusScene.from_json(s["scene"]) for s in doc["stimuli"]},
-        split_tag={s["id"]: s["split"] for s in doc["stimuli"]},
-        runs=doc["runs"],
-        repetition_map=doc["repetition_map"],
-        config=doc["config"],
-    )
+    try:
+        return DatasetManifest(
+            root=root,
+            palette=np.asarray(doc["palette"], dtype=np.float32),
+            tr=doc["tr"],
+            resolution=doc["resolution"],
+            subject_ids=[s["id"] for s in doc["subjects"]],
+            subject_voxels={s["id"]: s["n_voxels"] for s in doc["subjects"]},
+            stimulus_ids=[s["id"] for s in doc["stimuli"]],
+            scenes={s["id"]: StimulusScene.from_json(s["scene"]) for s in doc["stimuli"]},
+            split_tag={s["id"]: s["split"] for s in doc["stimuli"]},
+            runs=doc["runs"],
+            repetition_map=doc["repetition_map"],
+            config=doc["config"],
+        )
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{root / 'manifest.json'}: malformed ({type(e).__name__}: {e})") from None

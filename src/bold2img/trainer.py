@@ -20,6 +20,7 @@ import numpy as np
 
 from .brainmod import BrainModuleConfig, add_subject_layers, brain_forward_batch, init_brain_module
 from .diffgen import (
+    NonFiniteActivation,
     UNetConfig,
     cfg_predictor,
     create_lora_adapters,
@@ -155,17 +156,21 @@ def regime_trainable_names(store: ParamStore, regime: str) -> set[str]:
 
 @dataclass
 class TrainingSet:
-    """Per-subject stacked windows and their target images."""
+    """Per-subject windows, views into the cached runs, and one image per stimulus."""
 
     subjects: list[str]
-    x: dict[str, np.ndarray]  # sid -> (N, C, T)
-    images: dict[str, np.ndarray]  # sid -> (N, R, R, 3)
-    stimuli: dict[str, list[str]]  # sid -> stimulus id per row
+    windows: dict[str, list[np.ndarray]]  # sid -> N (C, T) views
+    images: np.ndarray  # (S, R, R, 3), one row per stimulus used
+    image_row: dict[str, np.ndarray]  # sid -> (N,) row of `images` per window
     flat_index: list[tuple[str, int]]  # global row -> (sid, local row)
 
     @property
     def n_total(self) -> int:
         return len(self.flat_index)
+
+    def gather(self, sid: str, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked (B, C, T) windows and (B, R, R, 3) images of `rows`."""
+        return np.stack([self.windows[sid][i] for i in rows]), self.images[self.image_row[sid][rows]]
 
 
 def assemble_training_set(
@@ -175,26 +180,23 @@ def assemble_training_set(
     config: TrainConfig,
     shuffle_key: RngKey | None = None,
 ) -> TrainingSet:
+    if config.shuffle_conditioning and shuffle_key is None:
+        raise ValueError("shuffle_conditioning needs a key")
     epochs, _ = extract_epochs(cache, refs, config.window_t, config.window_d, config.delta)
-    by_subject: dict[str, list[Epoch]] = {}
+    stims = sorted({e.stimulus_id for e in epochs})
+    row_of = {s: i for i, s in enumerate(stims)}
+    windows, image_row = {}, {}
     for e in epochs:
-        by_subject.setdefault(e.subject_id, []).append(e)
-    subjects = sorted(by_subject)
-    image_cache = {s: manifest.load_image(s) for s in manifest.stimulus_ids}
-    x, images, stimuli, flat = {}, {}, {}, []
+        windows.setdefault(e.subject_id, []).append(e.X)
+        image_row.setdefault(e.subject_id, []).append(row_of[e.stimulus_id])
+    subjects = sorted(windows)
     for sid in subjects:
-        eps = by_subject[sid]
-        stims = [e.stimulus_id for e in eps]
+        image_row[sid] = np.asarray(image_row[sid])
         if config.shuffle_conditioning:
-            if shuffle_key is None:
-                raise ValueError("shuffle_conditioning needs a key")
-            perm = shuffle_key.child("shuffle", sid).permutation(len(stims))
-            stims = [stims[i] for i in perm]
-        x[sid] = np.stack([e.X for e in eps])
-        images[sid] = np.stack([image_cache[s] for s in stims])
-        stimuli[sid] = stims
-        flat.extend((sid, i) for i in range(len(eps)))
-    return TrainingSet(subjects, x, images, stimuli, flat)
+            image_row[sid] = image_row[sid][shuffle_key.child("shuffle", sid).permutation(len(image_row[sid]))]
+    flat = [(sid, i) for sid in subjects for i in range(len(windows[sid]))]
+    images = np.stack([manifest.load_image(s) for s in stims])
+    return TrainingSet(subjects, windows, images, image_row, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +305,12 @@ def _train_loop(
         if n_dropped:
             null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
             tokens = ops.where(drop[:, None, None], null_b, tokens)
-        loss = diffusion_loss(
-            x0, tokens, store, sched, config.unet, skey.child("loss"), timestep_sampling, config.offset_lambda
-        )
+        try:
+            loss = diffusion_loss(
+                x0, tokens, store, sched, config.unet, skey.child("loss"), timestep_sampling, config.offset_lambda
+            )
+        except NonFiniteActivation as e:
+            raise NonFiniteActivation(f"step {step}: {e}") from e
         loss.backward()
         grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in trainable}
         lr = lr_at(step, lr_sched)
@@ -382,12 +387,11 @@ def _train_joint(
             by_sid.setdefault(sid, []).append(row)
         token_parts, image_parts = [], []
         for sid in sorted(by_sid):
-            rows_idx = by_sid[sid]
-            x = data.x[sid][rows_idx]
+            x, images = data.gather(sid, by_sid[sid])
             token_parts.append(
                 brain_forward_batch(x, store, config.brain, sid, training=True, key=skey.child("drop", sid))
             )
-            image_parts.append(data.images[sid][rows_idx])
+            image_parts.append(images)
         tokens = token_parts[0] if len(token_parts) == 1 else ops.concat(token_parts, axis=0)
         return image_to_diffusion(np.concatenate(image_parts, axis=0)), tokens
 

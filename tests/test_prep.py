@@ -314,6 +314,33 @@ def test_cache_get_reads_only_the_cache(small_dataset, tmp_path):
         cache.get(sid, 1)
 
 
+def test_cache_follows_a_regenerated_dataset(tmp_path):
+    def generate(noise_scale):
+        cfg = DatasetConfig(n_subjects=1, n_train_unique=8, n_test_unique=2, trials_per_run=15,
+                            noise=NoiseConfig(noise_scale=noise_scale))
+        return build_dataset(cfg, RngKey(4), tmp_path / "ds")
+
+    old = PreprocCache(generate(0.5)).build().get("sub01", 0).data.copy()
+    m = generate(2.0)  # the same root: the old cache is still on disk
+    with pytest.raises(ValueError, match="index.json"):
+        PreprocCache(m).get("sub01", 0)
+    with pytest.raises(ValueError, match="cutoff_s"):
+        PreprocCache(m, cutoff_s=DEFAULT_CUTOFF_S + 0.5).get("sub01", 0)
+    run = PreprocCache(m).build().get("sub01", 0)
+    np.testing.assert_array_equal(run.data, preprocess_run(m.load_run("sub01", 0)).data)
+    assert not np.array_equal(run.data, old)
+    PreprocCache(m).get("sub01", 0)  # current again
+    index = m.root / f"preproc_c{int(DEFAULT_CUTOFF_S)}" / "index.json"
+    written = index.stat().st_mtime_ns
+    PreprocCache(m).build()
+    assert index.stat().st_mtime_ns == written  # a current index is not rewritten
+    for damage in (index.unlink, lambda: index.write_text('{"cutoff_s": 12')):
+        damage()
+        with pytest.raises(ValueError, match="index.json"):
+            PreprocCache(m).get("sub01", 0)
+        PreprocCache(m).build().get("sub01", 0)
+
+
 def test_epochs_shifted_out_of_bounds_counted(small_dataset, tmp_path):
     _, m = small_dataset
     cache = PreprocCache(m, cache_dir=tmp_path / "pp2").build()

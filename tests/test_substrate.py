@@ -1,9 +1,12 @@
+import json
 import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from corrupt_json import corrupt_manifests
 
 # the gradcheck inventory is read at collection time; these imports register
 # the model-level cases (unet_small, brainmod_*) whatever the collection order
@@ -460,6 +463,37 @@ def test_container_truncated_at_every_offset_names_the_file(tmp_path):
         p.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=re.escape(str(p))):
             read_tensor(p)
+
+
+def _checkpoint_manifest(tmp_path) -> str:
+    params = ParamStore()
+    params.add("unet/w", np.arange(6, dtype=np.float32).reshape(2, 3))
+    save_checkpoint(tmp_path / "ck", params, {"step": 1})
+    return (tmp_path / "ck" / "manifest.json").read_text()
+
+
+_CHECKPOINT_KEYS = [(None, k) for k in ("schema_version", "tensors", "extra")] + [
+    ("tensors", k) for k in ("name", "file", "shape", "trainable")
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_checkpoint_manifest_corrupt_names_the_file(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("ckjson")
+    text = data.draw(corrupt_manifests(_checkpoint_manifest(tmp_path), _CHECKPOINT_KEYS))
+    (tmp_path / "ck" / "manifest.json").write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(tmp_path / "ck")
+    assert str(tmp_path / "ck") in str(err.value)
+
+
+def test_checkpoint_blob_of_another_shape_names_the_file(tmp_path):
+    doc = json.loads(_checkpoint_manifest(tmp_path))
+    doc["tensors"][0]["shape"] = [3, 2]
+    (tmp_path / "ck" / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / "ck" / "unet__w.bin"))):
+        load_checkpoint(tmp_path / "ck")
 
 
 def test_container_unknown_dtype_code_names_the_file(tmp_path):

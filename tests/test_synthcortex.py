@@ -2,6 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrupt_json import corrupt_manifests
 
 from bold2img.substrate import RngKey
 from bold2img.synthcortex import (
@@ -315,6 +319,24 @@ def test_dataset_roundtrip_and_files(tiny_dataset):
     assert run.data.shape[1] == run.timeline.n_volumes
     spec = loaded.subject_spec(m.subject_ids[0])
     assert spec.n_voxels == m.subject_voxels[m.subject_ids[0]]
+
+
+_DATASET_KEYS = [
+    (None, k)
+    for k in ("schema_version", "palette", "tr", "resolution", "subjects", "stimuli", "runs", "repetition_map", "config")
+] + [("subjects", k) for k in ("id", "n_voxels")] + [("stimuli", k) for k in ("id", "split", "scene")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_dataset_manifest_corrupt_names_the_file(tiny_dataset, tmp_path_factory, data):
+    _, m = tiny_dataset
+    text = data.draw(corrupt_manifests((m.root / "manifest.json").read_text(), _DATASET_KEYS))
+    root = tmp_path_factory.mktemp("dsjson")
+    (root / "manifest.json").write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_manifest(root)
+    assert str(root) in str(err.value)
 
 
 def test_dataset_byte_identical_rebuild(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bold2img.brainmod import BrainModuleConfig
-from bold2img.diffgen import UNetConfig
+from bold2img.diffgen import NonFiniteActivation, UNetConfig
 from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
 from bold2img.substrate import RngKey
 from bold2img.synthcortex import DatasetConfig, NoiseConfig, SceneConfig, SubjectConfig, build_dataset
@@ -19,6 +19,7 @@ from bold2img.trainer import (
     load_train_state,
     pretrain_generator,
     regime_trainable_names,
+    save_train_state,
     train_single_stage,
 )
 
@@ -319,6 +320,43 @@ def test_shuffle_conditioning_permutes_images(world):
     refs = {"sub01": split.train_refs["sub01"]}
     plain = assemble_training_set(manifest, cache, refs, tiny_config(), shuffle_key=RngKey(1))
     shuf = assemble_training_set(manifest, cache, refs, cfg, shuffle_key=RngKey(1))
-    assert plain.stimuli["sub01"] != shuf.stimuli["sub01"]
-    assert sorted(plain.stimuli["sub01"]) == sorted(shuf.stimuli["sub01"])
-    np.testing.assert_array_equal(plain.x["sub01"], shuf.x["sub01"])
+    assert plain.images.tobytes() == shuf.images.tobytes()  # so rows name the same stimuli
+    assert not np.array_equal(plain.image_row["sub01"], shuf.image_row["sub01"])
+    assert sorted(plain.image_row["sub01"]) == sorted(shuf.image_row["sub01"])
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_training_set_gathers_views_and_one_image_per_stimulus(world, shuffle):
+    manifest, split, _, _ = world
+    cache = PreprocCache(manifest).build()
+    refs = {sid: split.train_refs[sid] for sid in ("sub01", "sub02")}
+    epochs, _ = extract_epochs(cache, refs)
+    cfg = tiny_config(shuffle_conditioning=shuffle)
+    data = assemble_training_set(manifest, cache, refs, cfg, shuffle_key=RngKey(1))
+    assert data.images.shape == (len({e.stimulus_id for e in epochs}), 32, 32, 3)
+    for sid in refs:
+        eps = [e for e in epochs if e.subject_id == sid]
+        stims = [e.stimulus_id for e in eps]
+        if shuffle:
+            stims = [stims[i] for i in RngKey(1).child("shuffle", sid).permutation(len(stims))]
+        rows = [5, 0, 5, len(eps) - 1, 3]
+        x, images = data.gather(sid, rows)
+        assert _same_bytes(x, np.stack([eps[i].X for i in rows]))
+        assert _same_bytes(images, np.stack([manifest.load_image(stims[i]) for i in rows]))
+        for window, (run_idx, _) in zip(data.windows[sid], refs[sid]):
+            assert np.shares_memory(window, cache.get(sid, run_idx).data)
+            assert not window.flags.writeable
+
+
+def test_nonfinite_activation_names_the_step_and_block(world, tmp_path):
+    manifest, split, pre, _ = world
+    store, opt, cfg, extra = load_train_state(pre)
+    store["unet/enc2/conv/w"].data.flat[0] = np.nan
+    save_train_state(tmp_path / "nan_pre", store, opt, cfg, extra)
+    with pytest.raises(NonFiniteActivation, match=r"step 0: .*block 'enc2'"):
+        train_single_stage(manifest, split, tmp_path / "nan_pre", tiny_config(steps=3, warmup_steps=1),
+                           tmp_path / "out", subjects=["sub01"])
