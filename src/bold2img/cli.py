@@ -286,17 +286,28 @@ def cmd_infer(config, args):
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, args.split, config)
     cache = PreprocCache(manifest).build()
-    _, _, tc, _ = load_train_state(args.ckpt)
+    store, _, tc, _ = load_train_state(args.ckpt)
     refs = {s: split.test_refs[s][: args.limit] if args.limit else split.test_refs[s] for s in split.test_refs}
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, args.delta or 0.0)
     ev = eval_config(config)
-    images, records = infer(
-        args.ckpt, manifest, epochs, RngKey(config["seed"], ("infer",)), steps=ev.steps, guidance=ev.guidance
-    )
+    images = infer(store, tc, epochs, RngKey(config["seed"], ("infer",)), ev.steps, ev.guidance)
     out = Path(args.out or Path(config["paths"]["out_root"]) / "infer")
     out.mkdir(parents=True, exist_ok=True)
-    for i, (img, rec) in enumerate(zip(images, records)):
+    for i, img in enumerate(images):
         write_tensor(out / f"recon{i:05d}.bin", img)
+    records = [
+        {
+            "subject": e.subject_id,
+            "stimulus_id": e.stimulus_id,
+            "run_id": e.run_id,
+            "event_index": e.event_index,
+            "delta": e.delta,
+            "repetition": e.repetition,
+            "steps": ev.steps,
+            "guidance": ev.guidance,
+        }
+        for e in epochs
+    ]
     (out / "records.json").write_text(json.dumps(records, sort_keys=True, indent=1))
     _write_resolved(config, "infer", vars(args), out)
     print(f"{len(images)} reconstructions -> {out}")

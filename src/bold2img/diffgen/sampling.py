@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..substrate import no_grad
-from ..substrate.rng import RngKey
 from .schedule import NoiseSchedule
 
 
@@ -29,28 +28,18 @@ def ddim_indices(t_max: int, steps: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(t_max - 1, 0, steps)).astype(np.int64))[::-1]
 
 
-def ddim_sample(
-    predict,
-    schedule: NoiseSchedule,
-    shape: tuple,
-    key: RngKey,
-    steps: int,
-    guidance: float,
-    x_init: np.ndarray | None = None,
-) -> np.ndarray:
-    """Deterministic (eta=0) DDIM.
+def ddim_sample(predict, schedule: NoiseSchedule, x: np.ndarray, steps: int) -> np.ndarray:
+    """Deterministic (eta=0) DDIM from the start noise `x`.
 
-    `predict(x, t_batch, guidance)` returns the guided noise estimate for a
-    (B, ...) batch at one schedule index; drawing the initial noise is the
-    only use of `key` (`x_init` overrides it for controlled starts). The
-    sample is returned in the diffusion space, unclipped.
+    `predict(x, t_batch)` returns the noise estimate for a (B, ...) batch at
+    one schedule index. The sample is returned in the diffusion space,
+    unclipped.
     """
     idx = ddim_indices(schedule.t_max, steps)
-    x = key.child("init").normal(shape, dtype=np.float32) if x_init is None else x_init.astype(np.float32)
+    x = x.astype(np.float32)
     with no_grad():
         for i, t in enumerate(idx):
-            t_batch = np.full(shape[0], t, dtype=np.int64)
-            eps = predict(x, t_batch, guidance)
+            eps = predict(x, np.full(x.shape[0], t, dtype=np.int64))
             ab_t = schedule.alpha_bars[t]
             x0_hat = (x - np.sqrt(1.0 - ab_t, dtype=np.float64).astype(np.float32) * eps) / np.float32(np.sqrt(ab_t))
             if i + 1 < len(idx):
@@ -61,16 +50,17 @@ def ddim_sample(
     return x
 
 
-def cfg_predictor(unet_call, tokens, null_tokens):
-    """Wrap a conditional noise model into a guided predictor.
+def cfg_predictor(unet_call, tokens, null_tokens, guidance: float):
+    """Wrap a conditional noise model into a predictor guided at `guidance`.
 
     `unet_call(x, t, tokens_batch)` runs the network; a token batch k times
     the image batch gives k row blocks of output, one per token block. The
     guided pass sends `x` and `t` once with the conditional and null tokens
-    stacked, so the network's token-free prefix runs once for both.
+    stacked, so the network's token-free prefix runs once for both; at
+    guidance 1 the null half is skipped.
     """
 
-    def predict(x, t_batch, guidance):
+    def predict(x, t_batch):
         if guidance == 1.0:
             return unet_call(x, t_batch, tokens)
         b = x.shape[0]

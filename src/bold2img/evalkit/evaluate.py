@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from ..prep import DEFAULT_TEST_RUN_FRACTION, PreprocCache, SplitSpec, extract_epochs, pick_test_repetitions, window_length
+from ..substrate.params import ParamStore
 from ..substrate.rng import RngKey
 from ..synthcortex.dataset import DatasetManifest
 from ..trainer import TrainConfig, infer, load_train_state, train_single_stage
@@ -178,12 +179,22 @@ def evaluate_split(
     On the standard split, one seeded repetition of three per test stimulus;
     on the time-resolved split every test-run trial is scored (repetition
     locations there may fall on training runs, so the one-of-three protocol
-    does not apply). Windows come from the checkpoint's config, or from the
-    `TrainConfig` defaults when a `decoder` stands in for one.
+    does not apply). The checkpoint is loaded once and decodes the trials;
+    a `decoder(epochs) -> images` may stand in for it, and then windows come
+    from the `TrainConfig` defaults.
     """
     if not split.test_stimuli:
         raise ValueError("split has an empty test side")
-    tc = load_train_state(ckpt_dir)[2] if ckpt_dir is not None else TrainConfig()
+    if decoder is None:
+        store, _, tc, _ = load_train_state(ckpt_dir)
+        # keyed like the sweep's per-shift evaluation (a float shift), so an
+        # unshifted sweep point reproduces this report exactly
+        gen_key = key.child("gen", 0.0)
+
+        def decoder(epochs):
+            return infer(store, tc, epochs, gen_key, ev.steps, ev.guidance)
+    else:
+        tc = TrainConfig()
     eval_res = ev.resolution(manifest)
 
     if split.kind == "time_resolved":
@@ -194,12 +205,7 @@ def evaluate_split(
         refs = chosen_test_refs(manifest, split, rep_map)
     cache = PreprocCache(manifest).build()
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d)
-    if decoder is not None:
-        images = decoder(epochs)
-    else:
-        # keyed like the sweep's per-shift evaluation (a float shift), so an
-        # unshifted sweep point reproduces this report exactly
-        images, _ = infer(ckpt_dir, manifest, epochs, key.child("gen", 0.0), steps=ev.steps, guidance=ev.guidance)
+    images = decoder(epochs)
 
     per_subject = score_trials(manifest, images, epochs, eval_res)
     mean, sem = aggregate_subjects(per_subject)
@@ -222,7 +228,8 @@ def evaluate_split(
 
 
 def _sweep_point_eval(
-    ckpt,
+    store: ParamStore,
+    tc: TrainConfig,
     manifest: DatasetManifest,
     epochs: list,
     key: RngKey,
@@ -230,7 +237,7 @@ def _sweep_point_eval(
     gt_cache: dict,
 ) -> tuple[dict, dict]:
     eval_res = ev.resolution(manifest)
-    images, _ = infer(ckpt, manifest, epochs, key, steps=ev.steps, guidance=ev.guidance)
+    images = infer(store, tc, epochs, key, ev.steps, ev.guidance)
     per_subject = score_trials(manifest, images, epochs, eval_res, gt_cache)
     # identification of the previous / next stimulus from the same reconstructions
     neighbor: dict[str, dict[str, float]] = {}
@@ -282,10 +289,11 @@ def time_sweep(
     """Evaluate the general model on test windows shifted by each of `deltas`
     (seconds), and per-shift specialized models on the same epochs. Requires
     the time-resolved split so neighboring trials stay on the test side.
-    `specialized_ckpts` is keyed by shift in seconds, matched by TR multiple."""
+    `specialized_ckpts` is keyed by shift in seconds, matched by TR multiple.
+    Each checkpoint is loaded once."""
     if split.kind != "time_resolved":
         raise ValueError("time sweeps need the time-resolved split")
-    _, _, tc, _ = load_train_state(general_ckpt)
+    store, _, tc, _ = load_train_state(general_ckpt)
     t, d = tc.window_t, tc.window_d
     t_len = window_length(d, manifest.tr)
     cap = ev.max_trials_per_subject
@@ -306,9 +314,7 @@ def time_sweep(
     points = []
     for delta in sorted(deltas):
         epochs, skipped = extract_epochs(cache, refs, t, d, delta, skip_out_of_bounds=True)
-        general_subj, neighbor = _sweep_point_eval(
-            general_ckpt, manifest, epochs, key.child("gen", delta), ev, gt_cache
-        )
+        general_subj, neighbor = _sweep_point_eval(store, tc, manifest, epochs, key.child("gen", delta), ev, gt_cache)
         g_mean, g_sem = aggregate_subjects(general_subj)
         point = {
             "delta": delta,
@@ -326,8 +332,9 @@ def time_sweep(
                 "sem": sem["two_way_low"],
             }
         if delta in specialized_ckpts:
+            spec_store, _, spec_tc, _ = load_train_state(specialized_ckpts[delta])
             spec_subj, _ = _sweep_point_eval(
-                specialized_ckpts[delta], manifest, epochs, key.child("spec", delta), ev, gt_cache
+                spec_store, spec_tc, manifest, epochs, key.child("spec", delta), ev, gt_cache
             )
             s_mean, s_sem = aggregate_subjects(spec_subj)
             point["specialized"] = {"per_subject": spec_subj, "mean": s_mean, "sem": s_sem}

@@ -111,8 +111,6 @@ class Epoch:
     subject_id: str
     repetition: int
     delta: float
-    window_t: float
-    window_d: float
     run_id: str = ""
     event_index: int = -1
     prev_stimulus_id: str | None = None
@@ -157,8 +155,6 @@ def extract_window(
         subject_id=run.subject_id,
         repetition=repetition,
         delta=delta,
-        window_t=t,
-        window_d=d,
         run_id=run.run_id,
         event_index=event_index,
         prev_stimulus_id=prev_id,

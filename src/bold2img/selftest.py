@@ -79,7 +79,7 @@ def _check_lora_cfg_ddim() -> str | None:
     x0 = key.child("x0").uniform((1, 8, 8, 3))
     eps = key.child("eps").normal((1, 8, 8, 3))
     start = q_sample(x0, sched.t_max - 1, eps, sched)
-    out = ddim_sample(lambda xx, t, g: eps, sched, x0.shape, key, steps=50, guidance=1.0, x_init=start)
+    out = ddim_sample(lambda xx, t: eps, sched, start, steps=50)
     if np.abs(out - x0).max() > 1e-3:
         return f"oracle DDIM reconstruction error {np.abs(out - x0).max():.2e}"
     return None

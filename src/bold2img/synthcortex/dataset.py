@@ -204,18 +204,10 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
         split_tag=split_tag,
         runs=runs,
         repetition_map=rep_map,
-        config={"plan": plan, **_config_json(config)},
+        config={"plan": plan, "dataset_config": json.loads(json.dumps(asdict(config)))},
     )
     _write_manifest(manifest)
     return manifest
-
-
-def _config_json(config: DatasetConfig) -> dict:
-    d = asdict(config)
-    for k, v in list(d.get("scene", {}).items()):
-        if isinstance(v, tuple):
-            d["scene"][k] = list(v)
-    return {"dataset_config": json.loads(json.dumps(d, default=list))}
 
 
 def _write_manifest(m: DatasetManifest):

@@ -46,6 +46,8 @@ from .synthcortex.dataset import DatasetManifest
 REGIMES = ("all", "linear", "cross_attn", "none", "lora")
 # new-subject adaptation: the shared trunk, adapters and null embedding train at this fraction of max_lr
 ADAPT_TRUNK_LR_SCALE = 0.1
+# trials decoded together by `infer`
+INFER_BATCH = 16
 
 
 class TrainingDiverged(RuntimeError):
@@ -514,29 +516,22 @@ def sample_unconditional(ckpt_dir, n: int, key: RngKey, steps: int = 20, batch: 
         for lo in range(0, n, batch):
             b = min(batch, n - lo)
             tokens = np.broadcast_to(null, (b,) + null.shape).copy()
-            predict = cfg_predictor(unet_call, tokens, null)
-            x = ddim_sample(predict, sched, (b, r, r, 3), key.child(lo), steps=steps, guidance=1.0)
+            predict = cfg_predictor(unet_call, tokens, null, guidance=1.0)
+            x = ddim_sample(predict, sched, key.child(lo, "init").normal((b, r, r, 3)), steps)
             out[lo : lo + b] = diffusion_to_image(x)
     return out
 
 
 def infer(
-    ckpt_dir,
-    manifest: DatasetManifest,
-    epochs: list[Epoch],
-    key: RngKey,
-    steps: int,
-    guidance: float,
-    batch: int = 16,
-) -> tuple[np.ndarray, list[dict]]:
-    """One image per epoch via guided DDIM; dropout inactive.
+    store: ParamStore, config: TrainConfig, epochs: list[Epoch], key: RngKey, steps: int, guidance: float
+) -> np.ndarray:
+    """One image per epoch from a loaded model via guided DDIM; dropout inactive.
 
     The initial noise is keyed per epoch (subject, run, event, shift), so a
     trial starts from the same noise in any batch. Its result can still differ
     in the last bits with the batch size, because BLAS may round a GEMM
     differently depending on its row count.
     """
-    store, _, config, _ = load_train_state(ckpt_dir)
     sched = make_schedule(config.unet.t_max)
     r = config.unet.resolution
     null = store["cond/null_tokens"].data
@@ -549,35 +544,15 @@ def infer(
     unet_call = make_noise_predictor(store, config.unet, sched)
 
     images = np.empty((len(epochs), r, r, 3), dtype=np.float32)
-    records = []
     with no_grad():
-        for lo in range(0, len(epochs), batch):
-            group = epochs[lo : lo + batch]
-            toks = []
-            for e in group:
-                t = brain_forward_batch(e.X[None], store, config.brain, e.subject_id, training=False)
-                toks.append(t.data[0])
-            tokens = np.stack(toks)
-            init = np.stack(
-                [
-                    key.child("init", e.subject_id, e.run_id, e.event_index, e.delta).normal((r, r, 3))
-                    for e in group
-                ]
+        for lo in range(0, len(epochs), INFER_BATCH):
+            group = epochs[lo : lo + INFER_BATCH]
+            tokens = np.concatenate(
+                [brain_forward_batch(e.X[None], store, config.brain, e.subject_id, training=False).data for e in group]
             )
-            predict = cfg_predictor(unet_call, tokens, null)
-            out = ddim_sample(predict, sched, (len(group), r, r, 3), key, steps=steps, guidance=guidance, x_init=init)
-            images[lo : lo + len(group)] = diffusion_to_image(out)
-            for e in group:
-                records.append(
-                    {
-                        "subject": e.subject_id,
-                        "stimulus_id": e.stimulus_id,
-                        "run_id": e.run_id,
-                        "event_index": e.event_index,
-                        "delta": e.delta,
-                        "repetition": e.repetition,
-                        "steps": steps,
-                        "guidance": guidance,
-                    }
-                )
-    return images, records
+            init = np.stack(
+                [key.child("init", e.subject_id, e.run_id, e.event_index, e.delta).normal((r, r, 3)) for e in group]
+            )
+            predict = cfg_predictor(unet_call, tokens, null, guidance)
+            images[lo : lo + len(group)] = diffusion_to_image(ddim_sample(predict, sched, init, steps))
+    return images

@@ -126,7 +126,7 @@ def test_criterion_3_diffusion():
         x0 = key.child("x0").uniform((1, 8, 8, 3))
         eps = key.child("eps").normal((1, 8, 8, 3))
         start = q_sample(x0, sched.t_max - 1, eps, sched)
-        out = ddim_sample(lambda x, t, g: eps, sched, x0.shape, key, steps=sched.t_max, guidance=1.0, x_init=start)
+        out = ddim_sample(lambda x, t: eps, sched, start, steps=sched.t_max)
         assert np.abs(out - x0).max() < 1e-3
 
         store = init_unet(SMALL_CONFIG, key.child("unet"))

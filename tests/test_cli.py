@@ -22,7 +22,8 @@ from bold2img.cli import (
 )
 from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import EvalConfig
-from bold2img.synthcortex import DatasetConfig
+from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
+from bold2img.synthcortex import DatasetConfig, load_manifest
 from bold2img.trainer import TrainConfig, load_train_state
 
 TINY_OVERRIDES = [
@@ -131,6 +132,13 @@ def test_eval_and_infer_commands(cli_world, tmp_path):
     assert _run(root, "infer", "--ckpt", str(train_out), "--limit", "2", "--out", str(infer_out)) == EXIT_OK
     recs = json.loads((infer_out / "records.json").read_text())
     assert len(recs) == 4  # 2 per subject
+    manifest = load_manifest(root / "dataset")
+    split = build_split_standard(manifest)
+    refs = {s: split.test_refs[s][:2] for s in split.test_refs}
+    epochs, _ = extract_epochs(PreprocCache(manifest).build(), refs)
+    assert [r["stimulus_id"] for r in recs] == [e.stimulus_id for e in epochs]
+    keys = {"subject", "stimulus_id", "run_id", "event_index", "delta", "repetition", "steps", "guidance"}
+    assert all(set(r) == keys for r in recs)
     assert recs[0]["steps"] == 3 and recs[0]["guidance"] == 3.0
 
 

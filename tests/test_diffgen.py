@@ -303,11 +303,11 @@ def test_ddim_first_step_inverts_q_sample():
     x_t = q_sample(x0, SCHED.t_max - 1, eps, SCHED)
     seen = {}
 
-    def oracle(x, t, guidance):
+    def oracle(x, t):
         seen["x0_hat"] = (x - np.sqrt(1 - SCHED.alpha_bars[t[0]]) * eps) / np.sqrt(SCHED.alpha_bars[t[0]])
         return eps
 
-    ddim_sample(oracle, SCHED, x0.shape, key, steps=5, guidance=1.0, x_init=x_t)
+    ddim_sample(oracle, SCHED, x_t, steps=5)
     np.testing.assert_allclose(seen["x0_hat"], x0, atol=1e-4)
 
 
@@ -316,7 +316,7 @@ def test_ddim_full_schedule_oracle_reconstructs():
     x0 = key.child("x").uniform((1, 8, 8, 3))
     eps = key.child("e").normal((1, 8, 8, 3))
     x_t = q_sample(x0, SCHED.t_max - 1, eps, SCHED)
-    out = ddim_sample(lambda x, t, g: eps, SCHED, x0.shape, key, steps=SCHED.t_max, guidance=1.0, x_init=x_t)
+    out = ddim_sample(lambda x, t: eps, SCHED, x_t, steps=SCHED.t_max)
     assert np.abs(out - x0).max() < 1e-3
 
 
@@ -328,9 +328,9 @@ def test_ddim_guidance_one_equals_conditional_only(small_unet):
     def unet_call(x, t, tk):
         return unet_forward(x, t, Tensor(tk), small_unet, SMALL_CONFIG).data
 
-    predict = cfg_predictor(unet_call, tokens, null)
-    a = ddim_sample(predict, SCHED, (2, 8, 8, 3), key.child("s"), steps=5, guidance=1.0)
-    b = ddim_sample(lambda x, t, g: unet_call(x, t, tokens), SCHED, (2, 8, 8, 3), key.child("s"), steps=5, guidance=1.0)
+    start = key.child("s").normal((2, 8, 8, 3))
+    a = ddim_sample(cfg_predictor(unet_call, tokens, null, guidance=1.0), SCHED, start, steps=5)
+    b = ddim_sample(lambda x, t: unet_call(x, t, tokens), SCHED, start, steps=5)
     assert np.array_equal(a, b)
 
 
@@ -342,9 +342,10 @@ def test_ddim_deterministic(small_unet):
     def unet_call(x, t, tk):
         return unet_forward(x, t, Tensor(tk), small_unet, SMALL_CONFIG).data
 
-    predict = cfg_predictor(unet_call, tokens, null)
-    a = ddim_sample(predict, SCHED, (1, 8, 8, 3), key.child("s"), steps=20, guidance=3.0)
-    b = ddim_sample(predict, SCHED, (1, 8, 8, 3), key.child("s"), steps=20, guidance=3.0)
+    predict = cfg_predictor(unet_call, tokens, null, guidance=3.0)
+    start = key.child("s").normal((1, 8, 8, 3))
+    a = ddim_sample(predict, SCHED, start, steps=20)
+    b = ddim_sample(predict, SCHED, start, steps=20)
     assert a.tobytes() == b.tobytes()
     assert np.all(np.isfinite(a))
 

@@ -1,9 +1,11 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bold2img import trainer
 from bold2img.brainmod import BrainModuleConfig
 from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import (
@@ -359,6 +361,35 @@ def test_time_sweep_structure(sweep_world, tmp_path):
     polylines = [el for el in svg.iter() if el.tag.endswith("polyline")]
     # 5 metric panels x (general everywhere + specialized where present)
     assert len(polylines) == 10
+
+
+def _count_checkpoint_reads(monkeypatch) -> list[Path]:
+    reads = []
+    load = trainer.load_checkpoint
+
+    def counted(cdir):
+        reads.append(Path(cdir))
+        return load(cdir)
+
+    monkeypatch.setattr(trainer, "load_checkpoint", counted)
+    return reads
+
+
+def test_evaluate_split_reads_its_checkpoint_once(sweep_world, monkeypatch):
+    manifest, split, general, _ = sweep_world
+    reads = _count_checkpoint_reads(monkeypatch)
+    evaluate_split(general, manifest, split, RngKey(41), EvalConfig(steps=1))
+    assert reads == [Path(general)]
+
+
+def test_time_sweep_reads_each_checkpoint_once(sweep_world, monkeypatch):
+    manifest, split, general, spec = sweep_world
+    reads = _count_checkpoint_reads(monkeypatch)
+    time_sweep(
+        general, {-3 * 1.3: spec}, manifest, split, RngKey(42), [-3 * 1.3, 0.0, 2 * 1.3],
+        EvalConfig(steps=1, max_trials_per_subject=2),
+    )
+    assert sorted(reads) == sorted([Path(general), Path(spec)])
 
 
 def test_time_sweep_requires_time_resolved_split(sweep_world):
