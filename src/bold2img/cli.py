@@ -52,63 +52,24 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-# The `train`, `dataset` and `eval` sections are the fields of TrainConfig,
-# DatasetConfig and EvalConfig, at their defaults, except where a public key
-# differs from its field path below the section's dataclass (a number indexes
-# a tuple field) ...
-_RENAMED = {
-    "train": {"regime": "finetune_regime", "beta1": "betas.0", "beta2": "betas.1"},
-    "dataset": {
-        "voxel_lo": "subject.voxel_range.0",
-        "voxel_hi": "subject.voxel_range.1",
-        "noise_scale": "noise.noise_scale",
-        "drift_scale": "noise.drift_scale",
-    },
-    "eval": {},
-}
-# ... and the fields with no key of their own besides the renamed ones: fixed
-# at their default, set through a renamed key, or linked to another key in
-# `train_config`.
-_HIDDEN = {
-    "train": {"betas", "seed", "unet.resolution", "unet.tokens", "unet.token_dim"},
-    "dataset": {"scene", "subject", "noise"},
-    "eval": set(),
-}
-_SECTIONS = {"train": TrainConfig, "dataset": DatasetConfig, "eval": EvalConfig}
-
-
-def _field(fields_json: dict, path: str):
-    """The parent node and the key of a dotted field path in `config_to_json` output."""
-    *parents, leaf = (int(k) if k.isdigit() else k for k in path.split("."))
-    for k in parents:
-        fields_json = fields_json[k]
-    return fields_json, leaf
-
-
-def _public_keys(fields_json: dict, hidden: set[str], prefix: str = "") -> dict:
-    return {
-        k: _public_keys(v, hidden, f"{prefix}{k}.") if isinstance(v, dict) else v
-        for k, v in fields_json.items()
-        if prefix + k not in hidden
-    }
-
-
-def _section_defaults(section: str) -> dict:
-    fields_json = config_to_json(_SECTIONS[section]())
-    tree = _public_keys(fields_json, _HIDDEN[section] | set(_RENAMED[section].values()))
-    for key, path in _RENAMED[section].items():
-        node, leaf = _field(fields_json, path)
-        tree[key] = node[leaf]
+def _train_defaults() -> dict:
+    """TrainConfig's fields, less the four that `train_config` fills from other keys."""
+    tree = config_to_json(TrainConfig())
+    del tree["seed"]
+    for k in ("resolution", "tokens", "token_dim"):
+        del tree["unet"][k]
     return tree
 
 
+# The `dataset`, `train` and `eval` sections are the fields of DatasetConfig,
+# TrainConfig and EvalConfig at their defaults; a key is its field path.
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "workers": 0,  # 0 -> all available cores
     "paths": {"out_root": "b2i_out", "data": "", "pretrain": ""},
-    "dataset": _section_defaults("dataset"),
-    "train": _section_defaults("train"),
-    "eval": _section_defaults("eval"),
+    "dataset": config_to_json(DatasetConfig()),
+    "train": _train_defaults(),
+    "eval": config_to_json(EvalConfig()),
 }
 
 
@@ -172,42 +133,19 @@ def resolve_config(config_file: str | None, overrides: list[str]) -> dict:
     return config
 
 
-def _flat(tree: dict, prefix: str = "") -> dict:
-    """Dotted key -> leaf value."""
-    out = {}
-    for k, v in tree.items():
-        out.update(_flat(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v})
-    return out
-
-
-def _section_config(c: dict, section: str, linked: dict):
-    """The section's dataclass from its keys (renamed to field paths) and the
-    `linked` field paths, which take their values from other keys."""
-    fields_json = config_to_json(_SECTIONS[section]())
-    values = {_RENAMED[section].get(k, k): v for k, v in _flat(c[section]).items()}
-    for path, value in {**values, **linked}.items():
-        node, leaf = _field(fields_json, path)
-        node[leaf] = value
-    return config_from_json(_SECTIONS[section], fields_json)
-
-
 def dataset_config(c: dict) -> DatasetConfig:
-    return _section_config(c, "dataset", {})
+    return config_from_json(DatasetConfig, c["dataset"])
 
 
 def train_config(c: dict) -> TrainConfig:
-    brain = c["train"]["brain"]
-    linked = {
-        "seed": c["seed"],
-        "unet.resolution": c["dataset"]["resolution"],
-        "unet.tokens": brain["tokens"],
-        "unet.token_dim": brain["token_dim"],
-    }
-    return _section_config(c, "train", linked)
+    """The train section plus the seed and the U-Net fields linked to other keys."""
+    t, brain = c["train"], c["train"]["brain"]
+    unet = dict(t["unet"], resolution=c["dataset"]["resolution"], tokens=brain["tokens"], token_dim=brain["token_dim"])
+    return config_from_json(TrainConfig, dict(t, seed=c["seed"], unet=unet))
 
 
 def eval_config(c: dict) -> EvalConfig:
-    return _section_config(c, "eval", {})
+    return config_from_json(EvalConfig, c["eval"])
 
 
 def _write_resolved(config: dict, command: str, args: dict, out_dir: Path):

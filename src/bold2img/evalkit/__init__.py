@@ -15,7 +15,6 @@ from .evaluate import (
 )
 from .metrics import (
     PROBE_SEED,
-    ProbeSpec,
     miou,
     pixcorr,
     probe_features,
@@ -40,7 +39,6 @@ __all__ = [
     "score_trials",
     "time_sweep",
     "PROBE_SEED",
-    "ProbeSpec",
     "miou",
     "pixcorr",
     "probe_features",

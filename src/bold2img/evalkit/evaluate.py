@@ -16,14 +16,11 @@ from ..substrate.params import ParamStore
 from ..substrate.rng import RngKey
 from ..synthcortex.dataset import DatasetManifest
 from ..trainer import TrainConfig, infer, load_train_state, train_single_stage
-from .metrics import ProbeSpec, miou, pixcorr, probe_features, resize_nearest, segment_by_palette, ssim, two_way_id
+from .metrics import miou, pixcorr, probe_features, resize_nearest, segment_by_palette, ssim, two_way_id
 
 SCHEMA_VERSION = 1
 METRICS = ("pixcorr", "ssim", "two_way_low", "two_way_high", "miou")
 RESERVED_ABSENT = ("effnet", "swav", "dreamsim")
-
-LOW = ProbeSpec("low")
-HIGH = ProbeSpec("high")
 
 
 @dataclass
@@ -100,7 +97,7 @@ def aggregate_subjects(per_subject: dict[str, dict[str, float]]) -> tuple[dict, 
 def _gt_features(manifest: DatasetManifest, cache: dict, stim: str, eval_res: int) -> tuple[np.ndarray, np.ndarray]:
     if stim not in cache:
         img = resize_nearest(manifest.load_image(stim), eval_res)
-        cache[stim] = (probe_features(img, LOW), probe_features(img, HIGH))
+        cache[stim] = (probe_features(img, "low"), probe_features(img, "high"))
     return cache[stim]
 
 
@@ -129,8 +126,8 @@ def score_trials(
         gt_mask = segment_by_palette(gt_img, manifest.palette)
         d["miou"].append(miou(segment_by_palette(recon, manifest.palette), gt_mask, n_classes))
         gl, gh = _gt_features(manifest, gt_feature_cache, ep.stimulus_id, eval_res)
-        d["rl"].append(probe_features(recon, LOW))
-        d["rh"].append(probe_features(recon, HIGH))
+        d["rl"].append(probe_features(recon, "low"))
+        d["rh"].append(probe_features(recon, "high"))
         d["gl"].append(gl)
         d["gh"].append(gh)
         d["labels"].append(ep.stimulus_id)
@@ -248,7 +245,7 @@ def _sweep_point_eval(
             if other is None:
                 continue
             d = feats_by_sid.setdefault(ep.subject_id, {"r": [], "g": [], "labels": []})
-            d["r"].append(probe_features(resize_nearest(img, eval_res), LOW))
+            d["r"].append(probe_features(resize_nearest(img, eval_res), "low"))
             d["g"].append(_gt_features(manifest, gt_cache, other, eval_res)[0])
             d["labels"].append(other)
         vals = {}

@@ -10,7 +10,6 @@ runs and machines.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,53 +89,46 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5) -> 
 # random feature probes
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    probe_id: str  # low | high
-    seed: int = PROBE_SEED
-
-
 _PROBE_CACHE: dict[str, list[np.ndarray]] = {}
 
 
-def _probe_weights(spec: ProbeSpec) -> list[np.ndarray]:
-    key = f"{spec.probe_id}:{spec.seed}"
-    if key not in _PROBE_CACHE:
-        root = RngKey(spec.seed, ("probe", spec.probe_id))
-        if spec.probe_id == "low":
+def _probe_weights(probe: str) -> list[np.ndarray]:
+    if probe not in _PROBE_CACHE:
+        root = RngKey(PROBE_SEED, ("probe", probe))
+        if probe == "low":
             plan = [(3, 8), (8, 8)]
-        elif spec.probe_id == "high":
+        elif probe == "high":
             plan = [(3, 16), (16, 32), (32, 64), (64, 128)]
         else:
-            raise ValueError(f"unknown probe {spec.probe_id!r}")
-        _PROBE_CACHE[key] = [
+            raise ValueError(f"unknown probe {probe!r}")
+        _PROBE_CACHE[probe] = [
             root.child("conv", i).normal((3, 3, cin, cout), np.sqrt(2.0 / (9 * cin)))
             for i, (cin, cout) in enumerate(plan)
         ]
-    return _PROBE_CACHE[key]
+    return _PROBE_CACHE[probe]
 
 
-def probe_weights_digest(spec: ProbeSpec) -> str:
+def probe_weights_digest(probe: str) -> str:
     h = hashlib.sha256()
-    for w in _probe_weights(spec):
+    for w in _probe_weights(probe):
         h.update(w.tobytes())
     return h.hexdigest()
 
 
-def probe_features(image: np.ndarray, spec: ProbeSpec) -> np.ndarray:
+def probe_features(image: np.ndarray, probe: str) -> np.ndarray:
     """Deterministic frozen-random conv features; batched input allowed.
 
     low: two stride-2 conv+relu blocks, flattened (8*8*8 = 512 dims at 32px).
     high: four stride-2 conv+relu blocks then global average pooling (128 dims).
     """
     x = image[None] if image.ndim == 3 else image
-    weights = _probe_weights(spec)
+    weights = _probe_weights(probe)
     with no_grad():
         h = Tensor(np.ascontiguousarray(x, dtype=np.float32))
         for w in weights:
             h = ops.conv2d(h, Tensor(w), stride=2)
             h = Tensor(np.maximum(h.data, 0.0))
-        feats = h.data.mean(axis=(1, 2)) if spec.probe_id == "high" else h.data.reshape(h.data.shape[0], -1)
+        feats = h.data.mean(axis=(1, 2)) if probe == "high" else h.data.reshape(h.data.shape[0], -1)
     return feats[0] if image.ndim == 3 else feats
 
 

@@ -6,7 +6,6 @@ from .scenes import (
     DEFAULT_PALETTE,
     KINDS,
     N_COLORS,
-    SceneConfig,
     Shape,
     StimulusScene,
     render_mask,
@@ -14,8 +13,8 @@ from .scenes import (
     sample_scene,
     validate_palette,
 )
-from .simulate import Event, FmriRun, NoiseConfig, RunTimeline, make_timeline, simulate_run
-from .subjects import SubjectConfig, SubjectSpec, make_subject, scene_response, voxel_response
+from .simulate import Event, FmriRun, RunTimeline, make_timeline, simulate_run
+from .subjects import SubjectSpec, make_subject, scene_response, voxel_response
 
 __all__ = [
     "DatasetConfig",
@@ -28,7 +27,6 @@ __all__ = [
     "DEFAULT_PALETTE",
     "KINDS",
     "N_COLORS",
-    "SceneConfig",
     "Shape",
     "StimulusScene",
     "render_mask",
@@ -37,11 +35,9 @@ __all__ = [
     "validate_palette",
     "Event",
     "FmriRun",
-    "NoiseConfig",
     "RunTimeline",
     "make_timeline",
     "simulate_run",
-    "SubjectConfig",
     "SubjectSpec",
     "make_subject",
     "scene_response",

@@ -13,16 +13,16 @@ Generation is a pure function of (config, seed): a rebuild is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..substrate.checkpoint import read_json_object, read_tensor, write_tensor
 from ..substrate.rng import RngKey
-from .scenes import DEFAULT_PALETTE, SceneConfig, StimulusScene, render_mask, render_scene, sample_scene, validate_palette
-from .simulate import TR_DEFAULT, FmriRun, NoiseConfig, RunTimeline, Event, make_timeline, simulate_run
-from .subjects import SubjectConfig, SubjectSpec, make_subject
+from .scenes import DEFAULT_PALETTE, StimulusScene, render_mask, render_scene, sample_scene, validate_palette
+from .simulate import TR_DEFAULT, FmriRun, RunTimeline, Event, make_timeline, simulate_run
+from .subjects import SubjectSpec, make_subject
 
 SCHEMA_VERSION = 1
 
@@ -38,9 +38,10 @@ class DatasetConfig:
     trials_per_run: int = 50
     tr: float = TR_DEFAULT
     resolution: int = 32
-    scene: SceneConfig = field(default_factory=SceneConfig)
-    subject: SubjectConfig = field(default_factory=SubjectConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    voxel_lo: int = 400  # each subject's voxel count is drawn from [voxel_lo, voxel_hi]
+    voxel_hi: int = 600
+    noise_scale: float = 1.0  # multiplies each voxel's noise sigma
+    drift_scale: float = 1.0  # multiplies the slow drift
 
     @property
     def n_unique(self) -> int:
@@ -130,7 +131,7 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
     scenes: dict[str, StimulusScene] = {}
     split_tag: dict[str, str] = {}
     for i, sid in enumerate(stim_ids):
-        scenes[sid] = sample_scene(key.child("scene", sid), config.scene)
+        scenes[sid] = sample_scene(key.child("scene", sid))
         split_tag[sid] = "train" if i < config.n_train_unique else "test"
         write_tensor(root / "stimuli" / "images" / f"{sid}.bin", render_scene(scenes[sid], config.resolution))
         write_tensor(root / "stimuli" / "masks" / f"{sid}.bin", render_mask(scenes[sid], config.resolution))
@@ -141,7 +142,7 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
     used_c: set[int] = set()
     for sid in subject_ids:
         for attempt in range(64):
-            spec = make_subject(sid, key.child("subject", sid, attempt), config.subject)
+            spec = make_subject(sid, key.child("subject", sid, attempt), config.voxel_lo, config.voxel_hi)
             if spec.n_voxels not in used_c:
                 break
         else:
@@ -172,7 +173,8 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
         sid, r, trial_stims = job
         timeline = make_timeline(trial_stims, config.tr)
         run_id = f"run{r:03d}"
-        run = simulate_run(subjects[sid], timeline, scenes, key.child("run", sid, run_id), config.noise, run_id)
+        run_key = key.child("run", sid, run_id)
+        run = simulate_run(subjects[sid], timeline, scenes, run_key, config.noise_scale, config.drift_scale, run_id)
         return sid, r, run, timeline
 
     if workers > 1:

@@ -88,32 +88,22 @@ class StimulusScene:
         return StimulusScene([Shape.from_json(s) for s in d["shapes"]], d["background"])
 
 
-@dataclass
-class SceneConfig:
-    shape_count_probs: tuple = (0.5, 0.3, 0.2)  # P(1), P(2), P(3) shapes
-    size_range: tuple = (0.16, 0.40)
-    center_range: tuple = (0.18, 0.82)
-
-    def validate(self):
-        if len(self.shape_count_probs) != 3 or abs(sum(self.shape_count_probs) - 1.0) > 1e-9:
-            raise ValueError("shape_count_probs must be 3 values summing to 1")
-        lo, hi = self.size_range
-        if not (0.1 <= lo <= hi <= 0.4):
-            raise ValueError("size_range must lie within [0.1, 0.4]")
+# Sampling ranges of the scene distribution.
+SHAPE_COUNT_PROBS = (0.5, 0.3, 0.2)  # P(1), P(2), P(3) shapes
+SIZE_RANGE = (0.16, 0.40)
+CENTER_RANGE = (0.18, 0.82)
 
 
-def sample_scene(key: RngKey, config: SceneConfig | None = None) -> StimulusScene:
-    config = config or SceneConfig()
-    config.validate()
+def sample_scene(key: RngKey) -> StimulusScene:
     g = key.generator()
-    n = 1 + int(g.choice(3, p=np.asarray(config.shape_count_probs, dtype=np.float64)))
+    n = 1 + int(g.choice(3, p=np.asarray(SHAPE_COUNT_PROBS, dtype=np.float64)))
     shapes = []
     for _ in range(n):
         kind = KINDS[int(g.integers(0, len(KINDS)))]
         color = int(g.integers(0, N_COLORS))
-        cx = float(g.uniform(*config.center_range))
-        cy = float(g.uniform(*config.center_range))
-        size = float(g.uniform(*config.size_range))
+        cx = float(g.uniform(*CENTER_RANGE))
+        cy = float(g.uniform(*CENTER_RANGE))
+        size = float(g.uniform(*SIZE_RANGE))
         shapes.append(Shape(kind, color, cx, cy, size))
     scene = StimulusScene(shapes)
     scene.validate()
@@ -157,7 +147,6 @@ def render_mask(scene: StimulusScene, resolution: int = 32) -> np.ndarray:
     return mask
 
 
-def render_scene(scene: StimulusScene, resolution: int = 32, palette: np.ndarray | None = None) -> np.ndarray:
+def render_scene(scene: StimulusScene, resolution: int = 32) -> np.ndarray:
     """RGB image (resolution, resolution, 3) in [0, 1], palette-exact."""
-    palette = DEFAULT_PALETTE if palette is None else palette
-    return palette[render_mask(scene, resolution)]
+    return DEFAULT_PALETTE[render_mask(scene, resolution)]

@@ -63,13 +63,11 @@ def make_timeline(stimulus_ids: list[str], tr: float = TR_DEFAULT) -> RunTimelin
     return tl
 
 
-@dataclass
-class NoiseConfig:
-    noise_scale: float = 1.0  # multiplies per-voxel sigma
-    drift_scale: float = 1.0  # multiplies drift amplitudes
-    drift_periods_s: tuple = (64.0, 128.0, 256.0)
-    drift_amp_rel: float = 2.0  # max cosine amplitude as a multiple of sigma
-    linear_amp_rel: float = 1.0  # max |linear term| as a multiple of sigma
+# Slow drift: cosines at these periods, with amplitudes up to DRIFT_AMP_REL
+# times each voxel's noise sigma, plus a linear term up to LINEAR_AMP_REL sigma.
+DRIFT_PERIODS_S = (64.0, 128.0, 256.0)
+DRIFT_AMP_REL = 2.0
+LINEAR_AMP_REL = 1.0
 
 
 @dataclass
@@ -92,11 +90,14 @@ def simulate_run(
     timeline: RunTimeline,
     catalog: dict[str, StimulusScene],
     key: RngKey,
-    noise: NoiseConfig | None = None,
+    noise_scale: float = 1.0,
+    drift_scale: float = 1.0,
     run_id: str = "run000",
 ) -> FmriRun:
-    """Synthesize one run: sum of event HRFs + cosine/linear drift + white noise."""
-    noise = noise or NoiseConfig()
+    """Synthesize one run: sum of event HRFs + cosine/linear drift + white noise.
+
+    `noise_scale` multiplies each voxel's noise sigma and `drift_scale` the drift.
+    """
     timeline.validate()
     c, n = subject.n_voxels, timeline.n_volumes
     t = np.arange(n) * timeline.tr
@@ -116,21 +117,21 @@ def simulate_run(
         data[:, lo:hi] += amp[:, None] * hrf(lags)
 
     sigma = subject.noise_sigma
-    if noise.drift_scale > 0:
+    if drift_scale > 0:
         g = key.child("drift").generator()
         drift = np.zeros((c, n))
-        for period in noise.drift_periods_s:
-            amps = g.uniform(0.0, noise.drift_amp_rel, c) * sigma
+        for period in DRIFT_PERIODS_S:
+            amps = g.uniform(0.0, DRIFT_AMP_REL, c) * sigma
             phases = g.uniform(0.0, 2.0 * np.pi, c)
             drift += amps[:, None] * np.cos(2.0 * np.pi * t[None, :] / period + phases[:, None])
-        slope = g.uniform(-1.0, 1.0, c) * noise.linear_amp_rel * sigma
+        slope = g.uniform(-1.0, 1.0, c) * LINEAR_AMP_REL * sigma
         mid = t[-1] / 2.0 if n > 1 else 0.0
         denom = mid if mid > 0 else 1.0
         drift += slope[:, None] * (t[None, :] - mid) / denom
-        data += noise.drift_scale * drift
-    if noise.noise_scale > 0:
+        data += drift_scale * drift
+    if noise_scale > 0:
         eps = key.child("noise").generator().standard_normal((c, n))
-        data += noise.noise_scale * sigma[:, None] * eps
+        data += noise_scale * sigma[:, None] * eps
 
     run = FmriRun(data.astype(np.float32), timeline, subject.subject_id, run_id)
     run.validate()

@@ -51,31 +51,27 @@ class SubjectSpec:
             raise ValueError("noise sigma must be non-negative")
 
 
-@dataclass
-class SubjectConfig:
-    voxel_range: tuple = (400, 600)
-    rf_width_range: tuple = (0.10, 0.30)
-    gain_range: tuple = (0.8, 1.2)
-    noise_rel_range: tuple = (0.2, 0.5)  # sigma as a fraction of peak signal
-    jitter_range: tuple = (-0.5, 0.5)
-    colorsel_sharpness: float = 2.0
+# Sampling ranges of the voxel tuning parameters.
+RF_WIDTH_RANGE = (0.10, 0.30)
+GAIN_RANGE = (0.8, 1.2)
+NOISE_REL_RANGE = (0.2, 0.5)  # sigma as a fraction of peak signal
+JITTER_RANGE = (-0.5, 0.5)  # hemodynamic delay, seconds
+COLORSEL_SHARPNESS = 2.0
 
 
-def make_subject(subject_id: str, key: RngKey, config: SubjectConfig | None = None, n_voxels: int | None = None) -> SubjectSpec:
-    config = config or SubjectConfig()
+def make_subject(subject_id: str, key: RngKey, voxel_lo: int, voxel_hi: int) -> SubjectSpec:
+    """A subject with a voxel count drawn from [voxel_lo, voxel_hi]."""
     g = key.generator()
-    if n_voxels is None:
-        n_voxels = int(g.integers(config.voxel_range[0], config.voxel_range[1] + 1))
-    c = n_voxels
+    c = int(g.integers(voxel_lo, voxel_hi + 1))
     rf_center = g.uniform(0.05, 0.95, (c, 2))
-    rf_width = g.uniform(*config.rf_width_range, c)
+    rf_width = g.uniform(*RF_WIDTH_RANGE, c)
     # Peaked color profiles: each voxel prefers one or two colors.
-    logits = g.standard_normal((c, N_COLORS)) * config.colorsel_sharpness
+    logits = g.standard_normal((c, N_COLORS)) * COLORSEL_SHARPNESS
     colorsel = np.exp(logits - logits.max(axis=1, keepdims=True))
-    gain = g.uniform(*config.gain_range, c)
+    gain = g.uniform(*GAIN_RANGE, c)
     peak = gain * colorsel.max(axis=1) * hrf_peak()
-    noise_sigma = g.uniform(*config.noise_rel_range, c) * peak
-    delay_jitter = g.uniform(*config.jitter_range, c)
+    noise_sigma = g.uniform(*NOISE_REL_RANGE, c) * peak
+    delay_jitter = g.uniform(*JITTER_RANGE, c)
     spec = SubjectSpec(subject_id, c, rf_center, rf_width, colorsel, gain, noise_sigma, delay_jitter)
     spec.validate()
     return spec

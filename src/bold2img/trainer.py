@@ -66,6 +66,9 @@ _RETIRED_KEYS = {
     "unet.in_channels": 3,
     "brain.window_samples": None,
 }
+# Keys that older checkpoints record under another name: the field that takes
+# the value, or the fields that take the items of a list value.
+_RENAMED_KEYS = {"finetune_regime": "regime", "betas": ("beta1", "beta2")}
 
 
 @dataclass
@@ -75,10 +78,11 @@ class TrainConfig:
     batch_size: int = 32
     max_lr: float = 1e-3
     weight_decay: float = 0.01
-    betas: tuple = (0.9, 0.999)
+    beta1: float = 0.9
+    beta2: float = 0.999
     warmup_steps: int = 500
     cond_dropout: float = 0.1
-    finetune_regime: str = "lora"
+    regime: str = "lora"
     window_t: float = DEFAULT_WINDOW_T
     window_d: float = DEFAULT_WINDOW_D
     delta: float = 0.0
@@ -93,8 +97,8 @@ class TrainConfig:
             raise ValueError("cond_dropout must be in [0, 1)")
         if self.warmup_steps >= self.steps:
             raise ValueError(f"warmup ({self.warmup_steps}) must be below steps ({self.steps})")
-        if self.finetune_regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.finetune_regime!r}; choose from {REGIMES}")
+        if self.regime not in REGIMES:
+            raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
 
     @staticmethod
     def from_json(d: dict) -> "TrainConfig":
@@ -108,6 +112,16 @@ class TrainConfig:
                 value = node.pop(leaf)
                 if fixed is not None and value != fixed:
                     raise ValueError(f"{path}: retired key, only {fixed!r} is supported, got {value!r}")
+        for old, new in _RENAMED_KEYS.items():
+            if old not in d:
+                continue
+            value = d.pop(old)
+            if isinstance(new, str):
+                d[new] = value
+            elif isinstance(value, list) and len(value) == len(new) and all(type(v) in (int, float) for v in value):
+                d.update(zip(new, value))
+            else:
+                raise ValueError(f"{old}: expected {len(new)} numbers, got {value!r}")
         return config_from_json(TrainConfig, d)
 
 
@@ -316,7 +330,7 @@ def _train_loop(
         loss.backward()
         grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in trainable}
         lr = lr_at(step, lr_sched)
-        adamw_step(store, grads, opt, lr, config.weight_decay, *config.betas, lr_scale=lr_scale)
+        adamw_step(store, grads, opt, lr, config.weight_decay, config.beta1, config.beta2, lr_scale=lr_scale)
         guard.check(step, loss.item())
         rows.append((step, loss.item(), lr, n_dropped))
     _loss_csv(out_dir, rows, resumed)
@@ -432,9 +446,9 @@ def train_single_stage(
         voxels = {sid: manifest.subject_voxels[sid] for sid in subjects}
         n_samples = window_length(config.window_d, manifest.tr)
         init_brain_module(config.brain, voxels, n_samples, root.child("init", "brain"), store)
-        if config.finetune_regime == "lora":
+        if config.regime == "lora":
             create_lora_adapters(config.unet, root.child("init", "lora"), store)
-    trainable = regime_trainable_names(store, config.finetune_regime)
+    trainable = regime_trainable_names(store, config.regime)
     store.set_trainable_by(lambda n: n in trainable)
     return _train_joint(manifest, split, subjects, store, opt, config, out_dir, resume_from is not None, stop_after)
 
@@ -457,9 +471,9 @@ def adapt_new_subject(
     only regimes accepted are 'none' and 'lora' (which also requires adapters).
     """
     config.validate()
-    if config.finetune_regime not in ("none", "lora"):
+    if config.regime not in ("none", "lora"):
         raise ValueError(
-            f"regime {config.finetune_regime!r} does not apply to adaptation, which honours only 'none' and 'lora'"
+            f"regime {config.regime!r} does not apply to adaptation, which honours only 'none' and 'lora'"
         )
     n_runs = len(manifest.runs[new_subject])
     if not 1 <= sessions_used <= n_runs:
@@ -467,7 +481,7 @@ def adapt_new_subject(
     store, _, _, _ = load_train_state(multi_ckpt)
     if f"brain/subject/{new_subject}/w" in store:
         raise ValueError(f"{new_subject} already present in the pretrained checkpoint")
-    if config.finetune_regime == "lora" and not any(n.startswith("lora/") for n in store.names()):
+    if config.regime == "lora" and not any(n.startswith("lora/") for n in store.names()):
         raise ValueError("regime 'lora' requires adapters attached to the store")
     root = RngKey(config.seed, ("adapt", new_subject))
     add_subject_layers(store, config.brain, new_subject, manifest.subject_voxels[new_subject], root.child("fresh"))

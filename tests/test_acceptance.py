@@ -34,7 +34,7 @@ from bold2img.evalkit import EvalConfig, evaluate_split, emit_report, emit_sweep
 from bold2img.prep import SplitSpec, dct_basis, detrend, first_window_index, window_length, zscore
 from bold2img.substrate import OptimizerState, ParamStore, RngKey, Tensor, adamw_step, gradcheck
 from bold2img.substrate.gradcheck import make_case, registered_ops
-from bold2img.synthcortex import DEFAULT_PALETTE, DatasetConfig, FmriRun, RunTimeline, SubjectConfig, build_dataset
+from bold2img.synthcortex import DEFAULT_PALETTE, DatasetConfig, FmriRun, RunTimeline, build_dataset
 from bold2img.trainer import REGIMES, TrainConfig, load_train_state, pretrain_generator, regime_trainable_names, train_single_stage
 
 e2e = pytest.mark.skipif(not world.e2e_enabled(), reason="heavy end-to-end run; set BOLD2IMG_E2E=1")
@@ -202,7 +202,7 @@ def _regime_world():
     root = world.cache_root() / "regimes"
     cfg = DatasetConfig(
         n_subjects=2, n_train_unique=20, n_test_unique=5, trials_per_run=25,
-        subject=SubjectConfig(voxel_range=(380, 620)),
+        voxel_lo=380, voxel_hi=620,
     )
     if not (root / "ds" / "manifest.json").exists():
         build_dataset(cfg, RngKey(55), root / "ds")
@@ -225,7 +225,7 @@ def test_criterion_5_regime_freezing():
         for regime in REGIMES:
             out = root / f"train_{regime}"
             if not (out / "manifest.json").exists():
-                cfg = TrainConfig(steps=100, pretrain_steps=50, warmup_steps=20, seed=55, finetune_regime=regime)
+                cfg = TrainConfig(steps=100, pretrain_steps=50, warmup_steps=20, seed=55, regime=regime)
                 train_single_stage(manifest, split, root / "pre", cfg, out, subjects=["sub01"])
             store, _, _, _ = load_train_state(out)
             declared = regime_trainable_names(store, regime)

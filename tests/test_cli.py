@@ -248,10 +248,10 @@ def test_keys_reach_their_fields():
         "train.regime=all", "train.brain.tokens=4", "train.brain.token_dim=8", "train.unet.channels=[8,8,16]",
     ])
     tc, dc = train_config(config), dataset_config(config)
-    assert (tc.seed, tc.betas, tc.finetune_regime) == (5, (0.8, 0.99), "all")
+    assert (tc.seed, tc.beta1, tc.beta2, tc.regime) == (5, 0.8, 0.99, "all")
     assert tc.unet == UNetConfig(resolution=16, channels=(8, 8, 16), tokens=4, token_dim=8)
-    assert dc.subject.voxel_range == (25, 40) and dc.resolution == 16
-    assert (dc.noise.noise_scale, dc.noise.drift_scale) == (2, 0.5)
+    assert (dc.voxel_lo, dc.voxel_hi, dc.resolution) == (25, 40, 16)
+    assert (dc.noise_scale, dc.drift_scale) == (2, 0.5)
 
 
 @pytest.mark.parametrize(

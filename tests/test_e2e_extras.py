@@ -16,7 +16,7 @@ import acceptance_world as world
 from bold2img.evalkit import EvalConfig, evaluate_split, segment_by_palette
 from bold2img.prep import build_split_standard
 from bold2img.substrate import RngKey
-from bold2img.synthcortex import DEFAULT_PALETTE, DatasetConfig, SubjectConfig, build_dataset, load_manifest
+from bold2img.synthcortex import DEFAULT_PALETTE, DatasetConfig, build_dataset, load_manifest
 from bold2img.trainer import (
     load_train_state,
     pretrain_generator,
@@ -99,7 +99,8 @@ def test_identical_subjects_score_symmetrically():
             n_train_unique=80,
             n_test_unique=20,
             trials_per_run=50,
-            subject=SubjectConfig(voxel_range=(400, 500)),
+            voxel_lo=400,
+            voxel_hi=500,
         )
         build_dataset(cfg, RngKey(808), ds)
         _clone_subject(ds, "sub01", "sub02")

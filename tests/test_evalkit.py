@@ -11,7 +11,6 @@ from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import (
     EvalConfig,
     MetricsReport,
-    ProbeSpec,
     emit_report,
     emit_sweep,
     evaluate_split,
@@ -29,10 +28,8 @@ from bold2img.substrate import RngKey
 from bold2img.synthcortex import (
     DEFAULT_PALETTE,
     DatasetConfig,
-    NoiseConfig,
     Shape,
     StimulusScene,
-    SubjectConfig,
     build_dataset,
     render_mask,
     render_scene,
@@ -104,18 +101,18 @@ def test_ssim_rejects_small_images():
 
 def test_probe_deterministic_and_shapes():
     img = RngKey(5, ("pf",)).uniform((32, 32, 3))
-    lo = probe_features(img, ProbeSpec("low"))
-    hi = probe_features(img, ProbeSpec("high"))
+    lo = probe_features(img, "low")
+    hi = probe_features(img, "high")
     assert lo.shape == (512,) and hi.shape == (128,)
-    np.testing.assert_array_equal(lo, probe_features(img, ProbeSpec("low")))
+    np.testing.assert_array_equal(lo, probe_features(img, "low"))
 
 
 def test_probe_weights_digest_stable():
     # frozen for the life of the repo; a change here invalidates recorded scores
-    assert probe_weights_digest(ProbeSpec("low")) == (
+    assert probe_weights_digest("low") == (
         "d951829b99fb05054e154ca3076f43f24a7c6be26d6c3ee5e6bf5ac89f6b6db0"
     )
-    assert probe_weights_digest(ProbeSpec("high")) == (
+    assert probe_weights_digest("high") == (
         "1670fc0298bee4aa11fdd528e6ab7be9d843b4835b309a68b75246e9e4d84550"
     )
 
@@ -129,8 +126,8 @@ def test_probe_translation_sensitivity():
             [Shape(s.kind, s.color, min(0.95, s.cx + 2.0 / 32), s.cy, s.size) for s in scene.shapes]
         )
         a, b = render_scene(scene), render_scene(shifted)
-        for spec, acc in ((ProbeSpec("low"), ratios_low), (ProbeSpec("high"), ratios_high)):
-            fa, fb = probe_features(a, spec), probe_features(b, spec)
+        for probe, acc in (("low", ratios_low), ("high", ratios_high)):
+            fa, fb = probe_features(a, probe), probe_features(b, probe)
             acc.append(np.linalg.norm(fa - fb) / (np.linalg.norm(fa) + 1e-9))
     assert np.mean(ratios_low) > np.mean(ratios_high)
 
@@ -233,8 +230,9 @@ def eval_world(tmp_path_factory):
         n_train_unique=12,
         n_test_unique=6,
         trials_per_run=18,
-        subject=SubjectConfig(voxel_range=(25, 40)),
-        noise=NoiseConfig(noise_scale=0.3),
+        voxel_lo=25,
+        voxel_hi=40,
+        noise_scale=0.3,
     )
     manifest = build_dataset(cfg, RngKey(21), root / "ds")
     return manifest, build_split_standard(manifest), root
@@ -322,8 +320,9 @@ def sweep_world(tmp_path_factory):
         n_train_unique=10,
         n_test_unique=5,
         trials_per_run=15,
-        subject=SubjectConfig(voxel_range=(25, 40)),
-        noise=NoiseConfig(noise_scale=0.3),
+        voxel_lo=25,
+        voxel_hi=40,
+        noise_scale=0.3,
     )
     manifest = build_dataset(cfg, RngKey(30), root / "ds")
     split = build_split_time_resolved(manifest, RngKey(31), test_run_fraction=0.34)

@@ -25,7 +25,6 @@ from bold2img.synthcortex import (
     DatasetConfig,
     Event,
     FmriRun,
-    NoiseConfig,
     RunTimeline,
     build_dataset,
 )
@@ -220,7 +219,7 @@ def small_dataset(tmp_path_factory):
         n_train_unique=20,
         n_test_unique=5,
         trials_per_run=15,
-        noise=NoiseConfig(noise_scale=0.5),
+        noise_scale=0.5,
     )
     return cfg, build_dataset(cfg, RngKey(11), tmp_path_factory.mktemp("ds"))
 
@@ -317,7 +316,7 @@ def test_cache_get_reads_only_the_cache(small_dataset, tmp_path):
 def test_cache_follows_a_regenerated_dataset(tmp_path):
     def generate(noise_scale):
         cfg = DatasetConfig(n_subjects=1, n_train_unique=8, n_test_unique=2, trials_per_run=15,
-                            noise=NoiseConfig(noise_scale=noise_scale))
+                            noise_scale=noise_scale)
         return build_dataset(cfg, RngKey(4), tmp_path / "ds")
 
     old = PreprocCache(generate(0.5)).build().get("sub01", 0).data.copy()

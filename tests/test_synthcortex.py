@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from corrupt_json import corrupt_manifests
 
 from bold2img.substrate import RngKey
+from bold2img.synthcortex.scenes import SHAPE_COUNT_PROBS
 from bold2img.synthcortex import (
     DEFAULT_PALETTE,
     DatasetConfig,
     N_COLORS,
-    NoiseConfig,
-    SceneConfig,
     Shape,
     StimulusScene,
-    SubjectConfig,
     SubjectSpec,
     build_dataset,
     hrf,
@@ -58,10 +56,13 @@ def test_sample_scene_deterministic():
     assert a.to_json() == b.to_json()
 
 
-def test_sample_scene_single_shape_config():
-    cfg = SceneConfig(shape_count_probs=(1.0, 0.0, 0.0))
-    for i in range(20):
-        assert len(sample_scene(RngKey(i, ("one",)), cfg).shapes) == 1
+def test_sample_scene_shape_count_frequencies():
+    n = 10_000
+    counts = np.bincount([len(sample_scene(RngKey(0, ("count", i))).shapes) for i in range(n)], minlength=4)
+    assert counts[0] == 0 and len(counts) == 4
+    for k, p in enumerate(SHAPE_COUNT_PROBS, start=1):
+        sigma = np.sqrt(p * (1 - p) * n)
+        assert abs(counts[k] - p * n) < 4 * sigma, (k, counts[k], n)
 
 
 def test_sample_scene_kind_frequencies():
@@ -172,7 +173,7 @@ def test_voxel_response_shape_at_rf_center():
 
 
 def test_voxel_response_linear_in_shapes():
-    subj = make_subject("s01", RngKey(5, ("lin",)), SubjectConfig(voxel_range=(50, 50)))
+    subj = make_subject("s01", RngKey(5, ("lin",)), 50, 50)
     shape = Shape("square", 1, 0.4, 0.6, 0.2)
     one = scene_response(subj, StimulusScene([shape]))
     two = scene_response(subj, StimulusScene([shape, shape]))
@@ -203,7 +204,7 @@ def test_simulate_single_event_matches_hrf():
     subj.rf_center = np.array([[0.3, 0.3]])
     scene = StimulusScene([Shape("circle", 0, 0.3, 0.3, 0.2)])
     tl = make_timeline(["s0"])
-    run = simulate_run(subj, tl, {"s0": scene}, RngKey(0, ("sim",)), NoiseConfig(noise_scale=0.0, drift_scale=0.0))
+    run = simulate_run(subj, tl, {"s0": scene}, RngKey(0, ("sim",)), noise_scale=0.0, drift_scale=0.0)
     amp = scene_response(subj, scene)[0]
     t = np.arange(tl.n_volumes) * tl.tr
     expected = amp * hrf(t - 16.0)
@@ -213,21 +214,21 @@ def test_simulate_single_event_matches_hrf():
 def test_simulate_zero_gain_run_is_zero():
     subj = _silent_subject(c=4)
     tl = make_timeline(["s0"] * 10)
-    run = simulate_run(subj, tl, {"s0": StimulusScene([])}, RngKey(0), NoiseConfig(noise_scale=0.0, drift_scale=0.0))
+    run = simulate_run(subj, tl, {"s0": StimulusScene([])}, RngKey(0), noise_scale=0.0, drift_scale=0.0)
     np.testing.assert_array_equal(run.data, 0.0)
 
 
 def test_simulate_doubling_gains_doubles_data():
-    cfg = SubjectConfig(voxel_range=(30, 30), jitter_range=(0.0, 0.0))
-    subj = make_subject("s01", RngKey(2, ("dg",)), cfg)
+    subj = make_subject("s01", RngKey(2, ("dg",)), 30, 30)
+    subj.delay_jitter = np.zeros(30)
     stims = [f"s{i}" for i in range(10)]
     catalog = {s: sample_scene(RngKey(4, ("dgscene", s))) for s in stims}
     tl = make_timeline(stims)
-    quiet = NoiseConfig(noise_scale=0.0, drift_scale=0.0)
-    base = simulate_run(subj, tl, catalog, RngKey(0), quiet)
+    quiet = {"noise_scale": 0.0, "drift_scale": 0.0}
+    base = simulate_run(subj, tl, catalog, RngKey(0), **quiet)
     subj.gain = subj.gain * 2.0
     subj.noise_sigma = subj.noise_sigma * 2.0
-    doubled = simulate_run(subj, tl, catalog, RngKey(0), quiet)
+    doubled = simulate_run(subj, tl, catalog, RngKey(0), **quiet)
     np.testing.assert_array_equal(doubled.data, 2.0 * base.data)
 
 
@@ -241,12 +242,12 @@ def test_simulate_unknown_stimulus_errors():
 def test_amplitude_recovery_from_clean_runs():
     # With zero noise/drift, run-level least squares against the known HRF
     # design recovers every trial amplitude (the signal is decodable).
-    cfg = SubjectConfig(voxel_range=(40, 40), jitter_range=(0.0, 0.0))
-    subj = make_subject("s01", RngKey(8, ("rec",)), cfg)
+    subj = make_subject("s01", RngKey(8, ("rec",)), 40, 40)
+    subj.delay_jitter = np.zeros(40)
     stims = [f"s{i}" for i in range(20)]
     catalog = {s: sample_scene(RngKey(9, ("recscene", s))) for s in stims}
     tl = make_timeline(stims)
-    run = simulate_run(subj, tl, catalog, RngKey(0), NoiseConfig(noise_scale=0.0, drift_scale=0.0))
+    run = simulate_run(subj, tl, catalog, RngKey(0), noise_scale=0.0, drift_scale=0.0)
     t = np.arange(tl.n_volumes) * tl.tr
     design = np.stack([hrf(t - ev.onset) for ev in tl.events])  # (E, N)
     true_amp = np.stack([scene_response(subj, catalog[ev.stimulus_id]) for ev in tl.events])  # (E, C)

@@ -8,7 +8,7 @@ from bold2img.brainmod import BrainModuleConfig
 from bold2img.diffgen import NonFiniteActivation, UNetConfig
 from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
 from bold2img.substrate import RngKey
-from bold2img.synthcortex import DatasetConfig, NoiseConfig, SceneConfig, SubjectConfig, build_dataset
+from bold2img.synthcortex import DatasetConfig, build_dataset
 from bold2img.trainer import (
     REGIMES,
     TrainConfig,
@@ -54,9 +54,9 @@ def world(tmp_path_factory):
         n_train_unique=12,
         n_test_unique=4,
         trials_per_run=12,
-        subject=SubjectConfig(voxel_range=(25, 40)),
-        scene=SceneConfig(),
-        noise=NoiseConfig(noise_scale=0.3),
+        voxel_lo=25,
+        voxel_hi=40,
+        noise_scale=0.3,
     )
     manifest = build_dataset(cfg, RngKey(5), root / "ds")
     split = build_split_standard(manifest)
@@ -65,9 +65,9 @@ def world(tmp_path_factory):
 
 
 def test_train_config_json_round_trip():
-    cfg = tiny_config(betas=(0.8, 0.99))
+    cfg = tiny_config(beta1=0.8, beta2=0.99)
     doc = config_to_json(cfg)
-    assert doc["betas"] == [0.8, 0.99] and doc["unet"]["channels"] == [8, 8, 16]
+    assert (doc["beta1"], doc["beta2"]) == (0.8, 0.99) and doc["unet"]["channels"] == [8, 8, 16]
     assert TrainConfig.from_json(doc) == cfg
 
 
@@ -111,6 +111,28 @@ def test_checkpoint_config_records_no_window_length(world, tmp_path):
     (old / "manifest.json").write_text(json.dumps(doc))
     _, _, config, _ = load_train_state(old)
     assert config == tiny_config()
+
+
+def test_checkpoint_config_in_the_old_names_loads(world, tmp_path):
+    _, _, pre, _ = world
+    doc = json.loads((pre / "manifest.json").read_text())
+    tc = doc["extra"]["train_config"]
+    # the names a checkpoint recorded before `regime`, `beta1` and `beta2`,
+    # with every key that has since been retired
+    del tc["regime"], tc["beta1"], tc["beta2"]
+    tc.update(finetune_regime="all", betas=[0.8, 0.99], pretrain_conditioning="image", parameterization="v",
+              adam_eps=1e-8)
+    tc["unet"]["in_channels"] = 3
+    tc["brain"]["window_samples"] = 6
+    old = tmp_path / "old"
+    shutil.copytree(pre, old)
+    (old / "manifest.json").write_text(json.dumps(doc))
+    _, _, config, _ = load_train_state(old)
+    assert config == tiny_config(regime="all", beta1=0.8, beta2=0.99)
+    tc["betas"] = [0.8, 0.99, 0.9]
+    (old / "manifest.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="betas"):
+        load_train_state(old)
 
 
 def test_pretrain_zero_steps_is_identity(world, tmp_path):
@@ -159,7 +181,7 @@ def test_pretrain_loss_csv(world):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_regime_freezing(world, tmp_path, regime):
     manifest, split, pre, _ = world
-    cfg = tiny_config(finetune_regime=regime, steps=3, warmup_steps=1)
+    cfg = tiny_config(regime=regime, steps=3, warmup_steps=1)
     out = train_single_stage(manifest, split, pre, cfg, tmp_path / f"r_{regime}", subjects=["sub01"])
     store, _, _, _ = load_train_state(out)
     pre_store, _, _, _ = load_train_state(pre)
@@ -174,7 +196,7 @@ def test_regime_freezing(world, tmp_path, regime):
 
 def test_regime_none_freezes_generator(world, tmp_path):
     manifest, split, pre, _ = world
-    cfg = tiny_config(finetune_regime="none", steps=3, warmup_steps=1)
+    cfg = tiny_config(regime="none", steps=3, warmup_steps=1)
     out = train_single_stage(manifest, split, pre, cfg, tmp_path / "none", subjects=["sub01"])
     store, _, _, _ = load_train_state(out)
     pre_store, _, _, _ = load_train_state(pre)
@@ -184,7 +206,7 @@ def test_regime_none_freezes_generator(world, tmp_path):
 
 def test_lora_regime_trainable_count_much_smaller(world, tmp_path):
     manifest, split, pre, _ = world
-    cfg = tiny_config(finetune_regime="lora", steps=2, warmup_steps=1)
+    cfg = tiny_config(regime="lora", steps=2, warmup_steps=1)
     out = train_single_stage(manifest, split, pre, cfg, tmp_path / "lc", subjects=["sub01"])
     store, _, _, _ = load_train_state(out)
     lora_n = sum(store[n].data.size for n in store.names() if n.startswith("lora/"))
@@ -267,7 +289,7 @@ def test_adapt_runs_checkpoint_adapters_under_any_regime(world, tmp_path):
     multi = train_single_stage(manifest, split, pre, tiny_config(steps=3, warmup_steps=1), tmp_path / "base",
                                subjects=["sub01", "sub02"])
     # 'none' is the one regime adaptation accepts besides 'lora'
-    cfg = tiny_config(steps=3, warmup_steps=1, finetune_regime="none")
+    cfg = tiny_config(steps=3, warmup_steps=1, regime="none")
     adapted = adapt_new_subject(multi, manifest, split, "sub03", 1, cfg, tmp_path / "adapted")
     bare = tmp_path / "bare"  # the same checkpoint with its adapters deleted
     shutil.copytree(adapted, bare)
