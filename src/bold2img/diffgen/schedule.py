@@ -108,12 +108,10 @@ def bicubic_transform(u, t_max: int):
     return np.minimum(t_max - 1, np.floor((1.0 - u**3) * t_max)).astype(np.int64)
 
 
-def sample_timestep_bicubic(key: RngKey, t_max: int, size: int | None = None) -> np.ndarray | int:
+def sample_timestep_bicubic(key: RngKey, t_max: int, size: int) -> np.ndarray:
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    u = key.generator().random(size if size is not None else 1)
-    t = bicubic_transform(u, t_max)
-    return t if size is not None else int(t[0])
+    return bicubic_transform(key.generator().random(size), t_max)
 
 
 def bicubic_cdf(x: np.ndarray, t_max: int) -> np.ndarray:
@@ -124,6 +122,5 @@ def bicubic_cdf(x: np.ndarray, t_max: int) -> np.ndarray:
     return np.where(x >= t_max - 1, 1.0, out)
 
 
-def sample_timestep_uniform(key: RngKey, t_max: int, size: int | None = None) -> np.ndarray | int:
-    t = key.generator().integers(0, t_max, size if size is not None else 1)
-    return t.astype(np.int64) if size is not None else int(t[0])
+def sample_timestep_uniform(key: RngKey, t_max: int, size: int) -> np.ndarray:
+    return key.generator().integers(0, t_max, size).astype(np.int64)

@@ -124,15 +124,12 @@ def init_image_encoder(config: UNetConfig, key: RngKey, store: ParamStore) -> Pa
 
     Stands in for the pretrained image-embedding encoder whose tokens the
     generator learns to read during pretraining; the brain module later
-    produces tokens in the same slot. Never trainable.
+    produces tokens in the same slot. No phase trains it.
     """
     side = config.resolution // IMG_ENC_POOL
     d_in = side * side * IN_CHANNELS
-    store.add(
-        "cond/img_enc/w",
-        key.child("img_enc").normal((d_in, config.tokens * config.token_dim), 1.0 / np.sqrt(d_in)),
-        trainable=False,
-    )
+    w = key.child("img_enc").normal((d_in, config.tokens * config.token_dim), 1.0 / np.sqrt(d_in))
+    store.add("cond/img_enc/w", w)
     return store
 
 

@@ -128,7 +128,7 @@ def _check_checkpoint(tmp=None) -> str | None:
 
     params = ParamStore()
     params.add("a/b", RngKey(5, ("selftest", "ck")).normal((7, 3)))
-    params.add("c", np.arange(4, dtype=np.float32), trainable=False)
+    params.add("c", np.arange(4, dtype=np.float32))
     with tempfile.TemporaryDirectory() as d:
         save_checkpoint(d, params, {"step": 3})
         loaded, extra = load_checkpoint(d)

@@ -2,8 +2,10 @@
 
 One tensor per file: a little-endian header (magic, version, dtype code,
 rank, dims) followed by the raw payload. A checkpoint is a directory with a
-JSON manifest (names, shapes, dtypes, trainable flags, RNG seed, step
-counter) plus one blob per parameter. The same container carries dataset
+JSON manifest (names, shapes, dtypes, and the caller's `extra` such as the
+step counter) plus one blob per parameter. Which entries train is not stored:
+each training phase decides it. Older manifests also record a per-tensor
+`trainable` flag, which loading ignores. The same container carries dataset
 runs, rendered stimuli, and cached epochs.
 """
 
@@ -82,7 +84,6 @@ def save_checkpoint(cdir, params: ParamStore, extra: dict | None = None):
                 "file": _blob_name(name),
                 "shape": list(t.data.shape),
                 "dtype": str(t.data.dtype),
-                "trainable": params.is_trainable(name),
             }
         )
     manifest = {"schema_version": 1, "tensors": entries, "extra": extra or {}}
@@ -112,7 +113,7 @@ def load_checkpoint(cdir) -> tuple[ParamStore, dict]:
             arr = read_tensor(cdir / e["file"])
             if list(arr.shape) != e["shape"]:
                 raise ValueError(f"{cdir / e['file']}: {e['name']} has shape {arr.shape}, manifest says {e['shape']}")
-            params.add(e["name"], arr, trainable=e["trainable"])
+            params.add(e["name"], arr)
         return params, manifest["extra"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"{cdir / 'manifest.json'}: malformed ({type(e).__name__}: {e})") from None

@@ -1,4 +1,4 @@
-"""Named parameter store with trainable flags."""
+"""Named parameter store; a tensor trains when its ``requires_grad`` is set."""
 
 from __future__ import annotations
 
@@ -18,14 +18,12 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, name: str, data: np.ndarray, trainable: bool = True) -> Tensor:
+    def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.ascontiguousarray(data), requires_grad=trainable)
+        t = Tensor(np.ascontiguousarray(data), requires_grad=True)
         self._params[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -38,19 +36,12 @@ class ParamStore:
         return sorted(self._params)
 
     def trainable_names(self) -> list[str]:
-        return [n for n in self.names() if self._trainable[n]]
-
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
-    def set_trainable(self, name: str, flag: bool):
-        self._trainable[name] = flag
-        self._params[name].requires_grad = flag
+        return [n for n in self.names() if self._params[n].requires_grad]
 
     def set_trainable_by(self, predicate):
-        """Set flags from a name predicate; everything else is frozen."""
-        for n in self.names():
-            self.set_trainable(n, bool(predicate(n)))
+        """Train the entries whose name satisfies `predicate`; freeze the rest."""
+        for n, t in self._params.items():
+            t.requires_grad = bool(predicate(n))
 
     def zero_grads(self):
         for t in self._params.values():
@@ -60,7 +51,7 @@ class ParamStore:
         """Copy of the store in another dtype (float64 for gradient checks)."""
         out = ParamStore()
         for n in self.names():
-            out.add(n, self._params[n].data.astype(dtype), self._trainable[n])
+            out.add(n, self._params[n].data.astype(dtype)).requires_grad = self._params[n].requires_grad
         return out
 
     def hash_of(self, names=None) -> str:

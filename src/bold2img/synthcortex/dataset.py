@@ -43,6 +43,21 @@ class DatasetConfig:
     noise_scale: float = 1.0  # multiplies each voxel's noise sigma
     drift_scale: float = 1.0  # multiplies the slow drift
 
+    def validate(self):
+        for key in ("noise_scale", "drift_scale"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"dataset.{key} must be >= 0, got {getattr(self, key)}")
+        if self.voxel_lo < 1:
+            raise ValueError(f"dataset.voxel_lo must be >= 1, got {self.voxel_lo}")
+        if self.voxel_lo > self.voxel_hi:
+            raise ValueError(f"dataset.voxel_lo ({self.voxel_lo}) must not exceed dataset.voxel_hi ({self.voxel_hi})")
+        n_counts = self.voxel_hi - self.voxel_lo + 1
+        if n_counts < self.n_subjects:
+            raise ValueError(
+                f"dataset.voxel_lo..dataset.voxel_hi holds {n_counts} distinct voxel counts, "
+                f"fewer than dataset.n_subjects ({self.n_subjects})"
+            )
+
     @property
     def n_unique(self) -> int:
         return self.n_train_unique + self.n_test_unique
@@ -58,6 +73,7 @@ class DatasetConfig:
 
 def plan_dataset(config: DatasetConfig) -> dict:
     """Trial/run bookkeeping without touching disk (scale dry-checks)."""
+    config.validate()
     if config.trials_per_subject % config.trials_per_run:
         raise ValueError(
             f"{config.trials_per_subject} trials per subject do not fill runs of {config.trials_per_run}"

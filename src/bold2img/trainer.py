@@ -1,11 +1,11 @@
 """Training orchestration: one step loop drives generator pretraining and the
 joint stage (one subject, several subjects, or adaptation to a new subject);
 each phase supplies only its batch of images and conditioning tokens, its
-timestep sampling and its LR schedule. Also the finetuning regimes and
-inference.
+timestep sampling, its LR schedule and the learning-rate factor of each entry
+it trains. Also the finetuning regimes and inference.
 
 One parameter store carries everything (unet/*, brain/*, lora/*, cond/*);
-a regime is just a trainable-name predicate over that store. All per-step
+a regime is just a set of trainable names in that store. All per-step
 randomness is keyed by the absolute step index, so resuming from a checkpoint
 reproduces the uninterrupted run bit for bit.
 """
@@ -222,10 +222,10 @@ def assemble_training_set(
 def save_train_state(out_dir, store: ParamStore, opt: OptimizerState, config: TrainConfig, extra: dict):
     full = ParamStore()  # the same arrays, plus the AdamW moments
     for name in store.names():
-        full.add(name, store[name].data, store.is_trainable(name))
+        full.add(name, store[name].data)
     for name in sorted(opt.m):
-        full.add(f"optim/m/{name}", opt.m[name], trainable=False)
-        full.add(f"optim/v/{name}", opt.v[name], trainable=False)
+        full.add(f"optim/m/{name}", opt.m[name])
+        full.add(f"optim/v/{name}", opt.v[name])
     save_checkpoint(out_dir, full, {"step": opt.step, "train_config": config_to_json(config), **extra})
 
 
@@ -239,7 +239,7 @@ def load_train_state(ckpt_dir) -> tuple[ParamStore, OptimizerState, TrainConfig,
         elif name.startswith("optim/v/"):
             opt.v[name[len("optim/v/") :]] = full[name].data
         else:
-            store.add(name, full[name].data, full.is_trainable(name))
+            store.add(name, full[name].data)
     config = TrainConfig.from_json(extra["train_config"])
     return store, opt, config, extra
 
@@ -282,31 +282,35 @@ def _train_loop(
     timestep_sampling: str,
     lr_sched: LrSchedule | None,
     store: ParamStore,
+    lr_scale: dict[str, float],
     opt: OptimizerState,
     config: TrainConfig,
     root: RngKey,
     out_dir,
-    resumed: bool,
     extra: dict,
     stop_after: int | None = None,
-    lr_scale: dict[str, float] | None = None,
 ) -> Path:
     """The step loop of every training phase, and its one objective.
 
+    `lr_scale` maps each entry the phase trains to its learning-rate factor;
+    it is the one statement of what trains. Before the first step every entry
+    it names is set to train and every other entry is frozen, bit for bit.
     `batch(skey) -> (x0, tokens)` draws one step's diffusion-space images and
     their conditioning tokens from the step key. The loop owns the rest: each
     row's tokens drop to the learned null embedding with probability
     cond_dropout, so classifier-free guidance works at inference; the loss
     regresses the velocity at timesteps drawn by `timestep_sampling`; then
-    the gradients of the trainable entries, the LR schedule, AdamW (with an
-    optional per-name `lr_scale`), the divergence guard, the loss rows and
-    the final save. Without a schedule no step runs.
+    the gradients of the trained entries, the LR schedule, AdamW at
+    lr * lr_scale[name], the divergence guard, the loss rows and the final
+    save. Without a schedule no step runs.
     `stop_after` interrupts the run early (the schedule keeps its length);
-    resuming from the saved state then reproduces the uninterrupted run.
+    resuming from the saved state (`opt.step > 0`) then reproduces the
+    uninterrupted run and appends to its loss rows.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trainable = store.trainable_names()
+    store.set_trainable_by(lr_scale.__contains__)
+    resumed = opt.step > 0
     total = 0 if lr_sched is None else lr_sched.total_steps
     last = total if stop_after is None else min(total, opt.step + stop_after)
     sched = make_schedule(config.unet.t_max)
@@ -328,7 +332,7 @@ def _train_loop(
         except NonFiniteActivation as e:
             raise NonFiniteActivation(f"step {step}: {e}") from e
         loss.backward()
-        grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in trainable}
+        grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in lr_scale}
         lr = lr_at(step, lr_sched)
         adamw_step(store, grads, opt, lr, config.weight_decay, config.beta1, config.beta2, lr_scale=lr_scale)
         guard.check(step, loss.item())
@@ -360,7 +364,7 @@ def pretrain_generator(
         init_null_tokens(config.unet, root.child("init", "null"), store)
         init_image_encoder(config.unet, root.child("init", "imgenc"), store)
         opt = OptimizerState()
-    store.set_trainable_by(lambda n: n.startswith("unet/") or n == "cond/null_tokens")
+    lr_scale = dict.fromkeys((n for n in store.names() if n.startswith("unet/") or n == "cond/null_tokens"), 1.0)
 
     raw_imgs = np.stack([manifest.load_image(s) for s in manifest.train_stimuli()])
     train_imgs = image_to_diffusion(raw_imgs)
@@ -371,10 +375,8 @@ def pretrain_generator(
 
     total = config.pretrain_steps
     lr_sched = LrSchedule(config.max_lr, min(config.warmup_steps, total - 1), total) if total else None
-    return _train_loop(
-        batch, "uniform", lr_sched, store, opt, config, root, out_dir, resume_from is not None,
-        {"phase": "pretrain"}, stop_after,
-    )
+    return _train_loop(batch, "uniform", lr_sched, store, lr_scale, opt, config, root, out_dir, {"phase": "pretrain"},
+                       stop_after)
 
 
 def _train_joint(
@@ -382,15 +384,14 @@ def _train_joint(
     split: SplitSpec,
     subjects: list[str],
     store: ParamStore,
+    lr_scale: dict[str, float],
     opt: OptimizerState,
     config: TrainConfig,
     out_dir,
-    resumed: bool,
     stop_after: int | None = None,
-    lr_scale: dict[str, float] | None = None,
 ) -> Path:
-    """The joint stage on `split.train_refs` of `subjects`, training whatever
-    `store` marks trainable."""
+    """The joint stage on `split.train_refs` of `subjects`, training the
+    entries of `lr_scale` at their learning-rate factors."""
     root = RngKey(config.seed, ("joint",))
     cache = PreprocCache(manifest).build()
     refs = {sid: split.train_refs[sid] for sid in subjects}
@@ -413,9 +414,7 @@ def _train_joint(
 
     lr_sched = LrSchedule(config.max_lr, config.warmup_steps, config.steps)
     extra = {"phase": "joint", "subjects": subjects, "split": split.kind}
-    return _train_loop(
-        batch, "bicubic", lr_sched, store, opt, config, root, out_dir, resumed, extra, stop_after, lr_scale
-    )
+    return _train_loop(batch, "bicubic", lr_sched, store, lr_scale, opt, config, root, out_dir, extra, stop_after)
 
 
 def train_single_stage(
@@ -448,9 +447,8 @@ def train_single_stage(
         init_brain_module(config.brain, voxels, n_samples, root.child("init", "brain"), store)
         if config.regime == "lora":
             create_lora_adapters(config.unet, root.child("init", "lora"), store)
-    trainable = regime_trainable_names(store, config.regime)
-    store.set_trainable_by(lambda n: n in trainable)
-    return _train_joint(manifest, split, subjects, store, opt, config, out_dir, resume_from is not None, stop_after)
+    lr_scale = dict.fromkeys(regime_trainable_names(store, config.regime), 1.0)
+    return _train_joint(manifest, split, subjects, store, lr_scale, opt, config, out_dir, stop_after)
 
 
 def adapt_new_subject(
@@ -487,19 +485,18 @@ def adapt_new_subject(
     add_subject_layers(store, config.brain, new_subject, manifest.subject_voxels[new_subject], root.child("fresh"))
 
     fresh_prefix = (f"brain/subject/{new_subject}/", f"brain/tstep/{new_subject}/")
-    scale = {}  # the trainable entries and their LR factors
+    lr_scale = {}
     for n in store.names():
         if n.startswith(fresh_prefix):
-            scale[n] = 1.0
+            lr_scale[n] = 1.0
         elif n.startswith("brain/subject/") or n.startswith("brain/tstep/"):
             continue  # other subjects' layers stay frozen, bit for bit
         elif n.startswith("brain/") or n.startswith("lora/") or n == "cond/null_tokens":
-            scale[n] = ADAPT_TRUNK_LR_SCALE
-    store.set_trainable_by(lambda n: n in scale)
+            lr_scale[n] = ADAPT_TRUNK_LR_SCALE
 
     refs = [(r, e) for r, e in split.train_refs[new_subject] if r < sessions_used]
     split = replace(split, train_refs={new_subject: refs})
-    return _train_joint(manifest, split, [new_subject], store, OptimizerState(), config, out_dir, False, lr_scale=scale)
+    return _train_joint(manifest, split, [new_subject], store, lr_scale, OptimizerState(), config, out_dir)
 
 
 # ---------------------------------------------------------------------------

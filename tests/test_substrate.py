@@ -134,7 +134,7 @@ def test_adamw_wd_zero_is_bitwise_adam():
 def test_adamw_frozen_untouched_and_counter():
     params = ParamStore()
     params.add("w", np.ones(4, dtype=np.float32))
-    params.add("frozen", np.full(4, 7.0, dtype=np.float32), trainable=False)
+    params.add("frozen", np.full(4, 7.0, dtype=np.float32)).requires_grad = False
     frozen_bytes = params["frozen"].data.tobytes()
     state = OptimizerState()
     for i in range(5):
@@ -411,7 +411,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     params = ParamStore()
     params.add("brain/subject/s01/w", key.child(0).normal((10, 4)))
     params.add("unet/conv_in/w", key.child(1).normal((3, 3, 3, 8)))
-    params.add("frozen/x", key.child(2).normal((5,)), trainable=False)
+    params.add("frozen/x", key.child(2).normal((5,)))
     extra = {"step": 123, "seed": 42}
     save_checkpoint(tmp_path / "ck", params, extra)
     loaded, extra2 = load_checkpoint(tmp_path / "ck")
@@ -419,7 +419,6 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert loaded.names() == params.names()
     for n in params.names():
         np.testing.assert_array_equal(loaded[n].data, params[n].data)
-        assert loaded.is_trainable(n) == params.is_trainable(n)
 
 
 def test_corrupt_container_rejected(tmp_path):
@@ -473,7 +472,7 @@ def _checkpoint_manifest(tmp_path) -> str:
 
 
 _CHECKPOINT_KEYS = [(None, k) for k in ("schema_version", "tensors", "extra")] + [
-    ("tensors", k) for k in ("name", "file", "shape", "trainable")
+    ("tensors", k) for k in ("name", "file", "shape")
 ]
 
 
@@ -486,6 +485,19 @@ def test_checkpoint_manifest_corrupt_names_the_file(tmp_path_factory, data):
     with pytest.raises(ValueError) as err:
         load_checkpoint(tmp_path / "ck")
     assert str(tmp_path / "ck") in str(err.value)
+
+
+def test_checkpoint_manifest_records_no_trainable_flag_and_older_flags_load(tmp_path):
+    doc = json.loads(_checkpoint_manifest(tmp_path))
+    assert all("trainable" not in e for e in doc["tensors"])
+    # manifests written before each training phase decided what trains
+    # recorded a flag per tensor; loading ignores it
+    for flag in (True, False):
+        doc["tensors"][0]["trainable"] = flag
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(doc))
+        loaded, extra = load_checkpoint(tmp_path / "ck")
+        assert extra == {"step": 1} and loaded.names() == ["unet/w"]
+        np.testing.assert_array_equal(loaded["unet/w"].data, np.arange(6, dtype=np.float32).reshape(2, 3))
 
 
 def test_checkpoint_blob_of_another_shape_names_the_file(tmp_path):

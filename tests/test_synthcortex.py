@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,24 @@ def test_plan_nsd_scale_dry():
 def test_plan_capacity_error():
     with pytest.raises(ValueError, match="fill runs"):
         plan_dataset(DatasetConfig(n_train_unique=501, trials_per_run=50))
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"noise_scale": -1.0}, "dataset.noise_scale"),
+        ({"drift_scale": -0.5}, "dataset.drift_scale"),
+        ({"voxel_lo": 0, "voxel_hi": 0}, "dataset.voxel_lo"),
+        ({"voxel_lo": 50, "voxel_hi": 40}, "dataset.voxel_lo"),
+        ({"voxel_lo": 30, "voxel_hi": 30}, "dataset.n_subjects"),
+    ],
+    ids=["negative_noise", "negative_drift", "no_voxels", "lo_above_hi", "fewer_counts_than_subjects"],
+)
+def test_dataset_config_rejected_before_anything_is_written(tmp_path, overrides, key):
+    cfg = DatasetConfig(n_subjects=2, n_train_unique=4, n_test_unique=1, trials_per_run=15, **overrides)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        build_dataset(cfg, RngKey(0), tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
+import ast
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +196,26 @@ def test_regime_freezing(world, tmp_path, regime):
             assert same, f"{name} must stay frozen under {regime}"
 
 
+def test_only_the_step_loop_sets_trainable_flags():
+    """Each phase states what trains in the map it hands `_train_loop`, the
+    one place that sets the flags."""
+    src = Path(__file__).resolve().parents[1] / "src" / "bold2img"
+
+    def calls(node):
+        return sum(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "set_trainable_by"
+            for n in ast.walk(node)
+        )
+
+    total, in_loop = 0, 0
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        total += calls(tree)
+        if path.name == "trainer.py":
+            in_loop += sum(calls(f) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_train_loop")
+    assert total == in_loop == 1
+
+
 def test_regime_none_freezes_generator(world, tmp_path):
     manifest, split, pre, _ = world
     cfg = tiny_config(regime="none", steps=3, warmup_steps=1)
@@ -282,6 +304,29 @@ def test_adapt_new_subject(world, tmp_path):
     assert "brain/subject/sub03/w" in s_adapt
     # trunk moved (finetuned at reduced rate)
     assert not np.array_equal(s_adapt["brain/out/w"].data, s_multi["brain/out/w"].data)
+
+
+def test_adapt_trains_the_trunk_at_a_tenth_of_the_rate(world, tmp_path):
+    manifest, split, pre, _ = world
+    multi = train_single_stage(manifest, split, pre, tiny_config(steps=3, warmup_steps=1), tmp_path / "base",
+                               subjects=["sub01", "sub02"])
+    cfg = tiny_config(steps=1, warmup_steps=0)
+    adapted = adapt_new_subject(multi, manifest, split, "sub03", 1, cfg, tmp_path / "adapted")
+    before, _, _, _ = load_train_state(multi)
+    after, _, _, _ = load_train_state(adapted)
+    # one AdamW step from fresh moments at rate lr moves an entry by at most
+    # lr * (1 + wd * |p|); float32 rounding adds a few units in the last place
+    lr, wd = cfg.max_lr, cfg.weight_decay
+    trunk_moves = []
+    for name in before.names():
+        p = before[name].data
+        moved = np.abs(after[name].data.astype(np.float64) - p)
+        bound = 0.1 * lr * (1 + wd * np.abs(p.astype(np.float64))) * (1 + 1e-5) + np.spacing(np.abs(p))
+        assert np.all(moved <= bound), name
+        trunk_moves.append(moved.max())
+    assert max(trunk_moves) > 0.05 * lr
+    # the fresh layer's bias starts at zero and trains at the full rate
+    assert np.abs(after["brain/subject/sub03/b"].data).max() > 0.5 * lr
 
 
 def test_adapt_runs_checkpoint_adapters_under_any_regime(world, tmp_path):
