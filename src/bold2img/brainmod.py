@@ -120,7 +120,7 @@ def brain_forward_batch(
         u = ops.layer_norm(u, store["brain/ln/g"], store["brain/ln/b"])
         u = ops.gelu(u)
         if training:
-            u = ops.dropout(u, config.dropout, key.child("drop"), training=True)
+            u = ops.dropout(u, config.dropout, key.child("drop"))
     else:
         if config.timestep_layer_enabled:
             zt = ops.transpose(z, (1, 0, 2))  # (T, B, H)
@@ -131,7 +131,7 @@ def brain_forward_batch(
         z = ops.layer_norm(z, store["brain/ln/g"], store["brain/ln/b"])
         z = ops.gelu(z)
         if training:
-            z = ops.dropout(z, config.dropout, key.child("drop"), training=True)
+            z = ops.dropout(z, config.dropout, key.child("drop"))
         u = ops.time_aggregate(z, store["brain/agg/w"], store["brain/agg/b"])  # (B, H)
 
     tokens = ops.linear(u, store["brain/out/w"], store["brain/out/b"])

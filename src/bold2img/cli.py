@@ -211,8 +211,6 @@ def cmd_train(config, args):
         ckpt = adapt_new_subject(
             args.from_ckpt, manifest, split, args.adapt_subject, args.sessions_used, tc, out
         )
-    elif args.multi_subject and len(subjects or manifest.subject_ids) < 2:
-        raise ValueError("multi-subject training needs at least 2 subjects")
     else:
         ckpt = train_single_stage(manifest, split, config["paths"]["pretrain"], tc, out, subjects=subjects)
     _write_resolved(config, "train", vars(args), out)
@@ -358,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train")
     t.add_argument("--regime", choices=REGIMES)
-    t.add_argument("--multi-subject", action="store_true")
     t.add_argument("--adapt-subject")
     t.add_argument("--from-ckpt")
     t.add_argument("--sessions-used", type=int)

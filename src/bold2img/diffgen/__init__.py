@@ -20,7 +20,6 @@ from .schedule import (
 from .unet import (
     NonFiniteActivation,
     UNetConfig,
-    XATTN_SITES,
     create_lora_adapters,
     image_tokens,
     init_image_encoder,
@@ -54,7 +53,6 @@ __all__ = [
     "v_target",
     "NonFiniteActivation",
     "UNetConfig",
-    "XATTN_SITES",
     "create_lora_adapters",
     "image_tokens",
     "init_image_encoder",

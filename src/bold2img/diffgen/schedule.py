@@ -8,12 +8,14 @@ import numpy as np
 
 from ..substrate.rng import RngKey
 
+# linear beta schedule from BETA_START at t = 0 to BETA_END at t = t_max - 1
+BETA_START = 1e-4
+BETA_END = 0.02
+
 
 @dataclass
 class NoiseSchedule:
     t_max: int
-    betas: np.ndarray  # (T,)
-    alphas: np.ndarray  # (T,)
     alpha_bars: np.ndarray  # (T,) strictly decreasing cumulative products
 
     def validate(self):
@@ -26,13 +28,9 @@ class NoiseSchedule:
             raise ValueError(f"alpha_bar[-1] = {ab[-1]:.2e} must be below 0.01")
 
 
-def make_schedule(t_max: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    if not 0.0 < beta_start < beta_end < 1.0:
-        raise ValueError("need 0 < beta_start < beta_end < 1")
-    betas = np.linspace(beta_start, beta_end, t_max, dtype=np.float64)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    sched = NoiseSchedule(t_max, betas, alphas, alpha_bars)
+def make_schedule(t_max: int = 1000) -> NoiseSchedule:
+    betas = np.linspace(BETA_START, BETA_END, t_max, dtype=np.float64)
+    sched = NoiseSchedule(t_max, np.cumprod(1.0 - betas))
     sched.validate()
     return sched
 

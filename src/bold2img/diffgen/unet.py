@@ -28,7 +28,6 @@ from .lora import add_lora_params, lora_linear
 
 TEMB_DIM = 128
 IN_CHANNELS = 3  # RGB images
-XATTN_SITES = ("xa_e16", "xa_e8", "xa_d8", "xa_d16")
 
 
 class NonFiniteActivation(RuntimeError):

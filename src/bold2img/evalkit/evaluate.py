@@ -55,17 +55,6 @@ class MetricsReport:
             "reserved_absent": list(self.reserved_absent),
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "MetricsReport":
-        return MetricsReport(
-            per_subject=d["per_subject"],
-            mean=d["mean"],
-            sem=d["sem"],
-            protocol=d["protocol"],
-            reserved_absent=tuple(d["reserved_absent"]),
-            schema_version=d["schema_version"],
-        )
-
 
 @dataclass
 class SweepResult:

@@ -164,27 +164,17 @@ def two_way_id(
     rc[valid] /= rn[valid, None]
     gc[valid] /= gn[valid, None]
     corr = rc @ gc.T  # corr[i, j] = corr(r_i, g_j)
-    scores = []
-    for i in range(n):
-        if not valid[i]:
-            continue
-        own = corr[i, i]
-        wins = 0.0
-        total = 0
-        for j in range(n):
-            if j == i or not valid[j]:
-                continue
-            if labels is not None and labels[j] == labels[i]:
-                continue
-            total += 1
-            if own > corr[i, j]:
-                wins += 1.0
-            elif own == corr[i, j]:
-                wins += 0.5
-        if total:
-            scores.append(wins / total)
-    if not scores:
+    own = np.diag(corr)[:, None]
+    rival = valid[:, None] & valid[None, :] & ~np.eye(n, dtype=bool)
+    if labels is not None:
+        lab = np.asarray(labels)
+        rival &= lab[:, None] != lab[None, :]
+    wins = (((own > corr) + 0.5 * (own == corr)) * rival).sum(axis=1)
+    total = rival.sum(axis=1)
+    rows = total > 0  # rival is all False on an excluded row
+    if not rows.any():
         return 50.0, excluded
+    scores = wins[rows] / total[rows]
     return 100.0 * float(np.mean(scores)), excluded
 
 

@@ -32,9 +32,11 @@ class GradReport:
 
 
 def _reduce(y: Tensor) -> Tensor:
-    """Smooth deterministic scalar reduction: sum of y * cos(index)."""
-    w = np.cos(np.arange(y.data.size, dtype=np.float64)).reshape(y.data.shape)
-    return ops.scale(ops.mean(ops.mul(y, Tensor(w))), float(y.data.size))
+    """Smooth deterministic scalar reduction: sum of y * cos(index), as one
+    (1, n) x (n, 1) product reshaped to a 0-d scalar."""
+    n = y.data.size
+    w = np.cos(np.arange(n, dtype=np.float64)).reshape(n, 1)
+    return ops.reshape(ops.linear(ops.reshape(y, (1, n)), Tensor(w)), ())
 
 
 # --- registry of checkable layers -----------------------------------------
@@ -122,9 +124,9 @@ register("conv2d_s2", lambda p, ins: ops.conv2d(p["x"], p["w"], p["b"], stride=2
 register(
     "conv2d_s1_frozen", lambda p, ins: ops.conv2d(p["x"], Tensor(ins[0]), Tensor(ins[1]), stride=1), _factory_conv_frozen
 )
-register("group_norm", lambda p, ins: ops.group_norm(Tensor(ins[0]), p["g"], p["b"], groups=8), _factory_norm("group"))
+register("group_norm", lambda p, ins: ops.group_norm(Tensor(ins[0]), p["g"], p["b"]), _factory_norm("group"))
 register(
-    "group_norm_silu", lambda p, ins: ops.group_norm_silu(p["x"], p["g"], p["b"], groups=8), _factory_group_norm_x
+    "group_norm_silu", lambda p, ins: ops.group_norm_silu(p["x"], p["g"], p["b"]), _factory_group_norm_x
 )
 register("layer_norm", lambda p, ins: ops.layer_norm(Tensor(ins[0]), p["g"], p["b"]), _factory_norm("layer"))
 register("gelu", lambda p, ins: ops.gelu(p["x"]), _factory_unary((3, 7)))
@@ -133,7 +135,7 @@ register("softmax", lambda p, ins: ops.softmax(p["x"]), _factory_unary((4, 6)))
 register("attention", lambda p, ins: ops.attention(p["q"], p["k"], p["v"]), _factory_attention)
 register(
     "dropout",
-    lambda p, ins: ops.dropout(p["x"], 0.3, RngKey(1234, ("gradcheck", "dropmask")), training=True),
+    lambda p, ins: ops.dropout(p["x"], 0.3, RngKey(1234, ("gradcheck", "dropmask"))),
     _factory_unary((4, 9)),
 )
 register("upsample2x", lambda p, ins: ops.upsample_nearest2x(p["x"]), _factory_unary((2, 4, 4, 3)))

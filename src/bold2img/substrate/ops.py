@@ -26,6 +26,9 @@ from .tensor import Tensor, as_tensor, grad_enabled, make_node
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+GN_GROUPS = 8  # channel groups of every group norm
+NORM_EPS = 1e-5  # variance floor of group and layer norm
+TIMESTEP_MAX_PERIOD = 10000.0  # longest wavelength of the timestep features
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -56,19 +59,6 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             gb = _unbroadcast(g, b.data.shape)
             b.accumulate_grad(gb, fresh=gb is not g)
-
-    return make_node(out, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape), fresh=True)
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return make_node(out, (a, b), backward)
 
@@ -124,18 +114,6 @@ def concat(tensors, axis=0) -> Tensor:
                 t.accumulate_grad(g[tuple(idx)], fresh=True)
 
     return make_node(out, tuple(tensors), backward)
-
-
-def expand_batch(a, batch: int) -> Tensor:
-    """Replicate a parameter along a new leading batch axis."""
-    a = as_tensor(a)
-    out = np.broadcast_to(a.data, (batch,) + a.data.shape).copy()
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g.sum(axis=0), fresh=True)
-
-    return make_node(out, (a,), backward)
 
 
 def where(mask: np.ndarray, a, b) -> Tensor:
@@ -383,24 +361,24 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
 # normalization
 
 
-def _group_norm_affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int, eps: float):
+def _group_norm_affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Group-norm forward on (B, H, W, C): (y3, x3, mu, inv).
 
     y3 is the (B, H*W, C) output in a fresh buffer, x3 the input viewed the
     same way, mu and inv the (B, G) mean and inverse standard deviation.
     """
     bb, h, w, c = x.shape
-    if c % groups:
-        raise ValueError(f"channels {c} not divisible by groups {groups}")
-    cg = c // groups
+    if c % GN_GROUPS:
+        raise ValueError(f"channels {c} not divisible by groups {GN_GROUPS}")
+    cg = c // GN_GROUPS
     n = h * w * cg
     x3 = x.reshape(bb, h * w, c)
     # per-(batch, group) moments via per-(batch, channel) sums
     s_bc = x3.sum(axis=1)  # (B, C)
     q_bc = np.einsum("bsc,bsc->bc", x3, x3)  # (B, C)
-    mu = s_bc.reshape(bb, groups, cg).sum(axis=2) / n  # (B, G)
-    ex2 = q_bc.reshape(bb, groups, cg).sum(axis=2) / n
-    inv = 1.0 / np.sqrt(ex2 - mu * mu + eps)  # (B, G)
+    mu = s_bc.reshape(bb, GN_GROUPS, cg).sum(axis=2) / n  # (B, G)
+    ex2 = q_bc.reshape(bb, GN_GROUPS, cg).sum(axis=2) / n
+    inv = 1.0 / np.sqrt(ex2 - mu * mu + NORM_EPS)  # (B, G)
     # y = x * a + s with per-(batch, channel) affine factors, in one buffer
     a_bc = np.repeat(inv, cg, axis=1) * gamma  # (B, C)
     s_bc_fact = beta - np.repeat(mu, cg, axis=1) * a_bc
@@ -412,8 +390,7 @@ def _group_norm_affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, group
 def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, x3, mu, inv):
     """Accumulate the group-norm gradients for output gradient g."""
     bb, h, w, c = x.data.shape
-    groups = mu.shape[1]
-    cg = c // groups
+    cg = c // GN_GROUPS
     n = h * w * cg
     g3 = g.reshape(bb, h * w, c)
     if beta.requires_grad:
@@ -431,8 +408,8 @@ def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, 
         gamma.accumulate_grad(gxhat_bc.sum(axis=0), fresh=True)
     if need_x:
         # dx = inv * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat))
-        m1 = ((gs_bc * gamma.data).reshape(bb, groups, cg).sum(axis=2) / n)
-        m2 = ((gxhat_bc * gamma.data).reshape(bb, groups, cg).sum(axis=2) / n)
+        m1 = ((gs_bc * gamma.data).reshape(bb, GN_GROUPS, cg).sum(axis=2) / n)
+        m2 = ((gxhat_bc * gamma.data).reshape(bb, GN_GROUPS, cg).sum(axis=2) / n)
         m1_bc = np.repeat(m1, cg, axis=1)
         m2_bc = np.repeat(m2, cg, axis=1)
         coef_a = inv_bc * gamma.data  # (B, C) multiplies g
@@ -444,10 +421,11 @@ def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, 
         x.accumulate_grad(dx.reshape(bb, h, w, c), fresh=True)
 
 
-def group_norm(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tensor:
-    """Normalize (B, H, W, C) over spatial dims and channels within a group."""
+def group_norm(x, gamma, beta) -> Tensor:
+    """Normalize (B, H, W, C) over spatial dims and channels within each of
+    GN_GROUPS groups."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data, groups, eps)
+    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data)
 
     def backward(g):
         _group_norm_backward(g, x, gamma, beta, x3, mu, inv)
@@ -455,7 +433,7 @@ def group_norm(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tensor:
     return make_node(y3.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
-def group_norm_silu(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tensor:
+def group_norm_silu(x, gamma, beta) -> Tensor:
     """silu(group_norm(x)) as one node, bitwise equal to the two ops.
 
     The sigmoid and the SiLU run in place, so the pair allocates two
@@ -463,7 +441,7 @@ def group_norm_silu(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tenso
     where the two ops allocate seven, and the graph keeps no normalised copy.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data, groups, eps)
+    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data)
     out = y3.reshape(x.data.shape)
     sig = _sigmoid(out)
     out *= sig
@@ -474,13 +452,13 @@ def group_norm_silu(x, gamma, beta, groups: int = 8, eps: float = 1e-5) -> Tenso
     return make_node(out, (x, gamma, beta), backward)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis; a zero-variance vector maps to beta."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
@@ -570,10 +548,11 @@ def attention(q, k, v) -> Tensor:
     return matmul(softmax(scores), v)
 
 
-def dropout(x, p: float, key: RngKey, training: bool = True) -> Tensor:
-    """Inverted dropout: active units scaled by 1/(1-p) so E[y] = x."""
+def dropout(x, p: float, key: RngKey) -> Tensor:
+    """Inverted dropout: active units scaled by 1/(1-p) so E[y] = x; the
+    identity at p <= 0. Callers apply it only while training."""
     x = as_tensor(x)
-    if not training or p <= 0.0:
+    if p <= 0.0:
         return x
     keep = key.generator().random(x.data.shape) >= p
     m = keep.astype(x.data.dtype) / (1.0 - p)
@@ -625,9 +604,9 @@ def time_aggregate(x, w, b) -> Tensor:
     return make_node(out, (x, w, b), backward)
 
 
-def sinusoidal_embedding(t: np.ndarray, dim: int, max_period: float = 10000.0) -> np.ndarray:
+def sinusoidal_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     """Classic sin/cos timestep features; constant w.r.t. parameters."""
     half = dim // 2
-    freqs = np.exp(-math.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-math.log(TIMESTEP_MAX_PERIOD) * np.arange(half) / half)
     ang = np.asarray(t, dtype=np.float64)[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)

@@ -9,6 +9,8 @@ import numpy as np
 
 from .params import ParamStore
 
+ADAM_EPS = 1e-8  # added to sqrt(vhat) in every update
+
 
 @dataclass
 class OptimizerState:
@@ -52,7 +54,6 @@ def adamw_step(
     wd: float = 0.01,
     beta1: float = 0.9,
     beta2: float = 0.999,
-    eps: float = 1e-8,
     lr_scale: dict[str, float] | None = None,
 ) -> OptimizerState:
     """One AdamW update in place; only trainable parameters move.
@@ -93,5 +94,5 @@ def adamw_step(
             p -= step_lr * wd * p
         mhat = m / bc1
         vhat = v / bc2
-        p -= step_lr * mhat / (np.sqrt(vhat) + eps)
+        p -= step_lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return state

@@ -323,8 +323,7 @@ def _train_loop(
         drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
         n_dropped = int(drop.sum())
         if n_dropped:
-            null_b = ops.expand_batch(store["cond/null_tokens"], config.batch_size)
-            tokens = ops.where(drop[:, None, None], null_b, tokens)
+            tokens = ops.where(drop[:, None, None], store["cond/null_tokens"], tokens)
         try:
             loss = diffusion_loss(
                 x0, tokens, store, sched, config.unet, skey.child("loss"), timestep_sampling, config.offset_lambda

@@ -98,14 +98,6 @@ def test_train_regime_none_leaves_generator_untouched(cli_world, tmp_path):
     assert doc["train"]["regime"] == "none"
 
 
-def test_multi_subject_needs_two(cli_world, tmp_path, capsys):
-    root = Path(cli_world)
-    out = tmp_path / "m1"
-    assert _run(root, "train", "--multi-subject", "--subjects", "sub01", "--out", str(out)) == EXIT_FAIL
-    assert "at least 2 subjects" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("regime", ["all", "linear", "cross_attn"])
 def test_adapt_rejects_regime_it_cannot_honour(cli_world, tmp_path, capsys, regime):
     root = Path(cli_world)

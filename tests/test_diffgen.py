@@ -49,8 +49,9 @@ def test_schedule_final_alpha_bar_small():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        make_schedule(beta_start=0.02, beta_end=1e-4)
+    # too few steps for the fixed betas to reach pure noise (train.unet.t_max is settable)
+    with pytest.raises(ValueError, match="below 0.01"):
+        make_schedule(50)
 
 
 def test_q_sample_near_identity_at_zero():

@@ -212,14 +212,13 @@ def test_dropout_preserves_expectation():
     acc = np.zeros_like(x.data)
     n = 100  # 10^6 bernoulli draws total
     for i in range(n):
-        acc += ops.dropout(x, 0.4, key.child(i), training=True).data
+        acc += ops.dropout(x, 0.4, key.child(i)).data
     assert abs(acc.mean() / n - 1.0) < 0.02
 
 
-def test_dropout_inactive_at_eval():
-    x = Tensor(np.ones((5, 5), dtype=np.float32))
-    y = ops.dropout(x, 0.9, RngKey(0), training=False)
-    np.testing.assert_array_equal(y.data, x.data)
+def test_dropout_at_zero_rate_is_the_identity():
+    x = Tensor(np.ones((5, 5), dtype=np.float32), requires_grad=True)
+    assert ops.dropout(x, 0.0, RngKey(0)) is x
 
 
 def test_no_grad_suppresses_graph():
@@ -236,6 +235,12 @@ def test_layer_norm_zero_variance_returns_shift():
     np.testing.assert_allclose(y.data, 0.5, atol=1e-6)
 
 
+def _weighted_sum(y, w):
+    """sum(y * w) as a 0-d node, built from ops the models run."""
+    n = y.data.size
+    return ops.reshape(ops.linear(ops.reshape(y, (1, n)), Tensor(w.reshape(n, 1))), ())
+
+
 @pytest.mark.parametrize("grad", [True, False])
 def test_group_norm_silu_is_bitwise_the_two_ops(grad):
     key = RngKey(31, ("gn_silu",))
@@ -248,7 +253,7 @@ def test_group_norm_silu_is_bitwise_the_two_ops(grad):
         x, g, b = (Tensor(a.copy(), requires_grad=True) for a in (xd, gd, bd))
         if grad:
             y = ops.group_norm_silu(x, g, b) if fused else ops.silu(ops.group_norm(x, g, b))
-            ops.mean(ops.mul(y, Tensor(up))).backward()
+            _weighted_sum(y, up).backward()
             results.append([y.data, x.grad, g.grad, b.grad])
         else:
             with no_grad():
@@ -326,7 +331,7 @@ def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, shifte
     ref, _ = ops._conv_gemm(xd, wd, stride, keep_col=False)
     assert y.data.dtype == ref.dtype and _rel_err(y.data, ref) <= _CONV_TOL[dtype]
     g = key.child("g").normal(y.shape, 1.0, dtype)
-    ops.scale(ops.mean(ops.mul(y, Tensor(g))), float(g.size)).backward()
+    _weighted_sum(y, g).backward()
     assert len(calls) == shifted_calls
     if stride == 1:
         w_rot = np.ascontiguousarray(wd[::-1, ::-1].transpose(0, 1, 3, 2))

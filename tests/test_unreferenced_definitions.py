@@ -1,5 +1,5 @@
-"""Every top-level function and class, and every method that is not a dunder,
-defined under src/bold2img is referenced by name somewhere in src/ or tests/
+"""Every top-level function, class and assigned name, and every method, that is
+not a dunder, defined under src/bold2img is referenced by name somewhere in src/ or tests/
 outside its own definition.
 
 A reference is a name read (`f(...)`) or an attribute (`obj.f`); imports and
@@ -26,17 +26,30 @@ def references(node: ast.AST) -> Counter:
     return found
 
 
-def definitions(tree: ast.Module) -> list:
-    """Top-level functions and classes, and the non-dunder methods of those classes."""
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned(node: ast.stmt) -> list[str]:
+    """The names a module-level assignment binds (`X = ...`, `X: T = ...`, `a, b = ...`)."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    names = []
+    for t in targets:
+        elts = t.elts if isinstance(t, ast.Tuple) else [t]
+        names += [e.id for e in elts if isinstance(e, ast.Name)]
+    return names
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each top-level function, class and assigned name, and
+    of the methods of those classes; dunders left out."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append(node)
+            out.append((node.name, node))
         if isinstance(node, ast.ClassDef):
-            out += [
-                m for m in node.body
-                if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
-            ]
+            out += [(m.name, m) for m in node.body if isinstance(m, ast.FunctionDef) and not _dunder(m.name)]
+        out += [(name, node) for name in _assigned(node) if not _dunder(name)]
     return out
 
 
@@ -48,10 +61,10 @@ def unreferenced(defining: dict[str, str], others: list[str]) -> list[str]:
     total = sum((references(t) for t in trees.values()), Counter())
     total += sum((references(ast.parse(src)) for src in others), Counter())
     return [
-        f"{d.name} ({label}:{d.lineno})"
+        f"{name} ({label}:{d.lineno})"
         for label, tree in trees.items()
-        for d in definitions(tree)
-        if total[d.name] - references(d)[d.name] <= 0
+        for name, d in definitions(tree)
+        if total[name] - references(d)[name] <= 0
     ]
 
 
@@ -59,18 +72,22 @@ def test_detector():
     defining = {
         "m.py": (
             "import os\n"
-            "def used(): pass\n"
+            "LIMIT, _SPARE = 3, 4\n"
+            "def used(): return LIMIT\n"
             "def recursive(n): return recursive(n - 1)\n"
             "class C:\n"
             "    def __init__(self): pass\n"
             "    def method(self): return self\n"
             "    def dead(self): pass\n"
-            "__all__ = ['dead']\n"
+            "__all__ = ['dead', 'UNREAD']\n"
+            "UNREAD: int = 5\n"
         )
     }
     assert unreferenced(defining, ["from m import C, used\nused()\nC().method()\n"]) == [
-        "recursive (m.py:3)",
-        "dead (m.py:7)",
+        "_SPARE (m.py:2)",
+        "recursive (m.py:4)",
+        "dead (m.py:8)",
+        "UNREAD (m.py:10)",
     ]
 
 
