@@ -24,6 +24,7 @@ from .evalkit import (
     emit_report,
     emit_sweep,
     evaluate_split,
+    held_subject_split,
     match_specialized,
     time_sweep,
 )
@@ -223,6 +224,7 @@ def cmd_infer(config, args):
     split = _split_for(manifest, args.split, config)
     cache = PreprocCache(manifest).build()
     store, _, tc, _ = load_train_state(args.ckpt)
+    split = held_subject_split(split, store, args.ckpt)
     refs = {s: split.test_refs[s][: args.limit] if args.limit else split.test_refs[s] for s in split.test_refs}
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, args.delta or 0.0)
     ev = eval_config(config)
@@ -418,9 +420,9 @@ def _retain_freed_memory() -> None:
     pretraining step. mallopt's M_MMAP_MAX (-4) = 0 serves every block from
     the heap and M_TRIM_THRESHOLD (-1) = 2**31 - 1 never trims it, so freed
     pages stay mapped and the next step reuses them. M_MMAP_THRESHOLD would
-    not do: glibc caps it at 32 MB, below a desk conv's 37.7 MB column
-    matrix. Resident memory then does not shrink after its peak. Where libc
-    has no mallopt (not glibc), this does nothing.
+    not do: glibc caps it at 32 MB, so any larger array would still be
+    mapped afresh on each use. Resident memory then does not shrink after
+    its peak. Where libc has no mallopt (not glibc), this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

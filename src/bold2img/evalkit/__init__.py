@@ -9,6 +9,7 @@ from .evaluate import (
     chosen_test_refs,
     duration_sweep,
     evaluate_split,
+    held_subject_split,
     match_specialized,
     score_trials,
     time_sweep,
@@ -35,6 +36,7 @@ __all__ = [
     "chosen_test_refs",
     "duration_sweep",
     "evaluate_split",
+    "held_subject_split",
     "match_specialized",
     "score_trials",
     "time_sweep",

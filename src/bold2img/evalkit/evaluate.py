@@ -152,6 +152,24 @@ def chosen_test_refs(manifest: DatasetManifest, split: SplitSpec, rep_map: dict[
     return refs
 
 
+def held_subject_split(split: SplitSpec, store: ParamStore, ckpt) -> SplitSpec:
+    """`split` with its test side cut to the subjects whose layer `store` holds.
+
+    The store, not the checkpoint's recorded subjects, decides: `train
+    --subjects` holds fewer subjects than the dataset, and an adapted model
+    holds every subject of the one it came from. A checkpoint that holds
+    none of the split's subjects raises a ValueError naming it and the
+    subjects it holds.
+    """
+    held = {s: refs for s, refs in split.test_refs.items() if f"brain/subject/{s}/w" in store}
+    if not held:
+        own = sorted(n.split("/")[2] for n in store.names() if n.startswith("brain/subject/") and n.endswith("/w"))
+        raise ValueError(
+            f"checkpoint {ckpt} holds subjects {own}, none of the split's test subjects {sorted(split.test_refs)}"
+        )
+    return replace(split, test_refs=held)
+
+
 def evaluate_split(
     ckpt_dir,
     manifest: DatasetManifest,
@@ -165,14 +183,16 @@ def evaluate_split(
     On the standard split, one seeded repetition of three per test stimulus;
     on the time-resolved split every test-run trial is scored (repetition
     locations there may fall on training runs, so the one-of-three protocol
-    does not apply). The checkpoint is loaded once and decodes the trials;
-    a `decoder(epochs) -> images` may stand in for it, and then windows come
-    from the `TrainConfig` defaults.
+    does not apply). The checkpoint is loaded once and decodes the trials of
+    the subjects it holds (`held_subject_split`); a `decoder(epochs) ->
+    images` may stand in for it, and then windows come from the
+    `TrainConfig` defaults.
     """
     if not split.test_stimuli:
         raise ValueError("split has an empty test side")
     if decoder is None:
         store, _, tc, _ = load_train_state(ckpt_dir)
+        split = held_subject_split(split, store, ckpt_dir)
         # keyed like the sweep's per-shift evaluation (a float shift), so an
         # unshifted sweep point reproduces this report exactly
         gen_key = key.child("gen", 0.0)
@@ -197,6 +217,7 @@ def evaluate_split(
     mean, sem = aggregate_subjects(per_subject)
     protocol = {
         "split": split.kind,
+        "subjects": sorted(split.test_refs),
         "window_t": tc.window_t,
         "window_d": tc.window_d,
         "delta": 0.0,
@@ -276,10 +297,12 @@ def time_sweep(
     (seconds), and per-shift specialized models on the same epochs. Requires
     the time-resolved split so neighboring trials stay on the test side.
     `specialized_ckpts` is keyed by shift in seconds, matched by TR multiple.
-    Each checkpoint is loaded once."""
+    Each checkpoint is loaded once. The trials are those of the subjects the
+    general checkpoint holds."""
     if split.kind != "time_resolved":
         raise ValueError("time sweeps need the time-resolved split")
     store, _, tc, _ = load_train_state(general_ckpt)
+    split = held_subject_split(split, store, general_ckpt)
     t, d = tc.window_t, tc.window_d
     t_len = window_length(d, manifest.tr)
     cap = ev.max_trials_per_subject
@@ -330,6 +353,7 @@ def time_sweep(
     if ends != sorted(ends):
         raise RuntimeError("window-end times must increase with delta")
     protocol = {
+        "subjects": sorted(split.test_refs),
         "window_t": t,
         "window_d": d,
         "deltas": sorted(deltas),

@@ -63,8 +63,8 @@ def _factory_linear(key: RngKey):
 
 
 def _factory_conv(key: RngKey):
-    # 8x8 maps and 4 input channels keep the input gradient on im2col (and, at
-    # stride 2, on the strided scatter)
+    # every input gets a gradient; at stride 2 the input gradient is the
+    # strided scatter
     p = ParamStore()
     p.add("x", key.child("x").normal((2, 8, 8, 4), 1.0, np.float64))
     p.add("w", key.child("w").normal((3, 3, 4, 6), 0.3, np.float64))
@@ -73,8 +73,8 @@ def _factory_conv(key: RngKey):
 
 
 def _factory_conv_frozen(key: RngKey):
-    # the smallest map and channel counts that conv2d lowers by shifted GEMMs,
-    # forward and input gradient alike; w and b are fixed inputs
+    # a frozen weight: the forward keeps no tap rows and only the input
+    # gradient is checked; w and b are fixed inputs
     p = ParamStore()
     p.add("x", key.child("x").normal((1, 16, 16, 16), 1.0, np.float64))
     w = key.child("w").normal((3, 3, 16, 16), 0.3, np.float64)

@@ -2,11 +2,12 @@
 
 Layout convention is channels-last: images are (B, H, W, C), token matrices
 are (B, P, D). Convolutions are 3x3 with zero padding at stride 1 or 2 and
-are lowered to GEMM in one of two ways (see `conv2d` for the shape rule):
-im2col builds a (B*OH*OW, 9*C) column matrix and does one GEMM, and is kept
-alive when the weight needs a gradient, because dW is then a single K=9C
-GEMM; the stride-1 shifted lowering adds nine GEMMs over row-shifted slices
-of the flat padded input and never builds the column matrix. Backward
+are lowered to GEMM (see `conv2d`). Stride 1 builds a tap-row matrix
+(B, H+2, W, 3C) whose rows hold one kernel row's three taps: the forward and
+the input gradient are three K=3C GEMMs over row windows of it, dW is three
+GEMMs of those windows against the output gradient, and a trainable weight
+keeps only this matrix, a third of the 9C-wide im2col columns. Stride 2
+builds the im2col column matrix (B*OH*OW, 9C) and does one GEMM. Backward
 closures hand freshly allocated arrays to `accumulate_grad(..., fresh=True)`
 so no defensive copies happen on the hot path. Scratch and output arrays are
 plain `np.empty`; the CLI makes the allocator keep freed memory
@@ -204,10 +205,10 @@ def linear(x, w, b=None) -> Tensor:
 # convolution
 
 
-def _padded(x: np.ndarray, dtype) -> np.ndarray:
-    """x zero-padded by one pixel on each side, in a new buffer of `dtype`."""
+def _padded(x: np.ndarray) -> np.ndarray:
+    """x zero-padded by one pixel on each side, in a new buffer."""
     bb, h, w, c = x.shape
-    xp = np.empty((bb, h + 2, w + 2, c), dtype)
+    xp = np.empty((bb, h + 2, w + 2, c), x.dtype)
     # reused heap memory holds whatever its last user wrote there
     xp[:, [0, -1]] = 0
     xp[:, :, [0, -1]] = 0
@@ -237,66 +238,84 @@ def _im2col_flat(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
 def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """im2col conv, one GEMM; returns (output 4-D, column matrix or None).
 
-    Also the reference that tests hold the shifted lowering to.
+    Also the reference that tests hold the tap-row lowering to.
     """
     kh, kw, cin, cout = w4.shape
     bb, h, ww_, _ = x.shape
     oh = (h + 2 - kh) // stride + 1
     ow = (ww_ + 2 - kw) // stride + 1
-    xp = _padded(x, x.dtype)
+    xp = _padded(x)
     col = _im2col_flat(xp, stride, oh, ow)
     y = col.reshape(bb * oh * ow, 9 * cin) @ w4.reshape(kh * kw * cin, cout)
     return y.reshape(bb, oh, ow, cout), col if keep_col else None
 
 
-# Shape rule and block size of the shifted lowering, set from the per-shape
-# timings recorded in CHANGES.md (B=32, float32, 2-thread OpenBLAS).
-_SHIFT_MIN_HW = 256  # at 8x8, im2col's one GEMM beats nine thin ones
-_SHIFT_MIN_C = 16  # thin inputs (conv_in, C=5): the nine K=C GEMMs cost more than the copy
-_SHIFT_BLOCK_ROWS = 2048  # rows per block: input slice, product and accumulator stay in L2
+_TAP_BLOCK_ROWS = 2048  # rows per block: tap rows, product and accumulator stay in L2
 
 
-def _conv_shifted(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """Stride-1 3x3 conv as nine shifted GEMMs; no column matrix is built.
+def _tap_rows(x: np.ndarray) -> np.ndarray:
+    """Tap-row matrix (B, H+2, W, 3C) of x zero-padded by one pixel.
 
-    The input is padded once to (B, H+2, W+2, C) and viewed as rows. Output
-    pixel (b, i, j) is anchored at row r = (b*(H+2) + i)*(W+2) + j and reads
-    tap (ki, kj) from row r + ki*(W+2) + kj, so each tap adds one GEMM of a
-    row-shifted slice. Anchors in the padding give junk rows that the final
-    crop drops. Rows go in L2-sized blocks through one product buffer; the
-    padded input and the output are new arrays on every call.
+    Row (b, i, j) holds padded pixels (i, j), (i, j+1), (i, j+2): the three
+    taps of one kernel row, in the (kj, c) order of a (3, 3, C, Cout) weight.
+    They are one contiguous 3C-run of the padded input, so the matrix is a
+    single strided copy.
+    """
+    bb, h, w, c = x.shape
+    xp = _padded(x)
+    rows = np.empty((bb, h + 2, w, 3 * c), x.dtype)
+    np.copyto(rows, np.lib.stride_tricks.as_strided(xp, shape=rows.shape, strides=xp.strides))
+    return rows
+
+
+def _conv_taps(rows: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """Stride-1 3x3 conv of the input whose tap rows are `rows`.
+
+    Viewed flat, output pixel (b, i, j) is anchored at row
+    r = (b*(H+2) + i)*W + j and reads kernel row ki from tap row r + ki*W,
+    so the conv is three K=3C GEMMs over row windows shifted by 0, W and
+    2W. Anchors at i = H, H+1 give junk rows; the result is the view of the
+    valid ones. Rows go in L2-sized blocks through one product buffer.
     Only numpy's matmul is used: scipy's BLAS wrappers load a second OpenBLAS
     and switching between the two libraries costs milliseconds per call.
     """
-    bb, h, w, c = x.shape
+    bb, hp, w, c3 = rows.shape
     cout = w4.shape[3]
-    hp, wp = h + 2, w + 2
-    dtype = np.result_type(x, w4)
-    xp = _padded(x, dtype)
-    rows = xp.reshape(bb * hp * wp, c)
-    wk = w4.astype(dtype, copy=False)
-    taps = [(ki * wp + kj, wk[ki, kj]) for ki in range(3) for kj in range(3)]
-    n = bb * hp * wp - 2 * wp - 2  # one past the last valid anchor
-    yp = np.empty((bb, hp, wp, cout), dtype)
-    acc_rows = yp.reshape(bb * hp * wp, cout)
-    prod = np.empty((min(_SHIFT_BLOCK_ROWS, n), cout), dtype)
-    for r0 in range(0, n, _SHIFT_BLOCK_ROWS):
-        r1 = min(n, r0 + _SHIFT_BLOCK_ROWS)
+    flat = rows.reshape(bb * hp * w, c3)
+    wk = w4.reshape(3, c3, cout).astype(rows.dtype, copy=False)
+    n = bb * hp * w - 2 * w  # one past the last valid anchor
+    yp = np.empty((bb, hp, w, cout), rows.dtype)
+    acc_rows = yp.reshape(bb * hp * w, cout)
+    prod = np.empty((min(_TAP_BLOCK_ROWS, n), cout), rows.dtype)
+    for r0 in range(0, n, _TAP_BLOCK_ROWS):
+        r1 = min(n, r0 + _TAP_BLOCK_ROWS)
         acc = acc_rows[r0:r1]
         p = prod[: r1 - r0]
-        np.matmul(rows[r0:r1], taps[0][1], out=acc)
-        for off, wt in taps[1:]:
-            np.matmul(rows[r0 + off : r1 + off], wt, out=p)
+        np.matmul(flat[r0:r1], wk[0], out=acc)
+        for ki in (1, 2):
+            np.matmul(flat[r0 + ki * w : r1 + ki * w], wk[ki], out=p)
             acc += p
-    return yp[:, :h, :w].copy()
+    return yp[:, : hp - 2]
 
 
-def _conv_s1_nocol(x: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """Stride-1 conv whose column matrix is not needed afterwards."""
-    _, h, w, c = x.shape
-    if h * w >= _SHIFT_MIN_HW and c >= _SHIFT_MIN_C:
-        return _conv_shifted(x, w4)
-    return _conv_gemm(x, w4, 1, keep_col=False)[0]
+def _conv_taps_wgrad(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dW (3, 3, C, Cout) of the stride-1 conv whose tap rows are `rows`.
+
+    Kernel row ki is one GEMM rows[ki*W : ki*W + n].T @ g_padded, where
+    g_padded is g with two zero rows per image at the junk anchors.
+    """
+    bb, hp, w, c3 = rows.shape
+    cout = g.shape[3]
+    gp = np.empty((bb, hp, w, cout), g.dtype)
+    gp[:, : hp - 2] = g
+    gp[:, hp - 2 :] = 0
+    n = bb * hp * w - 2 * w
+    flat = rows.reshape(bb * hp * w, c3)
+    g2 = gp.reshape(bb * hp * w, cout)[:n]
+    dw = np.empty((3, c3, cout), np.result_type(rows, g))
+    for ki in range(3):
+        np.matmul(flat[ki * w : ki * w + n].T, g2, out=dw[ki])
+    return dw.reshape(3, 3, c3 // 3, cout)
 
 
 def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
@@ -304,15 +323,11 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
 
     x: (B, H, W, Cin), w: (3, 3, Cin, Cout), b: (Cout,).
 
-    Lowering, chosen by shape:
-    - the weight needs a gradient: im2col, and the column matrix is kept,
-      because dW is then one K=9*Cin GEMM, about 2x cheaper than nine
-      shifted ones;
-    - otherwise, at stride 1 with H*W >= 256 and Cin >= 16: the shifted
-      lowering, which skips the 9x-input column copy and keeps nothing;
-    - otherwise (8x8 maps, thin inputs, stride 2): im2col, column dropped.
-    The stride-1 input gradient is a convolution of g with the rotated
-    kernel and follows the same rule with Cout in place of Cin.
+    Stride 1 runs on the tap-row matrix (`_tap_rows`, 3*Cin wide) as three
+    K=3*Cin GEMMs. A weight that needs a gradient keeps the tap rows, and
+    dW is three GEMMs over them. The input gradient is the same conv of g
+    with the rotated, transposed kernel. Stride 2 runs on im2col: one
+    K=9*Cin GEMM, its column matrix kept for dW when the weight needs one.
     """
     x, w = as_tensor(x), as_tensor(w)
     kh, kw, cin, cout = w.data.shape
@@ -320,10 +335,11 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     if c != cin:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
     need_wgrad = w.requires_grad and grad_enabled()
-    if stride == 1 and not need_wgrad:
-        out4, col = _conv_s1_nocol(x.data, w.data), None
+    if stride == 1:
+        rows = _tap_rows(x.data.astype(np.result_type(x.data, w.data), copy=False))
+        out4, lowered = _conv_taps(rows, w.data), rows if need_wgrad else None
     else:
-        out4, col = _conv_gemm(x.data, w.data, stride, keep_col=need_wgrad)
+        out4, lowered = _conv_gemm(x.data, w.data, stride, keep_col=need_wgrad)
     if b is not None:
         b = as_tensor(b)
         out4 += b.data
@@ -333,9 +349,11 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, cout)
         if need_wgrad:
-            w.accumulate_grad(
-                (col.reshape(bb * oh * ow, 9 * cin).T @ g2).reshape(kh, kw, cin, cout), fresh=True
-            )
+            if stride == 1:
+                dw = _conv_taps_wgrad(lowered, g)
+            else:
+                dw = (lowered.reshape(bb * oh * ow, 9 * cin).T @ g2).reshape(kh, kw, cin, cout)
+            w.accumulate_grad(dw, fresh=True)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), fresh=True)
         if x.requires_grad:
@@ -343,7 +361,7 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
                 # input gradient is a convolution of g with the rotated,
                 # transposed kernel
                 w_rot = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-                x.accumulate_grad(_conv_s1_nocol(g, w_rot), fresh=True)
+                x.accumulate_grad(_conv_taps(_tap_rows(g), w_rot), fresh=True)
             else:
                 dcol = (g2 @ w.data.reshape(kh * kw * cin, cout).T).reshape(bb, oh, ow, kh, kw, cin)
                 dxp = np.zeros((bb, h + 2, ww_ + 2, cin), dtype=g.dtype)

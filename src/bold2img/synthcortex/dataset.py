@@ -8,6 +8,8 @@ Layout under the dataset root:
     runs/<sub>_<run>.bin        (C, n_volumes) float32
 
 Generation is a pure function of (config, seed): a rebuild is byte-identical.
+A rebuild into an existing root deletes its manifest first, so an
+interrupted build leaves a root that fails to load instead of a mix of two.
 """
 
 from __future__ import annotations
@@ -141,6 +143,9 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
     validate_palette(DEFAULT_PALETTE)
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
+    # files are overwritten in place and the manifest is written last, so a
+    # build that dies partway must leave no manifest behind to load
+    (root / "manifest.json").unlink(missing_ok=True)
 
     # --- stimulus catalog (shared across subjects) ---
     stim_ids = [f"stim{i:05d}" for i in range(config.n_unique)]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from bold2img.cli import (
     train_config,
 )
 from bold2img.diffgen import UNetConfig
-from bold2img.evalkit import EvalConfig
+from bold2img.evalkit import EvalConfig, evaluate_split
 from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
+from bold2img.substrate import RngKey
 from bold2img.synthcortex import DatasetConfig, load_manifest
 from bold2img.trainer import TrainConfig, load_train_state
 
@@ -132,6 +134,34 @@ def test_eval_and_infer_commands(cli_world, tmp_path):
     keys = {"subject", "stimulus_id", "run_id", "event_index", "delta", "repetition", "steps", "guidance"}
     assert all(set(r) == keys for r in recs)
     assert recs[0]["steps"] == 3 and recs[0]["guidance"] == 3.0
+
+
+def test_eval_and_infer_decode_the_subjects_the_checkpoint_holds(cli_world, tmp_path):
+    root = Path(cli_world)
+    ckpt = tmp_path / "sub01"
+    assert _run(root, "train", "--subjects", "sub01", "--out", str(ckpt)) == EXIT_OK
+    eval_out = tmp_path / "eval"
+    assert _run(root, "eval", "--ckpt", str(ckpt), "--out", str(eval_out)) == EXIT_OK
+    report = json.loads((eval_out / "report.json").read_text())
+    assert sorted(report["per_subject"]) == report["protocol"]["subjects"] == ["sub01"]
+    infer_out = tmp_path / "infer"
+    assert _run(root, "infer", "--ckpt", str(ckpt), "--limit", "2", "--out", str(infer_out)) == EXIT_OK
+    assert [r["subject"] for r in json.loads((infer_out / "records.json").read_text())] == ["sub01"] * 2
+    tr_ckpt, sweep_out = tmp_path / "sub01_tr", tmp_path / "sweep"
+    time_split = ["--set", "eval.test_run_fraction=0.34"]
+    assert _run(root, *time_split, "train", "--subjects", "sub01", "--split", "time-resolved",
+                "--out", str(tr_ckpt)) == EXIT_OK
+    assert _run(root, *time_split, "--set", "eval.deltas_tr=[0]", "--set", "eval.max_trials_per_subject=2",
+                "sweep-time", "--general", str(tr_ckpt), "--out", str(sweep_out)) == EXIT_OK
+    sweep = json.loads((sweep_out / "sweep_time.json").read_text())
+    assert sweep["protocol"]["subjects"] == sorted(sweep["points"][0]["general"]["per_subject"]) == ["sub01"]
+    # a split none of whose subjects the checkpoint holds
+    manifest = load_manifest(root / "dataset")
+    split = build_split_standard(manifest)
+    other = replace(split, test_refs={"sub02": split.test_refs["sub02"]})
+    with pytest.raises(ValueError) as err:
+        evaluate_split(ckpt, manifest, other, RngKey(0), EvalConfig())
+    assert str(err.value) == f"checkpoint {ckpt} holds subjects ['sub01'], none of the split's test subjects ['sub02']"
 
 
 def test_sweep_time_command(cli_world, tmp_path):

@@ -265,7 +265,7 @@ def test_group_norm_silu_is_bitwise_the_two_ops(grad):
 
 
 # ---------------------------------------------------------------------------
-# convolution lowerings: the shifted-GEMM kernel against the im2col reference
+# convolution lowerings: the stride-1 tap-row GEMMs against the im2col reference
 
 _CONV_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
@@ -275,9 +275,21 @@ def _rel_err(a, ref):
 
 
 def _anchor_rows(shape):
-    """Rows the shifted kernel computes for a (B, H, W, C) input."""
+    """Anchor rows the tap-row GEMMs compute for a (B, H, W, C) input."""
     b, h, w, _ = shape
-    return b * (h + 2) * (w + 2) - 2 * (w + 2) - 2
+    return b * (h + 2) * w - 2 * w
+
+
+def _block_rows(n, block):
+    """Block size giving `block`: one block larger than n, exactly n, or
+    several blocks whose last one is partial."""
+    if block == "default":
+        return ops._TAP_BLOCK_ROWS
+    if block == "below":
+        return n + 1
+    if block == "equal":
+        return n
+    return next(r for r in (64, 63, 7, 5) if r < n and n % r)
 
 
 @pytest.mark.parametrize("x_dtype, w_dtype", [(np.float64,) * 2, (np.float32,) * 2, (np.float32, np.float64)])
@@ -289,50 +301,71 @@ def _anchor_rows(shape):
         ((2, 17, 23, 16), 3, "remainder"),
         ((1, 9, 5, 7), 4, "remainder"),
         ((2, 33, 31, 16), 8, "default"),
+        ((3, 1, 7, 5), 3, "remainder"),  # H = 1
+        ((2, 6, 1, 4), 3, "remainder"),  # W = 1
     ],
 )
 def test_conv_shifted_matches_im2col(shape, cout, block, x_dtype, w_dtype, monkeypatch):
+    """Forward, input gradient and weight gradient of the tap-row lowering
+    (three GEMMs over row windows shifted by 0, W and 2W) equal im2col's."""
     n = _anchor_rows(shape)
-    rows = {"below": n + 1, "equal": n, "remainder": 64 if n % 64 else 63, "default": ops._SHIFT_BLOCK_ROWS}[block]
+    rows = _block_rows(n, block)
     assert n % rows or block == "equal"
-    monkeypatch.setattr(ops, "_SHIFT_BLOCK_ROWS", rows)
+    monkeypatch.setattr(ops, "_TAP_BLOCK_ROWS", rows)
     key = RngKey(21, ("conv_shifted", str(shape)))
     x = key.child("x").normal(shape, 1.0, x_dtype)
     w = key.child("w").normal((3, 3, shape[3], cout), 0.3, w_dtype)
-    y = ops._conv_shifted(x, w)
-    ref, _ = ops._conv_gemm(x, w, 1, keep_col=False)
-    assert y.dtype == ref.dtype == np.result_type(x, w)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    y = ops.conv2d(xt, wt)
+    ref, col = ops._conv_gemm(x, w, 1, keep_col=True)
+    dtype = np.result_type(x, w)
+    assert y.dtype == ref.dtype == dtype
     assert y.shape == ref.shape == shape[:3] + (cout,)
-    assert _rel_err(y, ref) <= _CONV_TOL[np.result_type(x, w).type]
+    g = key.child("g").normal(ref.shape, 1.0, dtype)
+    _weighted_sum(y, g).backward()
+    w_rot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
+    dx_ref, _ = ops._conv_gemm(g, w_rot, 1, keep_col=False)
+    dw_ref = (col.reshape(-1, 9 * shape[3]).T @ g.reshape(-1, cout)).reshape(w.shape)
+    for got, want in ((y.data, ref), (xt.grad, dx_ref), (wt.grad, dw_ref)):
+        assert got.shape == want.shape
+        assert _rel_err(got, want) <= _CONV_TOL[dtype.type]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize(
-    "shape, cout, stride, w_grad, shifted_calls",
+    "shape, cout, stride, w_grad",
+    # Each id ends in the number of shifted-kernel calls the case made under
+    # the earlier two-lowering rule, so a case keeps its name across releases.
     [
-        ((1, 16, 16, 16), 16, 1, False, 2),  # frozen weight: forward and input grad
-        ((2, 17, 23, 16), 24, 1, False, 2),
-        ((1, 16, 16, 16), 16, 1, True, 1),  # trainable weight: im2col forward for dW
-        ((1, 16, 16, 5), 16, 1, False, 1),  # thin input: im2col forward
-        ((1, 16, 16, 16), 3, 1, False, 1),  # g has 3 channels: im2col input grad
-        ((1, 8, 8, 16), 16, 1, False, 0),  # 8x8 maps stay on im2col
-        ((1, 32, 32, 16), 16, 2, False, 0),  # stride 2 stays on im2col
+        pytest.param((1, 16, 16, 16), 16, 1, False, id="shape0-16-1-False-2"),  # frozen weight: forward and input grad
+        pytest.param((2, 17, 23, 16), 24, 1, False, id="shape1-24-1-False-2"),
+        pytest.param((1, 16, 16, 16), 16, 1, True, id="shape2-16-1-True-1"),  # trainable weight: dW from the kept tap rows
+        pytest.param((1, 16, 16, 5), 16, 1, False, id="shape3-16-1-False-1"),  # thin input, as conv_in
+        pytest.param((1, 16, 16, 16), 3, 1, False, id="shape4-3-1-False-1"),  # g has 3 channels, as out/conv
+        pytest.param((1, 8, 8, 16), 16, 1, False, id="shape5-16-1-False-0"),  # 8x8 maps
+        pytest.param((1, 32, 32, 16), 16, 2, False, id="shape6-16-2-False-0"),  # stride 2: im2col
+        pytest.param((1, 32, 32, 16), 16, 2, True, id="shape7-16-2-True-0"),
     ],
 )
-def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, shifted_calls, dtype, monkeypatch):
+def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, dtype, monkeypatch):
+    """Stride 1 never builds an im2col matrix, whether or not the weight
+    trains; stride 2 builds one per forward."""
     calls = []
-    shifted = ops._conv_shifted
-    monkeypatch.setattr(ops, "_conv_shifted", lambda x, w: calls.append(x.shape) or shifted(x, w))
+    im2col = ops._im2col_flat
+    monkeypatch.setattr(ops, "_im2col_flat", lambda xp, *a: calls.append(xp.shape) or im2col(xp, *a))
     key = RngKey(23, ("conv_rule", str(shape)))
     xd = key.child("x").normal(shape, 1.0, dtype)
     wd = key.child("w").normal((3, 3, shape[3], cout), 0.3, dtype)
-    x = Tensor(xd, requires_grad=True)
-    y = ops.conv2d(x, Tensor(wd, requires_grad=w_grad), stride=stride)
-    ref, _ = ops._conv_gemm(xd, wd, stride, keep_col=False)
-    assert y.data.dtype == ref.dtype and _rel_err(y.data, ref) <= _CONV_TOL[dtype]
+    x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=w_grad)
+    y = ops.conv2d(x, w, stride=stride)
     g = key.child("g").normal(y.shape, 1.0, dtype)
     _weighted_sum(y, g).backward()
-    assert len(calls) == shifted_calls
+    assert len(calls) == (stride == 2)
+    ref, col = ops._conv_gemm(xd, wd, stride, keep_col=True)
+    assert y.data.dtype == ref.dtype and _rel_err(y.data, ref) <= _CONV_TOL[dtype]
+    if w_grad:
+        dw_ref = (col.reshape(-1, 9 * shape[3]).T @ g.reshape(-1, cout)).reshape(wd.shape)
+        assert w.grad.dtype == dtype and _rel_err(w.grad, dw_ref) <= _CONV_TOL[dtype]
     if stride == 1:
         w_rot = np.ascontiguousarray(wd[::-1, ::-1].transpose(0, 1, 3, 2))
         dx_ref, _ = ops._conv_gemm(g, w_rot, 1, keep_col=False)
@@ -353,14 +386,23 @@ def _allocator_fills(monkeypatch, value):
 
 @pytest.mark.parametrize("lowering", ["gemm-s1", "gemm-s2", "shifted"])
 def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypatch):
+    """The "shifted" case is the tap-row lowering: its tap rows, forward and dW."""
     shape = (2, 9, 7, 5)
     key = RngKey(25, ("conv_pad", lowering))
     x = key.child("x").normal(shape)
     w = key.child("w").normal((3, 3, 5, 4), 0.3)
     if lowering == "shifted":
-        conv = ops._conv_shifted
+        g = key.child("g").normal(shape[:3] + (4,))
+
+        def conv(x, w):
+            rows = ops._tap_rows(x)
+            return np.concatenate([rows.ravel(), ops._conv_taps(rows, w).ravel(), ops._conv_taps_wgrad(rows, g).ravel()])
+
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        rows_ref = np.concatenate([xp[:, :, kj : kj + shape[2]] for kj in range(3)], axis=3)
         _allocator_fills(monkeypatch, 0.0)
         ref = conv(x, w)
+        assert ref[: rows_ref.size].tobytes() == rows_ref.tobytes()
     else:
         stride = int(lowering[-1])
 

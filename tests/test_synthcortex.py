@@ -370,6 +370,22 @@ def test_dataset_byte_identical_rebuild(tmp_path):
         assert (m1.root / rel).read_bytes() == (m2.root / rel).read_bytes(), rel
 
 
+def test_interrupted_rebuild_leaves_no_loadable_manifest(tmp_path, monkeypatch):
+    cfg = DatasetConfig(n_subjects=1, n_train_unique=8, n_test_unique=2, trials_per_run=15)
+    root = tmp_path / "ds"
+    build_dataset(cfg, RngKey(0), root)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("bold2img.synthcortex.dataset.simulate_run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        build_dataset(cfg, RngKey(1), root)
+    # the stimuli are already seed 1's; the seed-0 manifest must not vouch for them
+    with pytest.raises(FileNotFoundError, match=re.escape(str(root / "manifest.json"))):
+        load_manifest(root)
+
+
 def test_dataset_different_seed_differs(tmp_path):
     cfg = DatasetConfig(n_subjects=1, n_train_unique=8, n_test_unique=2, trials_per_run=15)
     m1 = build_dataset(cfg, RngKey(1), tmp_path / "a")
