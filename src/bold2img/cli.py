@@ -1,7 +1,7 @@
 """Command-line entry point wiring every stage together.
 
-One flat binary with subcommands; a shared JSON config holds all knobs, CLI
-flags override config keys through dotted paths (--train.steps=2000), and
+One flat binary with subcommands; a shared JSON config holds all knobs,
+`--set` overrides a key by its dotted path (--set train.steps=2000), and
 every run writes its resolved config next to its outputs so any result can be
 reproduced from that file alone. The only environment variable honored is
 BOLD2IMG_OUT (output root).
@@ -199,9 +199,8 @@ def cmd_pretrain_gen(config, args):
 
 def cmd_train(config, args):
     manifest = load_manifest(config["paths"]["data"])
-    for key in ("regime", "window_t", "window_d", "delta"):  # recorded in the resolved config
-        if getattr(args, key) is not None:
-            config["train"][key] = getattr(args, key)
+    if args.regime is not None:  # recorded in the resolved config
+        config["train"]["regime"] = args.regime
     tc = train_config(config)
     split = _split_for(manifest, args.split, config)
     out = Path(args.out or Path(config["paths"]["out_root"]) / "train")
@@ -226,7 +225,8 @@ def cmd_infer(config, args):
     store, _, tc, _ = load_train_state(args.ckpt)
     split = held_subject_split(split, store, args.ckpt)
     refs = {s: split.test_refs[s][: args.limit] if args.limit else split.test_refs[s] for s in split.test_refs}
-    epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, args.delta or 0.0)
+    delta = float(tc.delta) if args.delta is None else args.delta  # the checkpoint's shift unless overridden
+    epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, delta)
     ev = eval_config(config)
     images = infer(store, tc, epochs, RngKey(config["seed"], ("infer",)), ev.steps, ev.guidance)
     out = Path(args.out or Path(config["paths"]["out_root"]) / "infer")
@@ -335,13 +335,6 @@ def cmd_ablate_brainmod(config, args):
     return EXIT_OK
 
 
-def cmd_selftest(config, args):
-    from .selftest import run_selftest
-
-    ok = run_selftest(verbose=True)
-    return EXIT_OK if ok else EXIT_FAIL
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -363,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sessions-used", type=int)
     t.add_argument("--subjects")
     t.add_argument("--split", default="standard", choices=["standard", "time-resolved"])
-    t.add_argument("--window-t", type=float)
-    t.add_argument("--window-d", type=float)
-    t.add_argument("--delta", type=float)
     t.add_argument("--out")
 
     i = sub.add_parser("infer")
@@ -391,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ab = sub.add_parser("ablate-brainmod")
     ab.add_argument("--out")
-
-    sub.add_parser("selftest")
     return p
 
 
@@ -406,7 +394,6 @@ _COMMANDS = {
     "sweep-time": cmd_sweep_time,
     "sweep-duration": cmd_sweep_duration,
     "ablate-brainmod": cmd_ablate_brainmod,
-    "selftest": cmd_selftest,
 }
 
 

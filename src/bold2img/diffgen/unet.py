@@ -53,8 +53,8 @@ def _coord_grid(resolution: int) -> np.ndarray:
     return np.stack([gy, gx], axis=-1)[None]  # (1, R, R, 2)
 
 
-def init_unet(config: UNetConfig, key: RngKey, store: ParamStore | None = None) -> ParamStore:
-    store = store if store is not None else ParamStore()
+def init_unet(config: UNetConfig, key: RngKey) -> ParamStore:
+    store = ParamStore()
     c0, c1, c2 = config.channels
 
     def conv(name, cin, cout, zero=False):

@@ -184,23 +184,25 @@ def evaluate_split(
     on the time-resolved split every test-run trial is scored (repetition
     locations there may fall on training runs, so the one-of-three protocol
     does not apply). The checkpoint is loaded once and decodes the trials of
-    the subjects it holds (`held_subject_split`); a `decoder(epochs) ->
-    images` may stand in for it, and then windows come from the
-    `TrainConfig` defaults.
+    the subjects it holds (`held_subject_split`), in windows at the shift it
+    was trained at; a window that leaves its run raises, as in training. A
+    `decoder(epochs) -> images` may stand in for the checkpoint, and then
+    windows come from the `TrainConfig` defaults.
     """
     if not split.test_stimuli:
         raise ValueError("split has an empty test side")
     if decoder is None:
         store, _, tc, _ = load_train_state(ckpt_dir)
         split = held_subject_split(split, store, ckpt_dir)
-        # keyed like the sweep's per-shift evaluation (a float shift), so an
-        # unshifted sweep point reproduces this report exactly
-        gen_key = key.child("gen", 0.0)
+        # keyed like the sweep's evaluation at this shift, so an unshifted
+        # sweep point reproduces an unshifted checkpoint's report exactly
+        gen_key = key.child("gen", float(tc.delta))
 
         def decoder(epochs):
             return infer(store, tc, epochs, gen_key, ev.steps, ev.guidance)
     else:
         tc = TrainConfig()
+    delta = float(tc.delta)
     eval_res = ev.resolution(manifest)
 
     if split.kind == "time_resolved":
@@ -210,7 +212,7 @@ def evaluate_split(
         rep_map = pick_test_repetitions(split, key.child("reps"))
         refs = chosen_test_refs(manifest, split, rep_map)
     cache = PreprocCache(manifest).build()
-    epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d)
+    epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, delta)
     images = decoder(epochs)
 
     per_subject = score_trials(manifest, images, epochs, eval_res)
@@ -220,7 +222,7 @@ def evaluate_split(
         "subjects": sorted(split.test_refs),
         "window_t": tc.window_t,
         "window_d": tc.window_d,
-        "delta": 0.0,
+        "delta": delta,
         "steps": ev.steps,
         "guidance": ev.guidance,
         "eval_resolution": eval_res,

@@ -19,6 +19,7 @@ from ..substrate.tensor import Tensor
 
 PROBE_SEED = 604051  # frozen; changing it invalidates all recorded scores
 LUMA = np.array([0.299, 0.587, 0.114], dtype=np.float64)
+SSIM_WINDOW, SSIM_SIGMA = 11, 1.5  # side (pixels) and width of SSIM's Gaussian window
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,7 @@ def pixcorr(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 # SSIM
 
 
-def _gaussian_kernel(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     half = (size - 1) / 2.0
     x = np.arange(size) - half
     k = np.exp(-(x**2) / (2.0 * sigma**2))
@@ -64,17 +65,17 @@ def _filter2_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def ssim(a: np.ndarray, b: np.ndarray, window: int = 11, sigma: float = 1.5) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean local SSIM on luminance, Gaussian window, dynamic range 1."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.shape[0] < window or a.shape[1] < window:
-        raise ValueError(f"image {a.shape} smaller than the {window}x{window} SSIM window")
+    if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
+        raise ValueError(f"image {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
     x = a.astype(np.float64) @ LUMA if a.ndim == 3 else a.astype(np.float64)
     y = b.astype(np.float64) @ LUMA if b.ndim == 3 else b.astype(np.float64)
     c1 = 0.01**2
     c2 = 0.03**2
-    k = _gaussian_kernel(window, sigma)
+    k = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
     mx = _filter2_valid(x, k)
     my = _filter2_valid(y, k)
     mx2, my2, mxy = mx * mx, my * my, mx * my

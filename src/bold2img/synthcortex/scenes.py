@@ -18,8 +18,9 @@ from ..substrate.rng import RngKey
 
 KINDS = ("circle", "square", "triangle")
 N_COLORS = 6  # foreground palette entries; row 0 is the background
+MIN_PALETTE_DIST = 0.3  # least L2 distance between two palette rows
 
-# Background + 6 well-separated foreground colors (pairwise L2 >= 0.3).
+# Background + 6 well-separated foreground colors (pairwise L2 >= MIN_PALETTE_DIST).
 DEFAULT_PALETTE = np.array(
     [
         [0.08, 0.08, 0.10],  # background
@@ -34,14 +35,14 @@ DEFAULT_PALETTE = np.array(
 )
 
 
-def validate_palette(palette: np.ndarray, min_dist: float = 0.3):
+def validate_palette(palette: np.ndarray):
     if palette.shape != (N_COLORS + 1, 3):
         raise ValueError(f"palette must be {(N_COLORS + 1, 3)}, got {palette.shape}")
     for i in range(len(palette)):
         for j in range(i + 1, len(palette)):
             d = float(np.linalg.norm(palette[i] - palette[j]))
-            if d < min_dist:
-                raise ValueError(f"palette rows {i} and {j} too close: L2 {d:.3f} < {min_dist}")
+            if d < MIN_PALETTE_DIST:
+                raise ValueError(f"palette rows {i} and {j} too close: L2 {d:.3f} < {MIN_PALETTE_DIST}")
 
 
 @dataclass

@@ -48,6 +48,7 @@ REGIMES = ("all", "linear", "cross_attn", "none", "lora")
 ADAPT_TRUNK_LR_SCALE = 0.1
 # trials decoded together by `infer`
 INFER_BATCH = 16
+UNCOND_STEPS, UNCOND_BATCH = 20, 32  # DDIM steps and batch of `sample_unconditional`
 
 
 class TrainingDiverged(RuntimeError):
@@ -514,7 +515,7 @@ def make_noise_predictor(store: ParamStore, config: UNetConfig, sched):
     return unet_call
 
 
-def sample_unconditional(ckpt_dir, n: int, key: RngKey, steps: int = 20, batch: int = 32) -> np.ndarray:
+def sample_unconditional(ckpt_dir, n: int, key: RngKey) -> np.ndarray:
     """Images from the learned null embedding alone (generator quality checks)."""
     store, _, config, _ = load_train_state(ckpt_dir)
     sched = make_schedule(config.unet.t_max)
@@ -523,11 +524,11 @@ def sample_unconditional(ckpt_dir, n: int, key: RngKey, steps: int = 20, batch: 
     unet_call = make_noise_predictor(store, config.unet, sched)
     out = np.empty((n, r, r, 3), dtype=np.float32)
     with no_grad():
-        for lo in range(0, n, batch):
-            b = min(batch, n - lo)
+        for lo in range(0, n, UNCOND_BATCH):
+            b = min(UNCOND_BATCH, n - lo)
             tokens = np.broadcast_to(null, (b,) + null.shape).copy()
             predict = cfg_predictor(unet_call, tokens, null, guidance=1.0)
-            x = ddim_sample(predict, sched, key.child(lo, "init").normal((b, r, r, 3)), steps)
+            x = ddim_sample(predict, sched, key.child(lo, "init").normal((b, r, r, 3)), UNCOND_STEPS)
             out[lo : lo + b] = diffusion_to_image(x)
     return out
 

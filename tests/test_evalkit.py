@@ -7,6 +7,7 @@ import pytest
 
 from bold2img import trainer
 from bold2img.brainmod import BrainModuleConfig
+from bold2img.cli import EXIT_OK, dispatch
 from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import (
     EvalConfig,
@@ -387,6 +388,22 @@ def test_time_sweep_reads_each_checkpoint_once(sweep_world, monkeypatch):
         EvalConfig(steps=1, max_trials_per_subject=2),
     )
     assert sorted(reads) == sorted([Path(general), Path(spec)])
+
+
+def test_eval_and_infer_decode_at_the_checkpoints_shift(sweep_world, tmp_path):
+    manifest, split, _, spec = sweep_world  # spec is trained at -3 TR
+    report = evaluate_split(spec, manifest, split, RngKey(43), EvalConfig(steps=1))
+    assert report.protocol["delta"] == -3 * 1.3
+
+    def infer_deltas(*flags):
+        out = tmp_path / f"infer{len(flags)}"
+        argv = ["--set", f"paths.data={manifest.root}", "--set", "eval.steps=1",
+                "infer", "--ckpt", str(spec), "--limit", "1", "--out", str(out), *flags]
+        assert dispatch(argv) == EXIT_OK
+        return {r["delta"] for r in json.loads((out / "records.json").read_text())}
+
+    assert infer_deltas() == {-3 * 1.3}
+    assert infer_deltas("--delta", "0") == {0.0}
 
 
 def test_time_sweep_requires_time_resolved_split(sweep_world):
