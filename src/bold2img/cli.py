@@ -146,7 +146,9 @@ def train_config(c: dict) -> TrainConfig:
 
 
 def eval_config(c: dict) -> EvalConfig:
-    return config_from_json(EvalConfig, c["eval"])
+    ev = config_from_json(EvalConfig, c["eval"])
+    ev.validate()
+    return ev
 
 
 def _write_resolved(config: dict, command: str, args: dict, out_dir: Path):

@@ -5,13 +5,13 @@ from .evaluate import (
     EvalConfig,
     MetricsReport,
     SweepResult,
-    aggregate_subjects,
     chosen_test_refs,
     duration_sweep,
     evaluate_split,
     held_subject_split,
     match_specialized,
     score_trials,
+    summarize,
     time_sweep,
 )
 from .metrics import (
@@ -32,13 +32,13 @@ __all__ = [
     "EvalConfig",
     "MetricsReport",
     "SweepResult",
-    "aggregate_subjects",
     "chosen_test_refs",
     "duration_sweep",
     "evaluate_split",
     "held_subject_split",
     "match_specialized",
     "score_trials",
+    "summarize",
     "time_sweep",
     "PROBE_SEED",
     "miou",

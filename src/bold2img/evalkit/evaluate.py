@@ -16,7 +16,7 @@ from ..substrate.params import ParamStore
 from ..substrate.rng import RngKey
 from ..synthcortex.dataset import DatasetManifest
 from ..trainer import TrainConfig, infer, load_train_state, train_single_stage
-from .metrics import miou, pixcorr, probe_features, resize_nearest, segment_by_palette, ssim, two_way_id
+from .metrics import SSIM_WINDOW, miou, pixcorr, probe_features, resize_nearest, segment_by_palette, ssim, two_way_id
 
 SCHEMA_VERSION = 1
 METRICS = ("pixcorr", "ssim", "two_way_low", "two_way_high", "miou")
@@ -32,6 +32,25 @@ class EvalConfig:
     deltas_tr: tuple = tuple(range(-6, 10))  # the 16 shifted windows, in TRs
     max_trials_per_subject: int = 0  # time-sweep trials per subject; 0 -> all
 
+    def validate(self):
+        """Reject the settings that fail only after decoding, or not at all."""
+        if self.steps < 1:
+            raise ValueError(f"eval.steps must be >= 1, got {self.steps}")
+        if self.eval_resolution and self.eval_resolution < SSIM_WINDOW:
+            raise ValueError(
+                f"eval.eval_resolution must be 0 (the dataset's) or at least the {SSIM_WINDOW}-pixel SSIM window, "
+                f"got {self.eval_resolution}"
+            )
+        if not 0.0 < self.test_run_fraction < 1.0:
+            raise ValueError(f"eval.test_run_fraction must lie in (0, 1), got {self.test_run_fraction}")
+        if not self.deltas_tr:
+            raise ValueError("eval.deltas_tr must hold at least one shift")
+        if self.max_trials_per_subject < 0 or self.max_trials_per_subject == 1:
+            raise ValueError(
+                "eval.max_trials_per_subject must be 0 (all) or >= 2, the fewest trials two-way "
+                f"identification compares, got {self.max_trials_per_subject}"
+            )
+
     def resolution(self, manifest: DatasetManifest) -> int:
         return self.eval_resolution or manifest.resolution
 
@@ -45,16 +64,6 @@ class MetricsReport:
     reserved_absent: tuple = RESERVED_ABSENT
     schema_version: int = SCHEMA_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "per_subject": self.per_subject,
-            "mean": self.mean,
-            "sem": self.sem,
-            "protocol": self.protocol,
-            "reserved_absent": list(self.reserved_absent),
-        }
-
 
 @dataclass
 class SweepResult:
@@ -63,30 +72,25 @@ class SweepResult:
     protocol: dict
     schema_version: int = SCHEMA_VERSION
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "points": self.points,
-            "protocol": self.protocol,
-        }
 
-
-def aggregate_subjects(per_subject: dict[str, dict[str, float]]) -> tuple[dict, dict]:
-    """Cross-subject mean and SEM (sample std / sqrt(n))."""
+def summarize(per_subject: dict[str, dict[str, float]]) -> dict:
+    """`per_subject` with each metric's cross-subject mean and SEM (sample std / sqrt(n))."""
     mean, sem = {}, {}
     subjects = sorted(per_subject)
     for metric in next(iter(per_subject.values())):
         vals = np.array([per_subject[s][metric] for s in subjects], dtype=np.float64)
         mean[metric] = float(vals.mean())
         sem[metric] = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return mean, sem
+    return {"per_subject": per_subject, "mean": mean, "sem": sem}
 
 
-def _gt_features(manifest: DatasetManifest, cache: dict, stim: str, eval_res: int) -> tuple[np.ndarray, np.ndarray]:
+def _ground_truth(manifest: DatasetManifest, cache: dict, stim: str, eval_res: int) -> tuple:
+    """A stimulus's image at the eval resolution, its palette mask and its low
+    and high probe features, computed on its first request to `cache`."""
     if stim not in cache:
         img = resize_nearest(manifest.load_image(stim), eval_res)
-        cache[stim] = (probe_features(img, "low"), probe_features(img, "high"))
+        mask = segment_by_palette(img, manifest.palette)
+        cache[stim] = (img, mask, probe_features(img, "low"), probe_features(img, "high"))
     return cache[stim]
 
 
@@ -95,47 +99,35 @@ def score_trials(
     recon_images: np.ndarray,
     epochs: list,
     eval_res: int,
-    gt_feature_cache: dict | None = None,
-) -> dict[str, dict[str, float]]:
-    """Per-subject means of all metrics for aligned (reconstruction, epoch) pairs."""
-    gt_feature_cache = gt_feature_cache if gt_feature_cache is not None else {}
-    by_subject: dict[str, dict] = {}
+    truth: dict,
+) -> tuple[dict[str, dict[str, float]], list[np.ndarray]]:
+    """Per-subject means of all metrics for aligned (reconstruction, epoch)
+    pairs, and each reconstruction's low-level probe features in epoch order.
+    `truth` caches the ground truth per stimulus (`_ground_truth`)."""
+    recon = [resize_nearest(img, eval_res) for img in recon_images]
+    recon_low = [probe_features(r, "low") for r in recon]
+    gt_img, gt_mask, gt_low, gt_high = zip(*(_ground_truth(manifest, truth, ep.stimulus_id, eval_res) for ep in epochs))
     n_classes = manifest.palette.shape[0]
-    for img, ep in zip(recon_images, epochs):
-        d = by_subject.setdefault(
-            ep.subject_id,
-            {"pix": [], "ssim": [], "miou": [], "rl": [], "rh": [], "gl": [], "gh": [], "labels": [], "flags": 0},
-        )
-        recon = resize_nearest(img, eval_res)
-        gt_img = resize_nearest(manifest.load_image(ep.stimulus_id), eval_res)
-        r, flagged = pixcorr(recon, gt_img)
-        d["pix"].append(r)
-        d["flags"] += int(flagged)
-        d["ssim"].append(ssim(recon, gt_img))
-        gt_mask = segment_by_palette(gt_img, manifest.palette)
-        d["miou"].append(miou(segment_by_palette(recon, manifest.palette), gt_mask, n_classes))
-        gl, gh = _gt_features(manifest, gt_feature_cache, ep.stimulus_id, eval_res)
-        d["rl"].append(probe_features(recon, "low"))
-        d["rh"].append(probe_features(recon, "high"))
-        d["gl"].append(gl)
-        d["gh"].append(gh)
-        d["labels"].append(ep.stimulus_id)
-
     out: dict[str, dict[str, float]] = {}
-    for sid, d in sorted(by_subject.items()):
-        low_id, low_excl = two_way_id(np.stack(d["rl"]), np.stack(d["gl"]), d["labels"])
-        high_id, high_excl = two_way_id(np.stack(d["rh"]), np.stack(d["gh"]), d["labels"])
+    for sid in sorted({ep.subject_id for ep in epochs}):
+        idx = [i for i, ep in enumerate(epochs) if ep.subject_id == sid]
+        labels = [epochs[i].stimulus_id for i in idx]
+        pix = [pixcorr(recon[i], gt_img[i]) for i in idx]
+        low_id, low_excl = two_way_id(np.stack([recon_low[i] for i in idx]), np.stack([gt_low[i] for i in idx]), labels)
+        recon_high = np.stack([probe_features(recon[i], "high") for i in idx])
+        high_id, high_excl = two_way_id(recon_high, np.stack([gt_high[i] for i in idx]), labels)
+        ious = [miou(segment_by_palette(recon[i], manifest.palette), gt_mask[i], n_classes) for i in idx]
         out[sid] = {
-            "pixcorr": float(np.mean(d["pix"])),
-            "ssim": float(np.mean(d["ssim"])),
+            "pixcorr": float(np.mean([r for r, _ in pix])),
+            "ssim": float(np.mean([ssim(recon[i], gt_img[i]) for i in idx])),
             "two_way_low": low_id,
             "two_way_high": high_id,
-            "miou": float(np.mean(d["miou"])),
-            "n_trials": len(d["labels"]),
-            "flagged_constant": d["flags"],
+            "miou": float(np.mean(ious)),
+            "n_trials": len(idx),
+            "flagged_constant": sum(flagged for _, flagged in pix),
             "excluded_features": low_excl + high_excl,
         }
-    return out
+    return out, recon_low
 
 
 def chosen_test_refs(manifest: DatasetManifest, split: SplitSpec, rep_map: dict[str, int]) -> dict[str, list]:
@@ -215,8 +207,7 @@ def evaluate_split(
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, delta)
     images = decoder(epochs)
 
-    per_subject = score_trials(manifest, images, epochs, eval_res)
-    mean, sem = aggregate_subjects(per_subject)
+    per_subject, _ = score_trials(manifest, images, epochs, eval_res, {})
     protocol = {
         "split": split.kind,
         "subjects": sorted(split.test_refs),
@@ -229,7 +220,7 @@ def evaluate_split(
         "repetition_map": rep_map,
         "seed_path": repr(key),
     }
-    return MetricsReport(per_subject, mean, sem, protocol)
+    return MetricsReport(**summarize(per_subject), protocol=protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +234,39 @@ def _sweep_point_eval(
     epochs: list,
     key: RngKey,
     ev: EvalConfig,
-    gt_cache: dict,
-) -> tuple[dict, dict]:
-    eval_res = ev.resolution(manifest)
+    truth: dict,
+) -> tuple[dict, list[np.ndarray]]:
+    """One model's summary over `epochs`, and its reconstructions' low-level features."""
     images = infer(store, tc, epochs, key, ev.steps, ev.guidance)
-    per_subject = score_trials(manifest, images, epochs, eval_res, gt_cache)
-    # identification of the previous / next stimulus from the same reconstructions
-    neighbor: dict[str, dict[str, float]] = {}
+    per_subject, recon_low = score_trials(manifest, images, epochs, ev.resolution(manifest), truth)
+    return summarize(per_subject), recon_low
+
+
+def _neighbor_entries(manifest: DatasetManifest, epochs: list, recon_low: list, truth: dict, eval_res: int) -> dict:
+    """Two-way low-level identification of the previous / next stimulus from
+    the reconstructions whose features are `recon_low`, for each subject with
+    at least two such trials."""
+    entries = {}
     for which in ("prev", "next"):
-        feats_by_sid: dict[str, dict] = {}
-        for img, ep in zip(images, epochs):
+        by_sid: dict[str, list] = {}
+        for feats, ep in zip(recon_low, epochs):
             other = ep.prev_stimulus_id if which == "prev" else ep.next_stimulus_id
-            if other is None:
-                continue
-            d = feats_by_sid.setdefault(ep.subject_id, {"r": [], "g": [], "labels": []})
-            d["r"].append(probe_features(resize_nearest(img, eval_res), "low"))
-            d["g"].append(_gt_features(manifest, gt_cache, other, eval_res)[0])
-            d["labels"].append(other)
+            if other is not None:
+                _, _, gt_low, _ = _ground_truth(manifest, truth, other, eval_res)
+                by_sid.setdefault(ep.subject_id, []).append((feats, gt_low, other))
         vals = {}
-        for sid, d in sorted(feats_by_sid.items()):
-            if len(d["labels"]) >= 2:
-                vals[sid], _ = two_way_id(np.stack(d["r"]), np.stack(d["g"]), d["labels"])
+        for sid, rows in sorted(by_sid.items()):
+            if len(rows) >= 2:
+                r, g, labels = zip(*rows)
+                vals[sid], _ = two_way_id(np.stack(r), np.stack(g), list(labels))
         if vals:
-            neighbor[which] = vals
-    return per_subject, neighbor
+            summary = summarize({sid: {"two_way_low": v} for sid, v in vals.items()})
+            entries[f"{which}_stimulus_id_general"] = {
+                "per_subject": vals,
+                "mean": summary["mean"]["two_way_low"],
+                "sem": summary["sem"]["two_way_low"],
+            }
+    return entries
 
 
 def match_specialized(specialized_ckpts: dict[float, object], deltas: list[float], tr: float) -> dict[float, object]:
@@ -307,9 +307,9 @@ def time_sweep(
     split = held_subject_split(split, store, general_ckpt)
     t, d = tc.window_t, tc.window_d
     t_len = window_length(d, manifest.tr)
-    cap = ev.max_trials_per_subject
+    cap, eval_res = ev.max_trials_per_subject, ev.resolution(manifest)
     cache = PreprocCache(manifest).build()
-    gt_cache: dict = {}
+    truth: dict = {}
 
     specialized_ckpts = match_specialized(specialized_ckpts, deltas, manifest.tr)
     refs = split.test_refs
@@ -325,35 +325,23 @@ def time_sweep(
     points = []
     for delta in sorted(deltas):
         epochs, skipped = extract_epochs(cache, refs, t, d, delta, skip_out_of_bounds=True)
-        general_subj, neighbor = _sweep_point_eval(store, tc, manifest, epochs, key.child("gen", delta), ev, gt_cache)
-        g_mean, g_sem = aggregate_subjects(general_subj)
+        general, recon_low = _sweep_point_eval(store, tc, manifest, epochs, key.child("gen", delta), ev, truth)
         point = {
             "delta": delta,
             "window_end": t + delta + t_len * manifest.tr,
             "n_trials": len(epochs),
             "n_skipped": skipped,
-            "general": {"per_subject": general_subj, "mean": g_mean, "sem": g_sem},
+            "general": general,
             "specialized": None,
+            **_neighbor_entries(manifest, epochs, recon_low, truth, eval_res),
         }
-        for which, vals in neighbor.items():
-            mean, sem = aggregate_subjects({s: {"two_way_low": v} for s, v in vals.items()})
-            point[f"{which}_stimulus_id_general"] = {
-                "per_subject": vals,
-                "mean": mean["two_way_low"],
-                "sem": sem["two_way_low"],
-            }
         if delta in specialized_ckpts:
             spec_store, _, spec_tc, _ = load_train_state(specialized_ckpts[delta])
-            spec_subj, _ = _sweep_point_eval(
-                spec_store, spec_tc, manifest, epochs, key.child("spec", delta), ev, gt_cache
+            point["specialized"], _ = _sweep_point_eval(
+                spec_store, spec_tc, manifest, epochs, key.child("spec", delta), ev, truth
             )
-            s_mean, s_sem = aggregate_subjects(spec_subj)
-            point["specialized"] = {"per_subject": spec_subj, "mean": s_mean, "sem": s_sem}
         points.append(point)
 
-    ends = [p["window_end"] for p in points]
-    if ends != sorted(ends):
-        raise RuntimeError("window-end times must increase with delta")
     protocol = {
         "subjects": sorted(split.test_refs),
         "window_t": t,
@@ -361,7 +349,7 @@ def time_sweep(
         "deltas": sorted(deltas),
         "steps": ev.steps,
         "guidance": ev.guidance,
-        "eval_resolution": ev.resolution(manifest),
+        "eval_resolution": eval_res,
         "max_trials_per_subject": cap or None,
         "specialized_available": sorted(specialized_ckpts),
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .evaluate import METRICS, MetricsReport, SweepResult
@@ -12,7 +13,7 @@ def emit_report(report: MetricsReport, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jpath = out_dir / "report.json"
-    jpath.write_text(json.dumps(report.to_json(), sort_keys=True, indent=1))
+    jpath.write_text(json.dumps(asdict(report), sort_keys=True, indent=1))
     cpath = out_dir / "report.csv"
     with open(cpath, "w") as f:
         f.write("subject,metric,value\n")
@@ -29,25 +30,26 @@ def emit_sweep(sweep: SweepResult, out_dir, name: str = "sweep") -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jpath = out_dir / f"{name}.json"
-    jpath.write_text(json.dumps(sweep.to_json(), sort_keys=True, indent=1))
+    jpath.write_text(json.dumps(asdict(sweep), sort_keys=True, indent=1))
+    is_time = sweep.kind == "time"
     cpath = out_dir / f"{name}.csv"
     with open(cpath, "w") as f:
-        if sweep.kind == "time":
-            f.write("delta,window_end,model,metric,value\n")
-            for p in sweep.points:
-                for model in ("general", "specialized"):
-                    if p.get(model) is None:
-                        continue
-                    for metric in METRICS:
-                        f.write(f"{p['delta']},{p['window_end']},{model},{metric},{p[model]['mean'][metric]}\n")
-        else:
-            f.write("duration_s,window_samples,metric,value\n")
-            for p in sweep.points:
+        f.write("delta,window_end,model,metric,value\n" if is_time else "duration_s,window_samples,metric,value\n")
+        for p in sweep.points:
+            for model, mean in _model_means(sweep, p).items():
+                row = f"{p['delta']},{p['window_end']},{model}" if is_time else f"{p['duration_s']},{p['window_samples']}"
                 for metric in METRICS:
-                    f.write(f"{p['duration_s']},{p['window_samples']},{metric},{p['mean'][metric]}\n")
+                    f.write(f"{row},{metric},{mean[metric]}\n")
     spath = out_dir / f"{name}.svg"
     spath.write_text(_sweep_svg(sweep))
     return [jpath, cpath, spath]
+
+
+def _model_means(sweep: SweepResult, point: dict) -> dict[str, dict[str, float]]:
+    """Per-metric means at a sweep point by model; a duration sweep's one model counts as general."""
+    if sweep.kind == "time":
+        return {m: point[m]["mean"] for m in ("general", "specialized") if point[m] is not None}
+    return {"general": point["mean"]}
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,7 @@ def _sweep_svg(sweep: SweepResult) -> str:
         x_of = lambda p: p["duration_s"]
         x_label = "duration (s)"
     xs = [x_of(p) for p in sweep.points]
+    means = [_model_means(sweep, p) for p in sweep.points]
     xmin, xmax = min(xs), max(xs)
     width = len(METRICS) * _PANEL_W
     parts = [
@@ -88,11 +91,7 @@ def _sweep_svg(sweep: SweepResult) -> str:
         y0 = _MARGIN
         series = {}
         for model in ("general", "specialized"):
-            pts = [
-                (x_of(p), p[model]["mean"][metric])
-                for p in sweep.points
-                if p.get(model) is not None
-            ] if sweep.kind == "time" else ([(x_of(p), p["mean"][metric]) for p in sweep.points] if model == "general" else [])
+            pts = [(x, m[model][metric]) for x, m in zip(xs, means) if model in m]
             if pts:
                 series[model] = pts
         ys = [y for pts in series.values() for _, y in pts]

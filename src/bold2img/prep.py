@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +53,11 @@ def detrend(run: FmriRun, cutoff_s: float = DEFAULT_CUTOFF_S) -> FmriRun:
     y = run.data.astype(np.float64)
     beta = np.linalg.solve(basis.T @ basis, basis.T @ y.T)
     resid = (y.T - basis @ beta).T
-    out = FmriRun(resid.astype(np.float32), run.timeline, run.subject_id, run.run_id, dict(run.meta))
-    out.meta["detrend_cutoff_s"] = cutoff_s
-    out.meta["drift_basis_cols"] = basis.shape[1]
-    return out
+    return FmriRun(resid.astype(np.float32), run.timeline, run.subject_id, run.run_id)
 
 
 def zscore(run: FmriRun) -> FmriRun:
-    """Per-voxel zero mean / unit population std; flat voxels zeroed and flagged."""
+    """Per-voxel zero mean / unit population std; flat voxels zeroed."""
     if run.timeline.n_volumes < 2:
         raise ValueError("z-scoring needs at least 2 volumes")
     y = run.data.astype(np.float64)
@@ -70,9 +67,7 @@ def zscore(run: FmriRun) -> FmriRun:
     sd[degenerate] = 1.0
     z = (y - mu) / sd
     z[degenerate] = 0.0
-    out = FmriRun(z.astype(np.float32), run.timeline, run.subject_id, run.run_id, dict(run.meta))
-    out.meta["degenerate_voxels"] = np.nonzero(degenerate)[0].tolist()
-    return out
+    return FmriRun(z.astype(np.float32), run.timeline, run.subject_id, run.run_id)
 
 
 def preprocess_run(run: FmriRun, cutoff_s: float = DEFAULT_CUTOFF_S) -> FmriRun:
@@ -172,7 +167,6 @@ class SplitSpec:
     train_refs: dict[str, list[tuple[int, int]]]  # subject -> [(run_idx, event_idx)]
     test_refs: dict[str, list[tuple[int, int]]]
     test_stimuli: list[str]
-    meta: dict = field(default_factory=dict)
 
 
 def build_split_standard(manifest: DatasetManifest) -> SplitSpec:
@@ -199,7 +193,6 @@ def build_split_time_resolved(
     train_refs: dict[str, list] = {}
     test_refs: dict[str, list] = {}
     test_stimuli: set[str] = set()
-    test_runs_meta: dict[str, list[int]] = {}
     for subj in manifest.subject_ids:
         n_runs = len(manifest.runs[subj])
         if n_runs < 2:
@@ -207,9 +200,10 @@ def build_split_time_resolved(
         n_test = int(round(n_runs * test_run_fraction))
         if n_test < 1:
             raise ValueError(f"{subj}: test fraction {test_run_fraction} yields 0 test runs")
+        if n_test >= n_runs:
+            raise ValueError(f"{subj}: test fraction {test_run_fraction} puts all {n_runs} runs on the test side")
         perm = key.child("tr-split", subj).permutation(n_runs)
         test_set = set(int(r) for r in perm[:n_test])
-        test_runs_meta[subj] = sorted(test_set)
         train_refs[subj] = []
         test_refs[subj] = []
         for r, entry in enumerate(manifest.runs[subj]):
@@ -218,13 +212,7 @@ def build_split_time_resolved(
                 side[subj].append((r, e))
                 if r in test_set:
                     test_stimuli.add(ev["stimulus_id"])
-    return SplitSpec(
-        "time_resolved",
-        train_refs,
-        test_refs,
-        sorted(test_stimuli),
-        meta={"test_runs": test_runs_meta, "test_run_fraction": test_run_fraction},
-    )
+    return SplitSpec("time_resolved", train_refs, test_refs, sorted(test_stimuli))
 
 
 def pick_test_repetitions(split: SplitSpec, key: RngKey) -> dict[str, int]:

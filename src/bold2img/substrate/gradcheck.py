@@ -15,7 +15,7 @@ import numpy as np
 from . import ops
 from .params import ParamStore
 from .rng import RngKey
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 MIN_SAMPLED_ENTRIES = 64
 SUBSAMPLE_KEY = RngKey(0, ("gradcheck", "subsample"))  # picks the entries checked of a larger tensor
@@ -198,10 +198,11 @@ def gradcheck(
         worst = 0.0
         for i in idx:
             orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = _reduce(build(params, inputs)).item()
-            flat[i] = orig - eps
-            f_minus = _reduce(build(params, inputs)).item()
+            with no_grad():  # the differences need only the forward values
+                flat[i] = orig + eps
+                f_plus = _reduce(build(params, inputs)).item()
+                flat[i] = orig - eps
+                f_minus = _reduce(build(params, inputs)).item()
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             rel = abs(analytic.reshape(-1)[i] - numeric) / max(1.0, abs(numeric))

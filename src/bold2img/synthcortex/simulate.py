@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class FmriRun:
     timeline: RunTimeline
     subject_id: str
     run_id: str
-    meta: dict = field(default_factory=dict)
 
     def validate(self):
         if self.data.shape[1] != self.timeline.n_volumes:

@@ -8,6 +8,7 @@ prints one ACCEPTANCE PASS/FAIL line.
 
 import contextlib
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import acceptance_world as world
 from bold2img.brainmod import BrainModuleConfig, brain_forward_batch, init_brain_module
 from bold2img.cli import EXIT_OK, dispatch
 from bold2img.diffgen import (
+    UNetConfig,
     bicubic_cdf,
     cfg_combine,
     create_lora_adapters,
@@ -198,35 +200,27 @@ def test_criterion_4_brain_module():
 # criterion 5: regime freezing after 100 steps
 
 
-def _regime_world():
-    root = world.cache_root() / "regimes"
-    cfg = DatasetConfig(
-        n_subjects=2, n_train_unique=20, n_test_unique=5, trials_per_run=25,
-        voxel_lo=380, voxel_hi=620,
-    )
-    if not (root / "ds" / "manifest.json").exists():
-        build_dataset(cfg, RngKey(55), root / "ds")
-    from bold2img.synthcortex import load_manifest
-
-    manifest = load_manifest(root / "ds")
-    tc = TrainConfig(steps=100, pretrain_steps=50, warmup_steps=20, seed=55)
-    if not (root / "pre" / "manifest.json").exists():
-        pretrain_generator(manifest, tc, root / "pre")
-    return manifest, root, tc
-
-
-def test_criterion_5_regime_freezing():
+def test_criterion_5_regime_freezing(tmp_path):
     with criterion(5, "per-regime parameter hashes move only on the declared trainable set (100 steps)"):
-        manifest, root, tc = _regime_world()
+        cfg = DatasetConfig(
+            n_subjects=2, n_train_unique=20, n_test_unique=5, trials_per_run=25,
+            voxel_lo=380, voxel_hi=620,
+        )
+        manifest = build_dataset(cfg, RngKey(55), tmp_path / "ds")
+        # toy-scale networks, so the five regimes train in seconds
+        tc = TrainConfig(
+            steps=100, pretrain_steps=50, warmup_steps=20, batch_size=8, seed=55,
+            brain=BrainModuleConfig(hidden=16, tokens=4, token_dim=8),
+            unet=UNetConfig(resolution=32, channels=(8, 8, 16), tokens=4, token_dim=8),
+        )
+        pretrain_generator(manifest, tc, tmp_path / "pre")
         from bold2img.prep import build_split_standard
 
         split = build_split_standard(manifest)
-        pre_store, _, _, _ = load_train_state(root / "pre")
+        pre_store, _, _, _ = load_train_state(tmp_path / "pre")
         for regime in REGIMES:
-            out = root / f"train_{regime}"
-            if not (out / "manifest.json").exists():
-                cfg = TrainConfig(steps=100, pretrain_steps=50, warmup_steps=20, seed=55, regime=regime)
-                train_single_stage(manifest, split, root / "pre", cfg, out, subjects=["sub01"])
+            out = tmp_path / f"train_{regime}"
+            train_single_stage(manifest, split, tmp_path / "pre", replace(tc, regime=regime), out, subjects=["sub01"])
             store, _, _, _ = load_train_state(out)
             declared = regime_trainable_names(store, regime)
             for name in pre_store.names():

@@ -227,6 +227,37 @@ def test_sweep_duration_honours_eval_keys(cli_world, tmp_path):
     assert protocol["steps"] == 2 and protocol["eval_resolution"] == 16
 
 
+@pytest.fixture(scope="module")
+def cli_ckpt(cli_world):
+    out = Path(cli_world) / "train_for_eval"
+    assert _run(cli_world, "train", "--out", str(out)) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize(
+    "override, argv",
+    [
+        ("deltas_tr=[]", ["sweep-time", "--general", "CKPT"]),
+        ("max_trials_per_subject=1", ["sweep-time", "--general", "CKPT"]),
+        ("eval_resolution=-4", ["eval", "--ckpt", "CKPT"]),
+        ("test_run_fraction=1.5", ["train", "--split", "time-resolved"]),
+        ("steps=0", ["infer", "--ckpt", "CKPT"]),
+        ("steps=0", ["sweep-duration", "--durations-tr", "2"]),
+        ("steps=0", ["ablate-brainmod"]),
+    ],
+    ids=["no_shifts", "one_trial", "negative_resolution", "every_run_tested", "no_steps_infer",
+         "no_steps_duration", "no_steps_ablate"],
+)
+def test_eval_settings_rejected_before_decoding_or_training(cli_world, cli_ckpt, tmp_path, capsys, override, argv):
+    out = tmp_path / "out"
+    argv = [str(cli_ckpt) if a == "CKPT" else a for a in argv]
+    code = _run(cli_world, "--set", "eval.test_run_fraction=0.34", "--set", "eval.deltas_tr=[0]",
+                "--set", "eval.max_trials_per_subject=2", "--set", f"eval.{override}", *argv, "--out", str(out))
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().err.startswith(f"error: eval.{override.split('=')[0]} must")
+    assert not out.exists()
+
+
 def test_train_flags_are_no_second_names_for_train_keys():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     renames = {a.dest: a.option_strings for a in sub.choices["train"]._actions if a.dest in DEFAULT_CONFIG["train"]}

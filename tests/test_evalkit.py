@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from bold2img.cli import EXIT_OK, dispatch
 from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import (
     EvalConfig,
+    evaluate,
     emit_report,
     emit_sweep,
     evaluate_split,
@@ -284,7 +286,7 @@ def test_evaluate_deterministic_protocol(eval_world):
     dec = _perfect_decoder(manifest)
     r1 = evaluate_split(None, manifest, split, RngKey(9, ("det",)), EvalConfig(), decoder=dec)
     r2 = evaluate_split(None, manifest, split, RngKey(9, ("det",)), EvalConfig(), decoder=dec)
-    assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
+    assert json.dumps(asdict(r1), sort_keys=True) == json.dumps(asdict(r2), sort_keys=True)
     assert r1.protocol["repetition_map"] == r2.protocol["repetition_map"]
 
 
@@ -301,7 +303,7 @@ def test_report_emission_roundtrip(eval_world, tmp_path):
     manifest, split, _ = eval_world
     report = evaluate_split(None, manifest, split, RngKey(2, ("emit",)), EvalConfig(), decoder=_perfect_decoder(manifest))
     files = emit_report(report, tmp_path)
-    assert json.loads(files[0].read_text()) == report.to_json()
+    assert json.loads(files[0].read_text()) == json.loads(json.dumps(asdict(report)))
     csv = files[1].read_text().strip().splitlines()
     assert csv[0] == "subject,metric,value"
     assert any(line.startswith("mean,miou,") for line in csv)
@@ -388,6 +390,45 @@ def test_time_sweep_reads_each_checkpoint_once(sweep_world, monkeypatch):
         EvalConfig(steps=1, max_trials_per_subject=2),
     )
     assert sorted(reads) == sorted([Path(general), Path(spec)])
+
+
+def test_time_sweep_reads_and_probes_each_image_once(sweep_world, monkeypatch):
+    # every reconstruction and every ground-truth stimulus (the trials' own
+    # and their neighbours) is probed once, and each stimulus is read once
+    manifest, split, general, spec = sweep_world
+    calls = {"low": 0, "load": 0, "recon": 0}
+    stimuli: set[str] = set()
+    real_extract, real_infer = evaluate.extract_epochs, evaluate.infer
+    real_probe, real_load = evaluate.probe_features, manifest.load_image
+
+    def extract(*args, **kwargs):
+        epochs, skipped = real_extract(*args, **kwargs)
+        stimuli.update(s for e in epochs for s in (e.stimulus_id, e.prev_stimulus_id, e.next_stimulus_id) if s)
+        return epochs, skipped
+
+    def infer(store, tc, epochs, *args):
+        calls["recon"] += len(epochs)
+        return real_infer(store, tc, epochs, *args)
+
+    def probe(img, kind):
+        calls["low"] += kind == "low"
+        return real_probe(img, kind)
+
+    def load(stim):
+        calls["load"] += 1
+        return real_load(stim)
+
+    monkeypatch.setattr(evaluate, "extract_epochs", extract)
+    monkeypatch.setattr(evaluate, "infer", infer)
+    monkeypatch.setattr(evaluate, "probe_features", probe)
+    monkeypatch.setattr(manifest, "load_image", load)
+    time_sweep(
+        general, {-3 * 1.3: spec}, manifest, split, RngKey(44), [-3 * 1.3, 0.0, 2 * 1.3],
+        EvalConfig(steps=1, max_trials_per_subject=4),
+    )
+    assert calls["recon"] > 0 and stimuli
+    assert calls["low"] == calls["recon"] + len(stimuli)
+    assert calls["load"] == len(stimuli)
 
 
 def test_eval_and_infer_decode_at_the_checkpoints_shift(sweep_world, tmp_path):

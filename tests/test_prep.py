@@ -85,11 +85,10 @@ def test_zscore_two_values():
     np.testing.assert_allclose(out.data[0], [-1.0, 1.0], atol=1e-6)
 
 
-def test_zscore_constant_voxel_flagged():
+def test_zscore_constant_voxel_zeroed():
     run = _run_from(np.array([[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]]))
     out = zscore(run)
     np.testing.assert_array_equal(out.data[0], 0.0)
-    assert out.meta["degenerate_voxels"] == [0]
 
 
 def test_zscore_moments():
@@ -256,6 +255,13 @@ def test_time_resolved_zero_test_runs_errors(small_dataset):
     _, m = small_dataset
     with pytest.raises(ValueError, match="0 test runs"):
         build_split_time_resolved(m, RngKey(0), test_run_fraction=0.01)
+
+
+def test_time_resolved_all_test_runs_errors(small_dataset):
+    # 5 runs per subject at 0.95 round to 5 test runs and leave none to train on
+    _, m = small_dataset
+    with pytest.raises(ValueError, match=f"{m.subject_ids[0]}: test fraction 0.95 puts all 5 runs on the test side"):
+        build_split_time_resolved(m, RngKey(0), test_run_fraction=0.95)
 
 
 def test_pick_test_repetitions_deterministic_and_uniform():
