@@ -134,8 +134,17 @@ def resolve_config(config_file: str | None, overrides: list[str]) -> dict:
     return config
 
 
+def _validated(config, section: str):
+    """Run the section's own checks; a rejected value is a config error."""
+    try:
+        config.validate()
+    except ValueError as e:
+        raise ConfigError(section, str(e)) from None
+    return config
+
+
 def dataset_config(c: dict) -> DatasetConfig:
-    return config_from_json(DatasetConfig, c["dataset"])
+    return _validated(config_from_json(DatasetConfig, c["dataset"]), "dataset")
 
 
 def train_config(c: dict) -> TrainConfig:
@@ -146,9 +155,7 @@ def train_config(c: dict) -> TrainConfig:
 
 
 def eval_config(c: dict) -> EvalConfig:
-    ev = config_from_json(EvalConfig, c["eval"])
-    ev.validate()
-    return ev
+    return _validated(config_from_json(EvalConfig, c["eval"]), "eval")
 
 
 def _write_resolved(config: dict, command: str, args: dict, out_dir: Path):

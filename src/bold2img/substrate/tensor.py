@@ -4,6 +4,11 @@ A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward()`` on a scalar walks the graph in reverse topological order and
 accumulates gradients into every node that requires them. Compute dtype
 follows the inputs: float32 for training, float64 for gradient checks.
+
+The reverse pass frees what it has used: once a node's backward has run, the
+node drops its edges, its closure and its gradient, so each activation and
+activation gradient is released after its last consumer. Callers read the
+gradients of leaves (parameters and inputs) only; the root keeps its ones.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         if isinstance(data, np.generic):
@@ -44,7 +49,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward_fn = backward_fn
-        self._grad_owned = False
 
     @property
     def shape(self):
@@ -66,23 +70,16 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray, fresh: bool = False):
-        """Add a gradient contribution.
+        """Add a gradient contribution: store the first (copied unless fresh),
+        add later ones in place.
 
         `fresh=True` promises g is a newly allocated array no one else holds,
         so it can be stored (and later updated) without a defensive copy.
         """
         if self.grad is None:
-            if fresh:
-                self.grad = g
-                self._grad_owned = True
-            else:
-                self.grad = np.array(g)
-                self._grad_owned = True
-        elif self._grad_owned:
-            self.grad += g
+            self.grad = g if fresh else np.array(g)
         else:
-            self.grad = self.grad + g
-            self._grad_owned = True
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -103,10 +100,15 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-            # Graph edges are one-shot; free them so activations can be GC'd.
+        # Pop each node as it runs so that, once its edges, closure and
+        # gradient are dropped, nothing here keeps its arrays alive.
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                if node is not self:
+                    node.grad = None
             node._parents = ()
             node._backward_fn = None
 

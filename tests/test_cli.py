@@ -253,9 +253,16 @@ def test_eval_settings_rejected_before_decoding_or_training(cli_world, cli_ckpt,
     argv = [str(cli_ckpt) if a == "CKPT" else a for a in argv]
     code = _run(cli_world, "--set", "eval.test_run_fraction=0.34", "--set", "eval.deltas_tr=[0]",
                 "--set", "eval.max_trials_per_subject=2", "--set", f"eval.{override}", *argv, "--out", str(out))
-    assert code == EXIT_FAIL
-    assert capsys.readouterr().err.startswith(f"error: eval.{override.split('=')[0]} must")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error at eval: eval.{override.split('=')[0]} must")
     assert not out.exists()
+
+
+def test_dataset_setting_rejected_before_anything_is_written(tmp_path, capsys):
+    code = _run(tmp_path, "--set", "dataset.voxel_lo=0", "gen-data")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error at dataset: dataset.voxel_lo must")
+    assert not (tmp_path / "dataset").exists()
 
 
 def test_train_flags_are_no_second_names_for_train_keys():

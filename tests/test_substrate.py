@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,40 @@ def test_no_grad_suppresses_graph():
     with no_grad():
         y = ops.matmul(Tensor(np.ones((2, 3), dtype=np.float32)), w)
     assert not y.requires_grad
+
+
+def test_backward_clears_interior_grads_and_keeps_leaf_grads():
+    key = RngKey(3, ("release",))
+    x = Tensor(key.child("x").normal((4, 6)), requires_grad=True)
+    w = Tensor(key.child("w").normal((6, 3)), requires_grad=True)
+    hidden = ops.linear(x, w)
+    loss = ops.mse_loss(ops.silu(hidden), np.zeros((4, 3), dtype=np.float32))
+    loss.backward()
+    assert hidden.grad is None
+    assert x.grad is not None and x.grad.shape == x.shape
+    assert w.grad is not None and w.grad.shape == w.shape
+    assert loss.grad == 1.0
+
+
+def test_backward_frees_each_activation_and_gradient_after_use():
+    x = Tensor(np.full(1 << 18, 0.5, dtype=np.float32), requires_grad=True)  # 1 MB
+    nbytes = x.data.nbytes
+    tracemalloc.start()
+    try:
+        y = x
+        for _ in range(10):  # 20 nodes, about 30 MB of activations and saved arrays
+            y = ops.silu(ops.scale(y, 0.9))
+        loss = ops.mse_loss(y, np.zeros_like(x.data))
+        del y
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # kept to the end, the activation gradients would raise the peak by about 10 MB
+    assert peak - start < 4 * nbytes
+    assert x.grad is not None
 
 
 def test_layer_norm_zero_variance_returns_shift():
