@@ -39,12 +39,13 @@ class BrainModuleConfig:
     aggregation_position: str = AGG_OUT
 
     def validate(self):
-        if min(self.hidden, self.tokens, self.token_dim) <= 0:
-            raise ValueError("hidden, tokens and token_dim must be positive")
+        for key in ("hidden", "tokens", "token_dim"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"train.brain.{key} must be positive, got {getattr(self, key)}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"train.brain.dropout must be in [0, 1), got {self.dropout}")
         if self.aggregation_position not in (AGG_IN, AGG_OUT):
-            raise ValueError(f"aggregation_position must be IN or OUT, got {self.aggregation_position}")
+            raise ValueError(f"train.brain.aggregation_position must be IN or OUT, got {self.aggregation_position!r}")
 
 
 def init_brain_module(
@@ -98,7 +99,6 @@ def brain_forward_batch(
     key: RngKey | None = None,
 ) -> Tensor:
     """Tokens for a batch of same-subject windows: (B, C, T) -> (B, P, D)."""
-    config.validate()
     if f"brain/subject/{subject_id}/w" not in store:
         raise KeyError(f"no subject layer for {subject_id!r}")
     b, c, t = x.shape
@@ -111,23 +111,20 @@ def brain_forward_batch(
     xt = Tensor(np.ascontiguousarray(np.transpose(x, (0, 2, 1))))  # (B, T, C)
     z = ops.linear(xt, store[f"brain/subject/{subject_id}/w"], store[f"brain/subject/{subject_id}/b"])
 
-    w_ts = store[f"brain/tstep/{subject_id}/w"]
-    b_ts = store[f"brain/tstep/{subject_id}/b"]
+    # the stored stack sets the wiring: T matrices, one per sample, or one shared
+    w_ts = store[f"brain/tstep/{subject_id}/w"]  # (T or 1, H, H)
+    b_ts = store[f"brain/tstep/{subject_id}/b"]  # (T or 1, 1, H)
 
     if config.aggregation_position == AGG_IN:
         u = ops.time_aggregate(z, store["brain/agg/w"], store["brain/agg/b"])  # (B, H)
-        u = ops.add(ops.matmul(u, ops.reshape(w_ts, (config.hidden, config.hidden))), ops.reshape(b_ts, (1, config.hidden)))
+        u = ops.linear(u, ops.reshape(w_ts, (config.hidden, config.hidden)), ops.reshape(b_ts, (config.hidden,)))
         u = ops.layer_norm(u, store["brain/ln/g"], store["brain/ln/b"])
         u = ops.gelu(u)
         if training:
             u = ops.dropout(u, config.dropout, key.child("drop"))
     else:
-        if config.timestep_layer_enabled:
-            zt = ops.transpose(z, (1, 0, 2))  # (T, B, H)
-            zt = ops.add(ops.matmul(zt, w_ts), b_ts)
-            z = ops.transpose(zt, (1, 0, 2))
-        else:
-            z = ops.add(ops.matmul(z, ops.reshape(w_ts, (config.hidden, config.hidden))), ops.reshape(b_ts, (1, 1, config.hidden)))
+        zt = ops.add(ops.matmul(ops.transpose(z, (1, 0, 2)), w_ts), b_ts)  # (T, B, H)
+        z = ops.transpose(zt, (1, 0, 2))
         z = ops.layer_norm(z, store["brain/ln/g"], store["brain/ln/b"])
         z = ops.gelu(z)
         if training:

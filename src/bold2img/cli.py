@@ -129,6 +129,8 @@ def resolve_config(config_file: str | None, overrides: list[str]) -> dict:
         config["paths"]["data"] = str(Path(root) / "dataset")
     if not config["paths"]["pretrain"]:
         config["paths"]["pretrain"] = str(Path(root) / "pretrain")
+    if config["workers"] < 0:
+        raise ConfigError("workers", f"must be >= 0 (0 means all cores), got {config['workers']}")
     if not config["workers"]:
         config["workers"] = os.cpu_count() or 1
     return config
@@ -151,7 +153,7 @@ def train_config(c: dict) -> TrainConfig:
     """The train section plus the seed and the U-Net fields linked to other keys."""
     t, brain = c["train"], c["train"]["brain"]
     unet = dict(t["unet"], resolution=c["dataset"]["resolution"], tokens=brain["tokens"], token_dim=brain["token_dim"])
-    return config_from_json(TrainConfig, dict(t, seed=c["seed"], unet=unet))
+    return _validated(config_from_json(TrainConfig, dict(t, seed=c["seed"], unet=unet)), "train")
 
 
 def eval_config(c: dict) -> EvalConfig:
@@ -198,19 +200,20 @@ def cmd_preprocess(config, args):
 
 
 def cmd_pretrain_gen(config, args):
+    tc = train_config(config)
     manifest = load_manifest(config["paths"]["data"])
     out = Path(config["paths"]["pretrain"])
-    pretrain_generator(manifest, train_config(config), out)
+    pretrain_generator(manifest, tc, out)
     _write_resolved(config, "pretrain-gen", vars(args), out)
     print(f"pretrained generator -> {out}")
     return EXIT_OK
 
 
 def cmd_train(config, args):
-    manifest = load_manifest(config["paths"]["data"])
     if args.regime is not None:  # recorded in the resolved config
         config["train"]["regime"] = args.regime
     tc = train_config(config)
+    manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, args.split, config)
     out = Path(args.out or Path(config["paths"]["out_root"]) / "train")
     subjects = args.subjects.split(",") if args.subjects else None
@@ -300,6 +303,7 @@ def cmd_sweep_time(config, args):
 
 
 def cmd_sweep_duration(config, args):
+    tc = train_config(config)
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, "standard", config)
     durations = [k * manifest.tr for k in (args.durations_tr or [1, 2, 3, 4, 5, 6])]
@@ -308,7 +312,7 @@ def cmd_sweep_duration(config, args):
         manifest,
         split,
         config["paths"]["pretrain"],
-        train_config(config),
+        tc,
         durations,
         out,
         RngKey(config["seed"], ("sweep-duration",)),
@@ -321,9 +325,9 @@ def cmd_sweep_duration(config, args):
 
 
 def cmd_ablate_brainmod(config, args):
+    base, ev = train_config(config), eval_config(config)
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, "standard", config)
-    base, ev = train_config(config), eval_config(config)
     variants = {
         "no_timestep_agg_out": replace(base.brain, timestep_layer_enabled=False),
         "timestep_agg_in": replace(base.brain, aggregation_position=AGG_IN),
@@ -433,9 +437,8 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(args.config, args.set)
-        if args.workers:
-            config["workers"] = args.workers
+        workers = [f"workers={args.workers}"] if args.workers else []  # the flag is one more override
+        config = resolve_config(args.config, args.set + workers)
         return _COMMANDS[args.command](config, args)
     except ConfigError as e:
         print(f"config error at {e}", file=sys.stderr)

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .rng import RngKey
 from .tensor import Tensor, as_tensor, grad_enabled, make_node
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, as Python floats
 GN_GROUPS = 8  # channel groups of every group norm
 NORM_EPS = 1e-5  # variance floor of group and layer norm
 TIMESTEP_MAX_PERIOD = 10000.0  # longest wavelength of the timestep features
@@ -162,7 +162,8 @@ def mse_loss(a, target) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """2-D or batched 3-D matrix product (batch dims must match, or b is 2-D)."""
+    """2-D or batched 3-D matrix product. Batch dims match, b is 2-D, or a batch
+    of one on either side broadcasts (and its gradient is summed over the batch)."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data @ b.data
 
@@ -276,8 +277,6 @@ def _conv_taps(rows: np.ndarray, w4: np.ndarray) -> np.ndarray:
     so the conv is three K=3C GEMMs over row windows shifted by 0, W and
     2W. Anchors at i = H, H+1 give junk rows; the result is the view of the
     valid ones. Rows go in L2-sized blocks through one product buffer.
-    Only numpy's matmul is used: scipy's BLAS wrappers load a second OpenBLAS
-    and switching between the two libraries costs milliseconds per call.
     """
     bb, hp, w, c3 = rows.shape
     cout = w4.shape[3]
@@ -499,8 +498,9 @@ def layer_norm(x, gamma, beta) -> Tensor:
 
 
 def gelu(x) -> Tensor:
+    """x * Phi(x), the exact normal CDF: `math.erf` in double, rounded to x's dtype."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + np.asarray(_erf(x.data * _INV_SQRT2), x.data.dtype))
     out = x.data * cdf
 
     def backward(g):
@@ -508,7 +508,7 @@ def gelu(x) -> Tensor:
             pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
             x.accumulate_grad(g * (cdf + x.data * pdf), fresh=True)
 
-    return make_node(out.astype(x.data.dtype, copy=False), (x,), backward)
+    return make_node(out, (x,), backward)
 
 
 def _sigmoid(y: np.ndarray) -> np.ndarray:

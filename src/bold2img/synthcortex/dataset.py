@@ -15,6 +15,7 @@ interrupted build leaves a root that fails to load instead of a mix of two.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -198,13 +199,8 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
         run = simulate_run(subjects[sid], timeline, scenes, run_key, config.noise_scale, config.drift_scale, run_id)
         return sid, r, run, timeline
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(synthesize, jobs))
-    else:
-        results = [synthesize(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(synthesize, jobs))
     for sid, r, run, timeline in results:
         rel = f"runs/{sid}_{run.run_id}.bin"
         write_tensor(root / rel, run.data)

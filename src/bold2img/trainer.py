@@ -95,11 +95,12 @@ class TrainConfig:
 
     def validate(self):
         if not 0.0 <= self.cond_dropout < 1.0:
-            raise ValueError("cond_dropout must be in [0, 1)")
+            raise ValueError(f"train.cond_dropout must be in [0, 1), got {self.cond_dropout}")
         if self.warmup_steps >= self.steps:
-            raise ValueError(f"warmup ({self.warmup_steps}) must be below steps ({self.steps})")
+            raise ValueError(f"train.warmup_steps must be below train.steps ({self.steps}), got {self.warmup_steps}")
         if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
+            raise ValueError(f"train.regime must be one of {REGIMES}, got {self.regime!r}")
+        self.brain.validate()
 
     @staticmethod
     def from_json(d: dict) -> "TrainConfig":

@@ -265,6 +265,35 @@ def test_dataset_setting_rejected_before_anything_is_written(tmp_path, capsys):
     assert not (tmp_path / "dataset").exists()
 
 
+@pytest.mark.parametrize(
+    "override, command",
+    [
+        ("brain.dropout=1.5", "train"),
+        ("brain.dropout=1.5", "pretrain-gen"),
+        ("brain.hidden=0", "train"),
+        ("brain.aggregation_position=MID", "pretrain-gen"),
+        ("warmup_steps=9", "train"),
+        ("regime=bogus", "train"),
+        ("cond_dropout=1", "pretrain-gen"),
+        ("brain.hidden=0", "ablate-brainmod"),
+        ("regime=bogus", "sweep-duration"),
+    ],
+)
+def test_train_setting_rejected_before_anything_is_read_or_written(tmp_path, capsys, override, command):
+    code = _run(tmp_path, "--set", f"train.{override}", command)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error at train: train.{override.split('=')[0]} must")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--set", "workers=-2"], ["--workers", "-2"]], ids=["key", "flag"])
+def test_negative_workers_rejected(tmp_path, capsys, argv):
+    code = _run(tmp_path, *argv, "gen-data")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error at workers: must be >= 0")
+    assert not any(tmp_path.iterdir())
+
+
 def test_train_flags_are_no_second_names_for_train_keys():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     renames = {a.dest: a.option_strings for a in sub.choices["train"]._actions if a.dest in DEFAULT_CONFIG["train"]}

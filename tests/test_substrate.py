@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tracemalloc
 
@@ -49,6 +50,15 @@ def test_gradcheck_gelu_at_zero():
     params.add("x", np.zeros((4, 5), dtype=np.float64))
     report = gradcheck("gelu", params, [], eps=1e-5, tol=1e-3)
     assert report.passed, report.failures
+
+
+def test_gelu_is_the_exact_erf_form_in_float32():
+    x = np.concatenate([np.linspace(-10, 10, 2001), RngKey(3).normal((999,), 2.0, np.float64)]).astype(np.float32)
+    erf = np.array([math.erf(v) for v in (x * np.float32(1 / math.sqrt(2))).tolist()], np.float32)
+    want = x * (np.float32(0.5) * (np.float32(1) + erf))
+    got = ops.gelu(x).data
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)
 
 
 def test_gradcheck_detects_corrupted_gradient():

@@ -360,9 +360,10 @@ def test_dataset_manifest_corrupt_names_the_file(tiny_dataset, tmp_path_factory,
 
 
 def test_dataset_byte_identical_rebuild(tmp_path):
+    # the runs synthesize in a pool: its size must not reach the bytes
     cfg = DatasetConfig(n_subjects=1, n_train_unique=8, n_test_unique=2, trials_per_run=15)
     m1 = build_dataset(cfg, RngKey(77), tmp_path / "a")
-    m2 = build_dataset(cfg, RngKey(77), tmp_path / "b")
+    m2 = build_dataset(cfg, RngKey(77), tmp_path / "b", workers=3)
     files1 = sorted(p.relative_to(m1.root) for p in m1.root.rglob("*") if p.is_file())
     files2 = sorted(p.relative_to(m2.root) for p in m2.root.rglob("*") if p.is_file())
     assert files1 == files2
