@@ -240,7 +240,7 @@ def cmd_infer(config, args):
     delta = float(tc.delta) if args.delta is None else args.delta  # the checkpoint's shift unless overridden
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, delta)
     ev = eval_config(config)
-    images = infer(store, tc, epochs, RngKey(config["seed"], ("infer",)), ev.steps, ev.guidance)
+    images = infer(store, tc, epochs, RngKey(config["seed"], ("infer",)), ev.steps, ev.guidance, config["workers"])
     out = Path(args.out or Path(config["paths"]["out_root"]) / "infer")
     out.mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(images):
@@ -267,7 +267,9 @@ def cmd_infer(config, args):
 def cmd_eval(config, args):
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, args.split, config)
-    report = evaluate_split(args.ckpt, manifest, split, RngKey(config["seed"], ("eval",)), eval_config(config))
+    report = evaluate_split(
+        args.ckpt, manifest, split, RngKey(config["seed"], ("eval",)), eval_config(config), workers=config["workers"]
+    )
     out = Path(args.out or Path(config["paths"]["out_root"]) / "eval")
     emit_report(report, out)
     _write_resolved(config, "eval", vars(args), out)
@@ -292,9 +294,8 @@ def cmd_sweep_time(config, args):
         specialized = match_specialized(specialized, deltas, manifest.tr)
     except ValueError as e:
         raise ConfigError("--specialized", str(e)) from None
-    sweep = time_sweep(
-        args.general, specialized, manifest, split, RngKey(config["seed"], ("sweep-time",)), deltas, ev
-    )
+    key = RngKey(config["seed"], ("sweep-time",))
+    sweep = time_sweep(args.general, specialized, manifest, split, key, deltas, ev, config["workers"])
     out = Path(args.out or Path(config["paths"]["out_root"]) / "sweep_time")
     emit_sweep(sweep, out, "sweep_time")
     _write_resolved(config, "sweep-time", vars(args), out)
@@ -317,6 +318,7 @@ def cmd_sweep_duration(config, args):
         out,
         RngKey(config["seed"], ("sweep-duration",)),
         eval_config(config),
+        config["workers"],
     )
     emit_sweep(sweep, out, "sweep_duration")
     _write_resolved(config, "sweep-duration", vars(args), out)
@@ -338,7 +340,9 @@ def cmd_ablate_brainmod(config, args):
     for name, brain in sorted(variants.items()):
         tc = replace(base, brain=brain)
         ckpt = train_single_stage(manifest, split, config["paths"]["pretrain"], tc, out / name)
-        report = evaluate_split(ckpt, manifest, split, RngKey(config["seed"], ("ablate", name)), ev)
+        report = evaluate_split(
+            ckpt, manifest, split, RngKey(config["seed"], ("ablate", name)), ev, workers=config["workers"]
+        )
         emit_report(report, out / name)
         results[name] = report.mean
     (out / "ablation.json").write_text(json.dumps(results, sort_keys=True, indent=1))
@@ -355,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bold2img", description=__doc__)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE", help="config override")
-    p.add_argument("--workers", type=int, help="worker pool size (default: all cores)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        help="gen-data's pool size and the number of decode lanes, one BLAS thread each (default: all cores)",
+    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("gen-data")

@@ -169,6 +169,7 @@ def evaluate_split(
     key: RngKey,
     ev: EvalConfig,
     decoder=None,
+    workers: int = 1,
 ) -> MetricsReport:
     """Trial-wise metrics, per-subject means, SEM across subjects.
 
@@ -179,7 +180,8 @@ def evaluate_split(
     the subjects it holds (`held_subject_split`), in windows at the shift it
     was trained at; a window that leaves its run raises, as in training. A
     `decoder(epochs) -> images` may stand in for the checkpoint, and then
-    windows come from the `TrainConfig` defaults.
+    windows come from the `TrainConfig` defaults. The checkpoint decodes on
+    `workers` lanes (`infer`).
     """
     if not split.test_stimuli:
         raise ValueError("split has an empty test side")
@@ -191,7 +193,7 @@ def evaluate_split(
         gen_key = key.child("gen", float(tc.delta))
 
         def decoder(epochs):
-            return infer(store, tc, epochs, gen_key, ev.steps, ev.guidance)
+            return infer(store, tc, epochs, gen_key, ev.steps, ev.guidance, workers)
     else:
         tc = TrainConfig()
     delta = float(tc.delta)
@@ -235,9 +237,11 @@ def _sweep_point_eval(
     key: RngKey,
     ev: EvalConfig,
     truth: dict,
+    workers: int,
 ) -> tuple[dict, list[np.ndarray]]:
-    """One model's summary over `epochs`, and its reconstructions' low-level features."""
-    images = infer(store, tc, epochs, key, ev.steps, ev.guidance)
+    """One model's summary over `epochs`, decoded on `workers` lanes, and its
+    reconstructions' low-level features."""
+    images = infer(store, tc, epochs, key, ev.steps, ev.guidance, workers)
     per_subject, recon_low = score_trials(manifest, images, epochs, ev.resolution(manifest), truth)
     return summarize(per_subject), recon_low
 
@@ -294,13 +298,14 @@ def time_sweep(
     key: RngKey,
     deltas: list[float],
     ev: EvalConfig,
+    workers: int = 1,
 ) -> SweepResult:
     """Evaluate the general model on test windows shifted by each of `deltas`
     (seconds), and per-shift specialized models on the same epochs. Requires
     the time-resolved split so neighboring trials stay on the test side.
     `specialized_ckpts` is keyed by shift in seconds, matched by TR multiple.
-    Each checkpoint is loaded once. The trials are those of the subjects the
-    general checkpoint holds."""
+    Each checkpoint is loaded once and decodes on `workers` lanes. The trials
+    are those of the subjects the general checkpoint holds."""
     if split.kind != "time_resolved":
         raise ValueError("time sweeps need the time-resolved split")
     store, _, tc, _ = load_train_state(general_ckpt)
@@ -325,7 +330,9 @@ def time_sweep(
     points = []
     for delta in sorted(deltas):
         epochs, skipped = extract_epochs(cache, refs, t, d, delta, skip_out_of_bounds=True)
-        general, recon_low = _sweep_point_eval(store, tc, manifest, epochs, key.child("gen", delta), ev, truth)
+        general, recon_low = _sweep_point_eval(
+            store, tc, manifest, epochs, key.child("gen", delta), ev, truth, workers
+        )
         point = {
             "delta": delta,
             "window_end": t + delta + t_len * manifest.tr,
@@ -338,7 +345,7 @@ def time_sweep(
         if delta in specialized_ckpts:
             spec_store, _, spec_tc, _ = load_train_state(specialized_ckpts[delta])
             point["specialized"], _ = _sweep_point_eval(
-                spec_store, spec_tc, manifest, epochs, key.child("spec", delta), ev, truth
+                spec_store, spec_tc, manifest, epochs, key.child("spec", delta), ev, truth, workers
             )
         points.append(point)
 
@@ -365,15 +372,17 @@ def duration_sweep(
     out_root,
     key: RngKey,
     ev: EvalConfig,
+    workers: int = 1,
 ) -> SweepResult:
-    """Train one model per window duration and evaluate each on the split."""
+    """Train one model per window duration and evaluate each on the split,
+    decoding on `workers` lanes."""
     out_root = Path(out_root)
     points = []
     for dur in durations:
         t_len = window_length(dur, manifest.tr)
         cfg = replace(base_config, window_d=dur)
         ckpt = train_single_stage(manifest, split, pretrained_ckpt, cfg, out_root / f"dur_{t_len}tr")
-        report = evaluate_split(ckpt, manifest, split, key.child("eval", t_len), ev)
+        report = evaluate_split(ckpt, manifest, split, key.child("eval", t_len), ev, workers=workers)
         points.append(
             {
                 "duration_s": dur,

@@ -26,7 +26,6 @@ from .tensor import Tensor, as_tensor, grad_enabled, make_node
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, as Python floats
 GN_GROUPS = 8  # channel groups of every group norm
 NORM_EPS = 1e-5  # variance floor of group and layer norm
 TIMESTEP_MAX_PERIOD = 10000.0  # longest wavelength of the timestep features
@@ -496,11 +495,72 @@ def layer_norm(x, gamma, beta) -> Tensor:
 # ---------------------------------------------------------------------------
 # activations
 
+# W. J. Cody's rational approximations of erf and erfc (netlib specfun,
+# CALERF; Math. Comp. 23 (1969) 631-637), on |x| <= 0.46875, <= 4 and > 4
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02, 3.20937758913846947e03,
+          1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03, 2.84423683343917062e03)
+_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01, 2.98635138197400131e02,
+          8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03,
+          2.15311535474403846e-8)
+_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+          3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03)
+_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1, 1.60837851487422766e-2,
+          6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERF_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+          2.33520497626869185e-3)
+_ERF_THRESH, _ERF_XSMALL, _ERF_XBIG = 0.46875, 1.11e-16, 26.543  # erfc(x) rounds to 0 from XBIG on
+_INV_SQRTPI = 5.6418958354775628695e-1
+
+
+def _erfc_scaled_tail(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """erfc(y) from r = exp(y^2) erfc(y), with exp(-y^2) split as CALERF does
+    so that it loses no digits."""
+    ysq = np.trunc(y * 16.0) / 16.0
+    return np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq)) * r
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """erf of every entry, in float64 by Cody's approximations, rounded to z's
+    dtype. NaN stays NaN, erf(+-inf) = +-1 and erf(+-0) = +-0."""
+    x = z.astype(np.float64)
+    y = np.abs(x)
+    out = x.copy()  # NaN entries, which no branch below selects, stay NaN
+
+    small = y <= _ERF_THRESH
+    ys = y[small]
+    ysq = np.where(ys > _ERF_XSMALL, ys * ys, 0.0)
+    num, den = _ERF_A[4] * ysq, ysq
+    for a, b in zip(_ERF_A[:3], _ERF_B[:3]):
+        num, den = (num + a) * ysq, (den + b) * ysq
+    out[small] = x[small] * (num + _ERF_A[3]) / (den + _ERF_B[3])
+
+    mid = (y > _ERF_THRESH) & (y <= 4.0)
+    ys = y[mid]
+    num, den = _ERF_C[8] * ys, ys
+    for c, d in zip(_ERF_C[:7], _ERF_D[:7]):
+        num, den = (num + c) * ys, (den + d) * ys
+    erfc_mid = _erfc_scaled_tail(ys, (num + _ERF_C[7]) / (den + _ERF_D[7]))
+
+    big = (y > 4.0) & (y < _ERF_XBIG)
+    ys = y[big]
+    ysq = 1.0 / (ys * ys)
+    num, den = _ERF_P[5] * ysq, ysq
+    for p, q in zip(_ERF_P[:4], _ERF_Q[:4]):
+        num, den = (num + p) * ysq, (den + q) * ysq
+    erfc_big = _erfc_scaled_tail(ys, (_INV_SQRTPI - ysq * (num + _ERF_P[4]) / (den + _ERF_Q[4])) / ys)
+
+    out[mid] = np.copysign((0.5 - erfc_mid) + 0.5, x[mid])
+    out[big] = np.copysign((0.5 - erfc_big) + 0.5, x[big])
+    huge = y >= _ERF_XBIG  # inf included
+    out[huge] = np.copysign(1.0, x[huge])
+    return out.astype(z.dtype)
+
 
 def gelu(x) -> Tensor:
-    """x * Phi(x), the exact normal CDF: `math.erf` in double, rounded to x's dtype."""
+    """x * Phi(x), the exact normal CDF: erf in double (`_erf`), rounded to x's dtype."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + np.asarray(_erf(x.data * _INV_SQRT2), x.data.dtype))
+    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
     out = x.data * cdf
 
     def backward(g):

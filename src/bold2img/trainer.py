@@ -38,6 +38,7 @@ from .diffgen import (
     unet_forward,
     unet_linear_param_names,
 )
+from .lanes import fill_rows
 from .prep import DEFAULT_WINDOW_D, DEFAULT_WINDOW_T, Epoch, PreprocCache, SplitSpec, extract_epochs, window_length
 from .substrate import LrSchedule, OptimizerState, ParamStore, RngKey, Tensor, adamw_step, lr_at, no_grad, ops
 from .substrate.checkpoint import load_checkpoint, save_checkpoint
@@ -46,8 +47,8 @@ from .synthcortex.dataset import DatasetManifest
 REGIMES = ("all", "linear", "cross_attn", "none", "lora")
 # new-subject adaptation: the shared trunk, adapters and null embedding train at this fraction of max_lr
 ADAPT_TRUNK_LR_SCALE = 0.1
-# trials decoded together by `infer`
-INFER_BATCH = 16
+# trials decoded together by `infer`, fixed so that its output bits do not depend on its lanes
+INFER_BATCH = 8
 UNCOND_STEPS, UNCOND_BATCH = 20, 32  # DDIM steps and batch of `sample_unconditional`
 
 
@@ -535,14 +536,25 @@ def sample_unconditional(ckpt_dir, n: int, key: RngKey) -> np.ndarray:
 
 
 def infer(
-    store: ParamStore, config: TrainConfig, epochs: list[Epoch], key: RngKey, steps: int, guidance: float
+    store: ParamStore,
+    config: TrainConfig,
+    epochs: list[Epoch],
+    key: RngKey,
+    steps: int,
+    guidance: float,
+    workers: int = 1,
 ) -> np.ndarray:
     """One image per epoch from a loaded model via guided DDIM; dropout inactive.
 
-    The initial noise is keyed per epoch (subject, run, event, shift), so a
-    trial starts from the same noise in any batch. Its result can still differ
-    in the last bits with the batch size, because BLAS may round a GEMM
-    differently depending on its row count.
+    The epochs are decoded in fixed batches of `INFER_BATCH`, batch i on lane
+    i mod `workers` (`lanes.fill_rows`: forked processes with one BLAS thread
+    each; one lane decodes here, unforked). The initial noise is keyed per
+    epoch (subject, run, event, shift), so a trial starts from the same noise
+    in any batch, and since the batches do not depend on `workers`, neither
+    do the output bits. Decoding a different slice of the epochs can still
+    change a trial in the last bits, because BLAS may round a GEMM
+    differently depending on its row count. A failed lane raises a
+    RuntimeError naming the trials (rows) of the batch it failed on.
     """
     sched = make_schedule(config.unet.t_max)
     r = config.unet.resolution
@@ -555,16 +567,18 @@ def infer(
 
     unet_call = make_noise_predictor(store, config.unet, sched)
 
-    images = np.empty((len(epochs), r, r, 3), dtype=np.float32)
+    def decode(lo: int, hi: int) -> np.ndarray:
+        group = epochs[lo:hi]
+        tokens = np.concatenate(
+            [brain_forward_batch(e.X[None], store, config.brain, e.subject_id, training=False).data for e in group]
+        )
+        init = np.stack(
+            [key.child("init", e.subject_id, e.run_id, e.event_index, e.delta).normal((r, r, 3)) for e in group]
+        )
+        predict = cfg_predictor(unet_call, tokens, null, guidance)
+        return diffusion_to_image(ddim_sample(predict, sched, init, steps))
+
+    n = len(epochs)
+    batches = [(lo, min(lo + INFER_BATCH, n)) for lo in range(0, n, INFER_BATCH)]
     with no_grad():
-        for lo in range(0, len(epochs), INFER_BATCH):
-            group = epochs[lo : lo + INFER_BATCH]
-            tokens = np.concatenate(
-                [brain_forward_batch(e.X[None], store, config.brain, e.subject_id, training=False).data for e in group]
-            )
-            init = np.stack(
-                [key.child("init", e.subject_id, e.run_id, e.event_index, e.delta).normal((r, r, 3)) for e in group]
-            )
-            predict = cfg_predictor(unet_call, tokens, null, guidance)
-            images[lo : lo + len(group)] = diffusion_to_image(ddim_sample(predict, sched, init, steps))
-    return images
+        return fill_rows((n, r, r, 3), np.float32, batches, decode, workers)

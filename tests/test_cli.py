@@ -171,6 +171,28 @@ def test_eval_and_infer_decode_the_subjects_the_checkpoint_holds(cli_world, tmp_
     assert str(err.value) == f"checkpoint {ckpt} holds subjects ['sub01'], none of the split's test subjects ['sub02']"
 
 
+def test_train_bits_do_not_depend_on_blas_threads(cli_world, tmp_path):
+    # what decode lanes, and training processes run side by side on one
+    # thread each, rely on: the thread count changes no output byte
+    src = str(Path(bold2img.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "BOLD2IMG_OUT"}
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["--set", f"paths.out_root={cli_world}", *TINY_OVERRIDES, "train", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "bold2img.cli", *argv], capture_output=True, text=True,
+                              env=dict(env, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads), timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "resolved_config.json"  # it records --out
+        }
+    assert "loss.csv" in outputs["1"] and sum(name.endswith(".bin") for name in outputs["1"]) > 10
+    assert sorted(outputs["1"]) == sorted(outputs["2"])
+    assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []
+
+
 def test_sweep_time_command(cli_world, tmp_path):
     root = Path(cli_world)
     gen_out = tmp_path / "gen"

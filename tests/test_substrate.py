@@ -61,6 +61,35 @@ def test_gelu_is_the_exact_erf_form_in_float32():
     assert np.array_equal(got, want)
 
 
+def test_vectorised_erf_matches_math_erf_bit_for_bit_in_float32():
+    # 8 M values, 2 M at each scale; math.erf is rounded to float32 in chunks
+    # so that its Python floats stay small
+    mismatches = 0
+    for i, scale in enumerate((0.01, 0.1, 1.0, 10.0)):
+        x = RngKey(11, ("erf", i)).normal((2_000_000,), scale, np.float32)
+        got = ops._erf(x)
+        assert got.dtype == np.float32
+        for lo in range(0, x.size, 500_000):
+            chunk = x[lo : lo + 500_000]
+            want = np.fromiter(map(math.erf, chunk.tolist()), np.float64, chunk.size).astype(np.float32)
+            mismatches += int(np.count_nonzero(got[lo : lo + 500_000] != want))
+    assert mismatches == 0
+
+
+def test_vectorised_erf_special_values():
+    for dtype in (np.float32, np.float64):
+        got = ops._erf(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype))
+        assert got.dtype == dtype and np.isnan(got[0])
+        assert got[1:].tolist() == [1.0, -1.0, 0.0, -0.0]
+        assert list(np.signbit(got[1:])) == [False, True, False, True]
+    # each branch edge, from both sides, and the float32 extremes
+    edges = np.array([0.46875, 4.0, 26.543], np.float32)
+    x = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 30), [1e-30, -1e-45, 3e38, -5.0]])
+    x = np.concatenate([x, -x]).astype(np.float32)
+    want = np.array([math.erf(v) for v in x.tolist()]).astype(np.float32)
+    assert np.array_equal(ops._erf(x), want)
+
+
 def test_gradcheck_detects_corrupted_gradient():
     params, inputs = make_case("linear", seed=1)
     report = gradcheck(

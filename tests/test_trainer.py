@@ -1,17 +1,21 @@
 import ast
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bold2img import trainer
 from bold2img.brainmod import BrainModuleConfig
 from bold2img.diffgen import NonFiniteActivation, UNetConfig
+from bold2img.lanes import blas_threads
 from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
 from bold2img.substrate import RngKey
 from bold2img.synthcortex import DatasetConfig, build_dataset
 from bold2img.trainer import (
+    INFER_BATCH,
     REGIMES,
     TrainConfig,
     adapt_new_subject,
@@ -367,11 +371,65 @@ def test_infer_deterministic_and_ordered(world, tmp_path):
     imgs2 = infer(store, config, epochs, RngKey(3, ("gen",)), steps=4, guidance=3.0)
     assert imgs1.shape == (5, 32, 32, 3)
     assert imgs1.tobytes() == imgs2.tobytes()
-    # per-epoch keyed start noise: a different batch slicing stays close
-    # (bitwise equality is only guaranteed for identical batch shapes, since
-    # BLAS picks kernels by matrix size)
+    # per-epoch keyed start noise: decoding another slice of the epochs, here
+    # one trial alone, stays close. The batches are fixed at INFER_BATCH, so
+    # the bits do not depend on `workers`, but a batch of another shape may
+    # round differently in the last bits, since BLAS picks kernels by matrix
+    # size.
     solo = infer(store, config, epochs[2:3], RngKey(3, ("gen",)), steps=4, guidance=3.0)
     assert np.abs(solo[0].astype(np.float64) - imgs1[2]).mean() < 0.05
+
+
+@pytest.fixture(scope="module")
+def three_batches(world, tmp_path_factory):
+    """A two-subject model and 2 * INFER_BATCH + 3 test epochs: two full batches and a short one."""
+    manifest, split, pre, _ = world
+    cfg = tiny_config(steps=3, warmup_steps=1)
+    ckpt = train_single_stage(manifest, split, pre, cfg, tmp_path_factory.mktemp("lanes"), subjects=["sub01", "sub02"])
+    cache = PreprocCache(manifest).build()
+    epochs, _ = extract_epochs(cache, {s: split.test_refs[s] for s in ("sub01", "sub02")})
+    assert len(epochs) >= 2 * INFER_BATCH + 3
+    store, _, config, _ = load_train_state(ckpt)
+    return store, config, epochs[: 2 * INFER_BATCH + 3]
+
+
+def _no_lane_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_infer_bits_do_not_depend_on_workers(three_batches):
+    store, config, epochs = three_batches
+    threads = blas_threads()
+    images = [infer(store, config, epochs, RngKey(3, ("gen",)), 2, 3.0, workers) for workers in (1, 2, 3)]
+    _no_lane_left()
+    assert blas_threads() == threads
+    assert images[0].shape == (len(epochs), 32, 32, 3)
+    assert [im.tobytes() == images[0].tobytes() for im in images[1:]] == [True, True]
+
+
+@pytest.mark.parametrize(
+    "bad, error, match",
+    [
+        (INFER_BATCH + 1, RuntimeError, "lane 1 failed at rows 8:16: ValueError: no decode for trial 9"),
+        (2 * INFER_BATCH + 1, ValueError, "no decode for trial 17"),  # the caller's own lane
+    ],
+)
+def test_infer_lane_failure_names_its_batch_and_leaves_no_lane(three_batches, monkeypatch, bad, error, match):
+    store, config, epochs = three_batches
+    real = trainer.brain_forward_batch
+
+    def failing(x, *args, **kwargs):  # forked lanes inherit the patch
+        if np.array_equal(x[0], epochs[bad].X):
+            raise ValueError(f"no decode for trial {bad}")
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "brain_forward_batch", failing)
+    threads = blas_threads()
+    with pytest.raises(error, match=match):
+        infer(store, config, epochs, RngKey(3, ("gen",)), 2, 3.0, workers=2)
+    _no_lane_left()
+    assert blas_threads() == threads
 
 
 def test_infer_window_mismatch_errors(world, tmp_path):
