@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .substrate import ops
-from .substrate.gradcheck import register
 from .substrate.params import ParamStore
 from .substrate.rng import RngKey
 from .substrate.tensor import Tensor
@@ -134,42 +133,3 @@ def brain_forward_batch(
     tokens = ops.linear(u, store["brain/out/w"], store["brain/out/b"])
     return ops.reshape(tokens, (b, config.tokens, config.token_dim))
 
-
-# ---------------------------------------------------------------------------
-# gradcheck registration for the three design variants
-
-
-def _variant_config(name: str) -> BrainModuleConfig:
-    small = dict(hidden=8, tokens=2, token_dim=3, dropout=0.5)
-    if name == "full":
-        return BrainModuleConfig(**small)
-    if name == "shared":
-        return BrainModuleConfig(**small, timestep_layer_enabled=False)
-    if name == "agg_in":
-        return BrainModuleConfig(**small, aggregation_position=AGG_IN)
-    raise KeyError(name)
-
-
-def _brain_factory(variant: str):
-    def factory(key: RngKey):
-        config = _variant_config(variant)
-        store = init_brain_module(config, {"s01": 5}, 4, key.child("init"))
-        x = key.child("x").normal((2, 5, 4), 1.0, np.float32)
-        return store.astype(np.float64), [x.astype(np.float64)]
-
-    return factory
-
-
-def _brain_build(variant: str):
-    config = _variant_config(variant)
-
-    def build(store: ParamStore, inputs):
-        return brain_forward_batch(
-            inputs[0], store, config, "s01", training=True, key=RngKey(7, ("gradcheck", "braindrop"))
-        )
-
-    return build
-
-
-for _variant in ("full", "shared", "agg_in"):
-    register(f"brainmod_{_variant}", _brain_build(_variant), _brain_factory(_variant))

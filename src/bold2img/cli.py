@@ -210,6 +210,12 @@ def cmd_pretrain_gen(config, args):
 
 
 def cmd_train(config, args):
+    adapting = bool(args.adapt_subject)
+    for flag, value in (("--from-ckpt", args.from_ckpt), ("--sessions-used", args.sessions_used)):
+        if (value is None) == adapting:
+            raise ConfigError(flag, "required with --adapt-subject" if adapting else "used only with --adapt-subject")
+    if adapting and args.subjects:
+        raise ConfigError("--subjects", "not used with --adapt-subject, which trains that one subject")
     if args.regime is not None:  # recorded in the resolved config
         config["train"]["regime"] = args.regime
     tc = train_config(config)
@@ -217,9 +223,7 @@ def cmd_train(config, args):
     split = _split_for(manifest, args.split, config)
     out = Path(args.out or Path(config["paths"]["out_root"]) / "train")
     subjects = args.subjects.split(",") if args.subjects else None
-    if args.adapt_subject:
-        if args.sessions_used is None:
-            raise ConfigError("sessions-used", "required with --adapt-subject")
+    if adapting:
         ckpt = adapt_new_subject(
             args.from_ckpt, manifest, split, args.adapt_subject, args.sessions_used, tc, out
         )
@@ -231,12 +235,14 @@ def cmd_train(config, args):
 
 
 def cmd_infer(config, args):
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError("--limit", f"must be >= 1, got {args.limit}")
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, args.split, config)
     cache = PreprocCache(manifest).build()
     store, _, tc, _ = load_train_state(args.ckpt)
     split = held_subject_split(split, store, args.ckpt)
-    refs = {s: split.test_refs[s][: args.limit] if args.limit else split.test_refs[s] for s in split.test_refs}
+    refs = {s: split.test_refs[s][: args.limit] for s in split.test_refs}
     delta = float(tc.delta) if args.delta is None else args.delta  # the checkpoint's shift unless overridden
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, delta)
     ev = eval_config(config)
@@ -304,10 +310,13 @@ def cmd_sweep_time(config, args):
 
 
 def cmd_sweep_duration(config, args):
+    durations_tr = args.durations_tr or [1, 2, 3, 4, 5, 6]
+    if min(durations_tr) < 1 or len(set(durations_tr)) < len(durations_tr):
+        raise ConfigError("--durations-tr", f"expected distinct counts >= 1, got {durations_tr}")
     tc = train_config(config)
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, "standard", config)
-    durations = [k * manifest.tr for k in (args.durations_tr or [1, 2, 3, 4, 5, 6])]
+    durations = [k * manifest.tr for k in durations_tr]
     out = Path(args.out or Path(config["paths"]["out_root"]) / "sweep_duration")
     sweep = duration_sweep(
         manifest,

@@ -245,32 +245,3 @@ def unet_forward(x, t, tokens: Tensor, store: ParamStore, config: UNetConfig) ->
     _check(out, "out")
     return out
 
-
-# ---------------------------------------------------------------------------
-# gradcheck registration: a reduced configuration small enough for finite
-# differences over the whole parameter set
-
-SMALL_CONFIG = UNetConfig(resolution=8, channels=(8, 8, 16), tokens=2, token_dim=4)
-
-
-def _small_factory(key: RngKey):
-    store = init_unet(SMALL_CONFIG, key.child("unet"))
-    create_lora_adapters(SMALL_CONFIG, key.child("lora"), store)
-    # non-zero adapter B so the low-rank path is exercised by the check
-    for name in store.names():
-        if name.startswith("lora/") and name.endswith("/b"):
-            store[name].data[:] = key.child("loraB", name).normal(store[name].shape, 0.1)
-    store.add("tokens", key.child("tokens").normal((1, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim)))
-    x = key.child("x").normal((1, 8, 8, 3), 1.0, np.float64)
-    # the final conv is zero-initialized; give it signal so its input grads matter
-    store["unet/out/conv/w"].data[:] = key.child("outw").normal(store["unet/out/conv/w"].shape, 0.1)
-    return store.astype(np.float64), [x, np.array([7])]
-
-
-def _small_build(store: ParamStore, inputs):
-    return unet_forward(Tensor(inputs[0]), inputs[1], store["tokens"], store, SMALL_CONFIG)
-
-
-from ..substrate.gradcheck import register as _register  # noqa: E402
-
-_register("unet_small", _small_build, _small_factory)

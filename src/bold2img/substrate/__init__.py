@@ -2,7 +2,6 @@
 
 from . import ops
 from .checkpoint import load_checkpoint, read_tensor, save_checkpoint, write_tensor
-from .gradcheck import GradReport, gradcheck, make_case, registered_ops
 from .optim import LrSchedule, OptimizerState, adamw_step, lr_at
 from .params import ParamStore
 from .rng import RngKey
@@ -18,10 +17,6 @@ __all__ = [
     "LrSchedule",
     "adamw_step",
     "lr_at",
-    "gradcheck",
-    "GradReport",
-    "make_case",
-    "registered_ops",
     "save_checkpoint",
     "load_checkpoint",
     "write_tensor",

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import acceptance_world as world
+from gradcheck import SMALL_CONFIG
 from bold2img.brainmod import BrainModuleConfig, brain_forward_batch, init_brain_module
 from bold2img.cli import EXIT_OK, dispatch
 from bold2img.diffgen import (
@@ -31,17 +32,13 @@ from bold2img.diffgen import (
     sample_timestep_bicubic,
     unet_forward,
 )
-from bold2img.diffgen.unet import SMALL_CONFIG
 from bold2img.evalkit import EvalConfig, evaluate_split, emit_report, emit_sweep, time_sweep
 from bold2img.prep import SplitSpec, dct_basis, detrend, first_window_index, window_length, zscore
-from bold2img.substrate import OptimizerState, ParamStore, RngKey, Tensor, adamw_step, gradcheck
-from bold2img.substrate.gradcheck import make_case, registered_ops
+from bold2img.substrate import OptimizerState, ParamStore, RngKey, Tensor, adamw_step
 from bold2img.synthcortex import DEFAULT_PALETTE, DatasetConfig, FmriRun, RunTimeline, build_dataset
 from bold2img.trainer import REGIMES, TrainConfig, load_train_state, pretrain_generator, regime_trainable_names, train_single_stage
 
 e2e = pytest.mark.skipif(not world.e2e_enabled(), reason="heavy end-to-end run; set BOLD2IMG_E2E=1")
-
-INVENTORY_OPS = [op for op in registered_ops() if not op.startswith(("brainmod_", "unet_"))]
 
 
 @contextlib.contextmanager
@@ -60,12 +57,8 @@ def criterion(n: int, desc: str):
 
 
 def test_criterion_1_substrate():
-    with criterion(1, "layer gradcheck at 1e-3 over 3 seeds; AdamW hand example to 1e-9"):
-        for op_id in INVENTORY_OPS:
-            for seed in (0, 1, 2):
-                params, inputs = make_case(op_id, seed=seed)
-                rep = gradcheck(op_id, params, inputs, eps=1e-5, tol=1e-3)
-                assert rep.passed, (op_id, seed, rep.failures)
+    # the layer gradchecks, at 1e-3 over 3 seeds, run once: test_substrate's test_full_inventory_gradchecks
+    with criterion(1, "AdamW hand example to 1e-9"):
         params = ParamStore()
         params.add("w", np.array([1.0], dtype=np.float64))
         adamw_step(params, {"w": np.array([1.0])}, OptimizerState(), lr=0.1, wd=0.0)
@@ -163,12 +156,8 @@ def test_criterion_3_diffusion():
 
 
 def test_criterion_4_brain_module():
-    with criterion(4, "design variants gradcheck + PxD output for differing C + shared-matrix identity"):
-        for variant in ("full", "shared", "agg_in"):
-            params, inputs = make_case(f"brainmod_{variant}", seed=0)
-            rep = gradcheck(f"brainmod_{variant}", params, inputs, eps=1e-5, tol=1e-3)
-            assert rep.passed, (variant, rep.failures)
-
+    # the design variants' gradchecks run once: test_substrate's test_full_inventory_gradchecks
+    with criterion(4, "PxD output for differing C + shared-matrix identity"):
         key = RngKey(2, ("acc4",))
         for variant, kw in [
             ("full", {}),

@@ -257,26 +257,41 @@ def cli_ckpt(cli_world):
 
 
 @pytest.mark.parametrize(
-    "override, argv",
+    "argv, error",
     [
-        ("deltas_tr=[]", ["sweep-time", "--general", "CKPT"]),
-        ("max_trials_per_subject=1", ["sweep-time", "--general", "CKPT"]),
-        ("eval_resolution=-4", ["eval", "--ckpt", "CKPT"]),
-        ("test_run_fraction=1.5", ["train", "--split", "time-resolved"]),
-        ("steps=0", ["infer", "--ckpt", "CKPT"]),
-        ("steps=0", ["sweep-duration", "--durations-tr", "2"]),
-        ("steps=0", ["ablate-brainmod"]),
+        (["--set", "eval.deltas_tr=[]", "sweep-time", "--general", "CKPT"], "eval: eval.deltas_tr must"),
+        (["--set", "eval.max_trials_per_subject=1", "sweep-time", "--general", "CKPT"],
+         "eval: eval.max_trials_per_subject must"),
+        (["--set", "eval.eval_resolution=-4", "eval", "--ckpt", "CKPT"], "eval: eval.eval_resolution must"),
+        (["--set", "eval.test_run_fraction=1.5", "train", "--split", "time-resolved"],
+         "eval: eval.test_run_fraction must"),
+        (["--set", "eval.steps=0", "infer", "--ckpt", "CKPT"], "eval: eval.steps must"),
+        (["--set", "eval.steps=0", "sweep-duration", "--durations-tr", "2"], "eval: eval.steps must"),
+        (["--set", "eval.steps=0", "ablate-brainmod"], "eval: eval.steps must"),
+        (["train", "--adapt-subject", "sub02", "--sessions-used", "1"], "--from-ckpt: required"),
+        (["train", "--adapt-subject", "sub02", "--from-ckpt", "CKPT"], "--sessions-used: required"),
+        (["train", "--from-ckpt", "CKPT"], "--from-ckpt: used only with --adapt-subject"),
+        (["train", "--sessions-used", "1"], "--sessions-used: used only with --adapt-subject"),
+        (["train", "--adapt-subject", "sub02", "--sessions-used", "1", "--from-ckpt", "CKPT", "--subjects", "sub01"],
+         "--subjects: not used with --adapt-subject"),
+        (["infer", "--ckpt", "CKPT", "--limit", "0"], "--limit: must be >= 1"),
+        (["infer", "--ckpt", "CKPT", "--limit", "-1"], "--limit: must be >= 1"),
+        (["sweep-duration", "--durations-tr", "0"], "--durations-tr: expected distinct counts >= 1"),
+        (["sweep-duration", "--durations-tr", "2", "2"], "--durations-tr: expected distinct counts >= 1"),
     ],
     ids=["no_shifts", "one_trial", "negative_resolution", "every_run_tested", "no_steps_infer",
-         "no_steps_duration", "no_steps_ablate"],
+         "no_steps_duration", "no_steps_ablate", "adapt_without_ckpt", "adapt_without_sessions",
+         "ckpt_without_adapt", "sessions_without_adapt", "subjects_with_adapt", "limit_zero", "limit_negative",
+         "zero_duration", "repeated_duration"],
 )
-def test_eval_settings_rejected_before_decoding_or_training(cli_world, cli_ckpt, tmp_path, capsys, override, argv):
+def test_eval_settings_rejected_before_decoding_or_training(cli_world, cli_ckpt, tmp_path, capsys, argv, error):
+    # each bad setting or flag exits 2 naming it, before anything is trained, decoded or written
     out = tmp_path / "out"
     argv = [str(cli_ckpt) if a == "CKPT" else a for a in argv]
     code = _run(cli_world, "--set", "eval.test_run_fraction=0.34", "--set", "eval.deltas_tr=[0]",
-                "--set", "eval.max_trials_per_subject=2", "--set", f"eval.{override}", *argv, "--out", str(out))
+                "--set", "eval.max_trials_per_subject=2", *argv, "--out", str(out))
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error at eval: eval.{override.split('=')[0]} must")
+    assert capsys.readouterr().err.startswith(f"config error at {error}")
     assert not out.exists()
 
 

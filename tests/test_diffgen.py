@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from gradcheck import SMALL_CONFIG
 
 from bold2img.diffgen import (
     LORA_RANK,
@@ -22,7 +23,7 @@ from bold2img.diffgen import (
     unet_forward,
     v_target,
 )
-from bold2img.diffgen.unet import SMALL_CONFIG, NonFiniteActivation
+from bold2img.diffgen.unet import NonFiniteActivation
 from bold2img.substrate import ParamStore, RngKey, Tensor, no_grad
 from bold2img.trainer import make_noise_predictor
 

@@ -1,7 +1,6 @@
 """The substrate holds what the models run: every public function of
 `substrate/ops.py` is called as `ops.<name>` by a model module, or by an op
-that a model module calls. A call only from gradcheck or from tests does not
-count.
+that a model module calls. A call only from tests does not count.
 """
 
 import ast

@@ -9,11 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrupt_json import corrupt_manifests
+from gradcheck import CASES, gradcheck
 
-# the gradcheck inventory is read at collection time; these imports register
-# the model-level cases (unet_small, brainmod_*) whatever the collection order
-import bold2img.brainmod  # noqa: F401
-import bold2img.diffgen  # noqa: F401
 from bold2img.substrate import (
     LrSchedule,
     OptimizerState,
@@ -21,14 +18,11 @@ from bold2img.substrate import (
     RngKey,
     Tensor,
     adamw_step,
-    gradcheck,
     load_checkpoint,
     lr_at,
-    make_case,
     no_grad,
     ops,
     read_tensor,
-    registered_ops,
     save_checkpoint,
     write_tensor,
 )
@@ -39,8 +33,7 @@ from bold2img.substrate import (
 
 
 def test_gradcheck_linear_passes():
-    params, inputs = make_case("linear", seed=0)
-    report = gradcheck("linear", params, inputs, eps=1e-5, tol=1e-3)
+    report = gradcheck(*CASES["linear"](RngKey(0, ("gradcheck", "linear"))))
     assert report.passed, report.failures
 
 
@@ -48,7 +41,7 @@ def test_gradcheck_gelu_at_zero():
     # GELU is smooth at 0; an all-zero input must still pass.
     params = ParamStore()
     params.add("x", np.zeros((4, 5), dtype=np.float64))
-    report = gradcheck("gelu", params, [], eps=1e-5, tol=1e-3)
+    report = gradcheck(params, lambda p: ops.gelu(p["x"]))
     assert report.passed, report.failures
 
 
@@ -91,29 +84,24 @@ def test_vectorised_erf_special_values():
 
 
 def test_gradcheck_detects_corrupted_gradient():
-    params, inputs = make_case("linear", seed=1)
-    report = gradcheck(
-        "linear", params, inputs, eps=1e-5, tol=1e-3,
-        grad_transform=lambda name, g: g * 1.1,
-    )
+    params, build = CASES["linear"](RngKey(1, ("gradcheck", "linear")))
+    report = gradcheck(params, build, grad_transform=lambda name, g: g * 1.1)
     assert not report.passed
     # relative error of a 10% scaling is ~0.1 wherever |grad| >~ 1
     assert report.worst() == pytest.approx(0.1, rel=0.35)
 
 
 def test_gradcheck_rejects_float32():
-    params, inputs = make_case("linear", seed=0)
-    p32 = params.astype(np.float32)
+    params, build = CASES["linear"](RngKey(0, ("gradcheck", "linear")))
     with pytest.raises(ValueError, match="float64"):
-        gradcheck("linear", p32, inputs)
+        gradcheck(params.astype(np.float32), build)
 
 
-@pytest.mark.parametrize("op_id", registered_ops())
+@pytest.mark.parametrize("case_id", sorted(CASES))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_full_inventory_gradchecks(op_id, seed):
-    params, inputs = make_case(op_id, seed=seed)
-    report = gradcheck(op_id, params, inputs, eps=1e-5, tol=1e-3)
-    assert report.passed, (op_id, report.failures)
+def test_full_inventory_gradchecks(case_id, seed):
+    report = gradcheck(*CASES[case_id](RngKey(seed, ("gradcheck", case_id))))
+    assert report.passed, (case_id, report.failures)
 
 
 # ---------------------------------------------------------------------------
