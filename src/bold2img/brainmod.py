@@ -96,10 +96,19 @@ def brain_forward_batch(
     subject_id: str,
     training: bool = False,
     key: RngKey | None = None,
+    rows: tuple[int, int] | None = None,
 ) -> Tensor:
-    """Tokens for a batch of same-subject windows: (B, C, T) -> (B, P, D)."""
+    """Tokens for a batch of same-subject windows: (B, C, T) -> (B, P, D).
+
+    `rows` = (lo, hi) computes the tokens of rows lo:hi of the batch only;
+    their dropout masks are those rows of the masks drawn for the whole
+    batch, so a batch computed in parts drops what it drops computed whole.
+    """
     if f"brain/subject/{subject_id}/w" not in store:
         raise KeyError(f"no subject layer for {subject_id!r}")
+    n_rows = x.shape[0]
+    lo, hi = (0, n_rows) if rows is None else rows
+    x = x[lo:hi]
     b, c, t = x.shape
     n_samples = store["brain/agg/w"].shape[0]
     if t != n_samples:
@@ -120,14 +129,14 @@ def brain_forward_batch(
         u = ops.layer_norm(u, store["brain/ln/g"], store["brain/ln/b"])
         u = ops.gelu(u)
         if training:
-            u = ops.dropout(u, config.dropout, key.child("drop"))
+            u = ops.dropout(u, config.dropout, key.child("drop"), (lo, n_rows))
     else:
         zt = ops.add(ops.matmul(ops.transpose(z, (1, 0, 2)), w_ts), b_ts)  # (T, B, H)
         z = ops.transpose(zt, (1, 0, 2))
         z = ops.layer_norm(z, store["brain/ln/g"], store["brain/ln/b"])
         z = ops.gelu(z)
         if training:
-            z = ops.dropout(z, config.dropout, key.child("drop"))
+            z = ops.dropout(z, config.dropout, key.child("drop"), (lo, n_rows))
         u = ops.time_aggregate(z, store["brain/agg/w"], store["brain/agg/b"])  # (B, H)
 
     tokens = ops.linear(u, store["brain/out/w"], store["brain/out/b"])

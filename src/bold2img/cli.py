@@ -203,7 +203,7 @@ def cmd_pretrain_gen(config, args):
     tc = train_config(config)
     manifest = load_manifest(config["paths"]["data"])
     out = Path(config["paths"]["pretrain"])
-    pretrain_generator(manifest, tc, out)
+    pretrain_generator(manifest, tc, out, workers=config["workers"])
     _write_resolved(config, "pretrain-gen", vars(args), out)
     print(f"pretrained generator -> {out}")
     return EXIT_OK
@@ -225,10 +225,12 @@ def cmd_train(config, args):
     subjects = args.subjects.split(",") if args.subjects else None
     if adapting:
         ckpt = adapt_new_subject(
-            args.from_ckpt, manifest, split, args.adapt_subject, args.sessions_used, tc, out
+            args.from_ckpt, manifest, split, args.adapt_subject, args.sessions_used, tc, out, config["workers"]
         )
     else:
-        ckpt = train_single_stage(manifest, split, config["paths"]["pretrain"], tc, out, subjects=subjects)
+        ckpt = train_single_stage(
+            manifest, split, config["paths"]["pretrain"], tc, out, subjects=subjects, workers=config["workers"]
+        )
     _write_resolved(config, "train", vars(args), out)
     print(f"trained checkpoint -> {ckpt}")
     return EXIT_OK
@@ -348,7 +350,9 @@ def cmd_ablate_brainmod(config, args):
     results = {}
     for name, brain in sorted(variants.items()):
         tc = replace(base, brain=brain)
-        ckpt = train_single_stage(manifest, split, config["paths"]["pretrain"], tc, out / name)
+        ckpt = train_single_stage(
+            manifest, split, config["paths"]["pretrain"], tc, out / name, workers=config["workers"]
+        )
         report = evaluate_split(
             ckpt, manifest, split, RngKey(config["seed"], ("ablate", name)), ev, workers=config["workers"]
         )
@@ -371,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="gen-data's pool size and the number of decode lanes, one BLAS thread each (default: all cores)",
+        help="gen-data's pool size, and the number of lanes, one BLAS thread each, that decode trials and compute"
+        " the shards of each training step (default: all cores)",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

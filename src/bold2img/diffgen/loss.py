@@ -29,6 +29,7 @@ def diffusion_loss(
     timestep_sampling: str = "bicubic",
     offset_lambda: float = 0.1,
     predictor=None,
+    rows: tuple[int, int] | None = None,
 ) -> Tensor:
     """Mean-squared error between the network output and the velocity target.
 
@@ -37,10 +38,14 @@ def diffusion_loss(
     injected noise: at a small step budget an eps target makes high-noise
     structure statistically invisible. `predictor` overrides the network
     (test stubs); it receives (x_t, t, tokens) and returns an ndarray.
+    `rows` = (lo, hi) computes the part of the loss that rows lo:hi of the
+    batch add: the draws are made for the whole batch and `tokens` holds
+    those rows' tokens only, and their squared error is divided by the whole
+    batch's element count, so the parts of a batch sum to its loss.
     """
     if x0.shape[0] == 0:
         raise ValueError("empty batch")
-    b = x0.shape[0]
+    b, count = x0.shape[0], x0.size
     if timestep_sampling == "bicubic":
         t = sample_timestep_bicubic(key.child("t"), schedule.t_max, b)
     elif timestep_sampling == "uniform":
@@ -48,10 +53,12 @@ def diffusion_loss(
     else:
         raise ValueError(f"unknown timestep sampling {timestep_sampling!r}")
     eps = offset_noise(key.child("eps"), x0.shape, offset_lambda)
+    if rows is not None:
+        x0, t, eps = x0[rows[0] : rows[1]], t[rows[0] : rows[1]], eps[rows[0] : rows[1]]
     x_t = q_sample(x0, t, eps, schedule)
     if predictor is not None:
         out = predictor(x_t, t, tokens)
         out = out if isinstance(out, Tensor) else Tensor(out)
     else:
         out = unet_forward(x_t, t, tokens, store, config)
-    return ops.mse_loss(out, v_target(x0, t, eps, schedule))
+    return ops.mse_loss(out, v_target(x0, t, eps, schedule), count)

@@ -375,13 +375,13 @@ def duration_sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Train one model per window duration and evaluate each on the split,
-    decoding on `workers` lanes."""
+    training and decoding on `workers` lanes."""
     out_root = Path(out_root)
     points = []
     for dur in durations:
         t_len = window_length(dur, manifest.tr)
         cfg = replace(base_config, window_d=dur)
-        ckpt = train_single_stage(manifest, split, pretrained_ckpt, cfg, out_root / f"dur_{t_len}tr")
+        ckpt = train_single_stage(manifest, split, pretrained_ckpt, cfg, out_root / f"dur_{t_len}tr", workers=workers)
         report = evaluate_split(ckpt, manifest, split, key.child("eval", t_len), ev, workers=workers)
         points.append(
             {

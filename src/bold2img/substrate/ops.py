@@ -142,12 +142,15 @@ def mean(a) -> Tensor:
     return make_node(out, (a,), backward)
 
 
-def mse_loss(a, target) -> Tensor:
+def mse_loss(a, target, count: int | None = None) -> Tensor:
+    """Summed squared error over `count` elements (default: all of a's), the
+    mean; a part of a batch passes the batch's count, so that its parts'
+    losses and gradients sum to the batch's."""
     a = as_tensor(a)
     t = target.data if isinstance(target, Tensor) else np.asarray(target)
     diff = a.data - t
-    n = diff.size
-    out = np.asarray((diff * diff).mean(), dtype=a.data.dtype)
+    n = diff.size if count is None else count
+    out = np.asarray((diff * diff).sum() / n, dtype=a.data.dtype)  # bit for bit the mean when n is the size
 
     def backward(g):
         if a.requires_grad:
@@ -626,13 +629,20 @@ def attention(q, k, v) -> Tensor:
     return matmul(softmax(scores), v)
 
 
-def dropout(x, p: float, key: RngKey) -> Tensor:
+def dropout(x, p: float, key: RngKey, part: tuple[int, int] | None = None) -> Tensor:
     """Inverted dropout: active units scaled by 1/(1-p) so E[y] = x; the
-    identity at p <= 0. Callers apply it only while training."""
+    identity at p <= 0. Callers apply it only while training. `part` = (lo, n)
+    says that x holds rows lo:lo+len(x) of an n-row batch: the mask is drawn
+    for the whole batch and cut to those rows, so a batch computed in parts
+    drops the units it drops when computed whole."""
     x = as_tensor(x)
     if p <= 0.0:
         return x
-    keep = key.generator().random(x.data.shape) >= p
+    if part is None:
+        keep = key.generator().random(x.data.shape) >= p
+    else:
+        lo, n = part
+        keep = (key.generator().random((n, *x.data.shape[1:])) >= p)[lo : lo + x.data.shape[0]]
     m = keep.astype(x.data.dtype) / (1.0 - p)
     out = x.data * m
 

@@ -38,7 +38,7 @@ from .diffgen import (
     unet_forward,
     unet_linear_param_names,
 )
-from .lanes import fill_rows
+from .lanes import LaneError, Lanes, fill_rows, lane_count, shared_zeros
 from .prep import DEFAULT_WINDOW_D, DEFAULT_WINDOW_T, Epoch, PreprocCache, SplitSpec, extract_epochs, window_length
 from .substrate import LrSchedule, OptimizerState, ParamStore, RngKey, Tensor, adamw_step, lr_at, no_grad, ops
 from .substrate.checkpoint import load_checkpoint, save_checkpoint
@@ -49,6 +49,8 @@ REGIMES = ("all", "linear", "cross_attn", "none", "lora")
 ADAPT_TRUNK_LR_SCALE = 0.1
 # trials decoded together by `infer`, fixed so that its output bits do not depend on its lanes
 INFER_BATCH = 8
+# rows of a training step computed together, fixed so that its bits do not depend on its lanes
+TRAIN_SHARD_ROWS = 16
 UNCOND_STEPS, UNCOND_BATCH = 20, 32  # DDIM steps and batch of `sample_unconditional`
 
 
@@ -95,10 +97,17 @@ class TrainConfig:
     unet: UNetConfig = field(default_factory=UNetConfig)
 
     def validate(self):
-        if not 0.0 <= self.cond_dropout < 1.0:
-            raise ValueError(f"train.cond_dropout must be in [0, 1), got {self.cond_dropout}")
-        if self.warmup_steps >= self.steps:
-            raise ValueError(f"train.warmup_steps must be below train.steps ({self.steps}), got {self.warmup_steps}")
+        for key in ("batch_size", "max_lr"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"train.{key} must be positive, got {getattr(self, key)}")
+        for key in ("pretrain_steps", "weight_decay", "offset_lambda"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"train.{key} must be >= 0, got {getattr(self, key)}")
+        for key in ("beta1", "beta2", "cond_dropout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"train.{key} must be in [0, 1), got {getattr(self, key)}")
+        if not 0 <= self.warmup_steps < self.steps:
+            raise ValueError(f"train.warmup_steps must be in [0, train.steps ({self.steps})), got {self.warmup_steps}")
         if self.regime not in REGIMES:
             raise ValueError(f"train.regime must be one of {REGIMES}, got {self.regime!r}")
         self.brain.validate()
@@ -291,21 +300,37 @@ def _train_loop(
     root: RngKey,
     out_dir,
     extra: dict,
-    stop_after: int | None = None,
+    stop_after: int | None,
+    workers: int,
 ) -> Path:
     """The step loop of every training phase, and its one objective.
 
     `lr_scale` maps each entry the phase trains to its learning-rate factor;
     it is the one statement of what trains. Before the first step every entry
     it names is set to train and every other entry is frozen, bit for bit.
-    `batch(skey) -> (x0, tokens)` draws one step's diffusion-space images and
-    their conditioning tokens from the step key. The loop owns the rest: each
-    row's tokens drop to the learned null embedding with probability
-    cond_dropout, so classifier-free guidance works at inference; the loss
-    regresses the velocity at timesteps drawn by `timestep_sampling`; then
-    the gradients of the trained entries, the LR schedule, AdamW at
-    lr * lr_scale[name], the divergence guard, the loss rows and the final
-    save. Without a schedule no step runs.
+    `batch(skey) -> (x0, tokens)` draws one step's diffusion-space images
+    and a function `tokens(lo, hi)` that builds the conditioning tokens of
+    rows lo:hi from the step key. The loop owns the rest: each row's tokens
+    drop to the learned null embedding with probability cond_dropout, so
+    classifier-free guidance works at inference; the loss regresses the
+    velocity at timesteps drawn by `timestep_sampling`; then the gradients of
+    the trained entries, the LR schedule, AdamW at lr * lr_scale[name], the
+    divergence guard, the loss rows and the final save. Without a schedule
+    no step runs.
+
+    Each step's batch splits into fixed shards of TRAIN_SHARD_ROWS rows.
+    Every random draw is made for the whole batch and each shard takes its
+    rows; a shard's loss is its rows' squared error over the whole batch's
+    element count, so the shards' losses and gradients, summed in shard
+    order, are the batch's up to float32 summation order, and one AdamW step
+    follows. Shard s runs on lane s mod L, L = min(`workers`, shards)
+    (`lanes.Lanes`: forked once per call, each lane on max(1, threads // L)
+    BLAS threads, one on two cores): the trained entries move into a shared mapping that the caller's AdamW updates in
+    place, and each lane hands its gradients back through another. The
+    shards do not depend on `workers`, so neither do the bits, and a batch
+    of one shard runs as it did unsharded. A failed lane raises a
+    RuntimeError naming the step and its rows (a NonFiniteActivation stays
+    one); a failure here kills the lanes.
     `stop_after` interrupts the run early (the schedule keeps its length);
     resuming from the saved state (`opt.step > 0`) then reproduces the
     uninterrupted run and appends to its loss rows.
@@ -317,28 +342,76 @@ def _train_loop(
     total = 0 if lr_sched is None else lr_sched.total_steps
     last = total if stop_after is None else min(total, opt.step + stop_after)
     sched = make_schedule(config.unet.t_max)
-    guard = _DivergenceGuard()
-    rows = []
-    for step in range(opt.step, last):
-        store.zero_grads()
+    b, names = config.batch_size, sorted(lr_scale)
+    shards = [(lo, min(lo + TRAIN_SHARD_ROWS, b)) for lo in range(0, b, TRAIN_SHARD_ROWS)]
+    n_lanes = lane_count(min(workers, len(shards))) if last > opt.step else 1
+
+    def draw(step: int):
+        """The step key, images, token builder and dropped rows of the whole batch."""
         skey = root.child("step", step)
         x0, tokens = batch(skey)
-        drop = skey.child("cdrop").generator().random(config.batch_size) < config.cond_dropout
-        n_dropped = int(drop.sum())
-        if n_dropped:
-            tokens = ops.where(drop[:, None, None], store["cond/null_tokens"], tokens)
+        return skey, x0, tokens, skey.child("cdrop").generator().random(b) < config.cond_dropout
+
+    def shard(step: int, drawn, lo: int, hi: int) -> tuple[float, dict[str, np.ndarray]]:
+        """The loss and the trained entries' gradients of rows lo:hi."""
+        skey, x0, tokens, drop = drawn
+        cond = tokens(lo, hi)
+        if drop[lo:hi].any():
+            cond = ops.where(drop[lo:hi, None, None], store["cond/null_tokens"], cond)
         try:
             loss = diffusion_loss(
-                x0, tokens, store, sched, config.unet, skey.child("loss"), timestep_sampling, config.offset_lambda
+                x0, cond, store, sched, config.unet, skey.child("loss"), timestep_sampling, config.offset_lambda,
+                rows=(lo, hi),
             )
         except NonFiniteActivation as e:
             raise NonFiniteActivation(f"step {step}: {e}") from e
         loss.backward()
-        grads = {n: store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data) for n in lr_scale}
-        lr = lr_at(step, lr_sched)
-        adamw_step(store, grads, opt, lr, config.weight_decay, config.beta1, config.beta2, lr_scale=lr_scale)
-        guard.check(step, loss.item())
-        rows.append((step, loss.item(), lr, n_dropped))
+        grads = {}
+        for n in names:
+            grads[n] = store[n].grad if store[n].grad is not None else np.zeros_like(store[n].data)
+            store[n].grad = None
+        return loss.item(), grads
+
+    handed, losses = {}, None  # what the forked lanes hand back: per shard, gradients and loss
+    if n_lanes > 1:
+        specs = [(store[n].shape, store[n].dtype) for n in names]
+        for n, shared in zip(names, shared_zeros(specs)):
+            shared[...] = store[n].data
+            store[n].data = shared
+        handed = {s: dict(zip(names, shared_zeros(specs))) for s in range(len(shards)) if s % n_lanes}
+        losses = shared_zeros([((len(shards),), np.float64)])[0]
+
+    def serve(lane: int, step: int, where: list[str]):
+        drawn = draw(step)
+        for s in range(lane, len(shards), n_lanes):
+            where[0] = f"step {step}, rows {shards[s][0]}:{shards[s][1]}"
+            losses[s], grads = shard(step, drawn, *shards[s])
+            for n in names:
+                handed[s][n][...] = grads[n]
+
+    guard = _DivergenceGuard()
+    rows = []
+    with Lanes(n_lanes, serve) as lanes:
+        for step in range(opt.step, last):
+            store.zero_grads()
+            lanes.post(step)
+            drawn = draw(step)
+            done = {s: shard(step, drawn, *shards[s]) for s in range(0, len(shards), n_lanes)}
+            try:
+                lanes.collect()
+            except LaneError as e:
+                if NonFiniteActivation.__name__ in e.kinds:
+                    raise NonFiniteActivation(str(e)) from e
+                raise
+            loss, grads = done[0]
+            for s in range(1, len(shards)):
+                shard_loss, shard_grads = done[s] if s in done else (float(losses[s]), handed[s])
+                loss += shard_loss
+                grads = {n: grads[n] + shard_grads[n] for n in names}
+            lr = lr_at(step, lr_sched)
+            adamw_step(store, grads, opt, lr, config.weight_decay, config.beta1, config.beta2, lr_scale=lr_scale)
+            guard.check(step, loss)
+            rows.append((step, loss, lr, int(drawn[3].sum())))
     _loss_csv(out_dir, rows, resumed)
     save_train_state(out_dir, store, opt, config, extra)
     return out_dir
@@ -350,9 +423,10 @@ def pretrain_generator(
     out_dir,
     resume_from=None,
     stop_after: int | None = None,
+    workers: int = 1,
 ) -> Path:
     """Generator training on the train-split stimulus images, with uniformly
-    sampled timesteps.
+    sampled timesteps, on `workers` lanes.
 
     The tokens come from a frozen image encoder, so the generator learns to
     read token variation; the step loop drops them to the null embedding.
@@ -373,12 +447,12 @@ def pretrain_generator(
 
     def batch(skey: RngKey):
         idx = skey.child("batch").generator().integers(0, len(train_imgs), config.batch_size)
-        return train_imgs[idx], Tensor(image_tokens(raw_imgs[idx], config.unet, store))
+        return train_imgs[idx], lambda lo, hi: Tensor(image_tokens(raw_imgs[idx[lo:hi]], config.unet, store))
 
     total = config.pretrain_steps
     lr_sched = LrSchedule(config.max_lr, min(config.warmup_steps, total - 1), total) if total else None
     return _train_loop(batch, "uniform", lr_sched, store, lr_scale, opt, config, root, out_dir, {"phase": "pretrain"},
-                       stop_after)
+                       stop_after, workers)
 
 
 def _train_joint(
@@ -390,10 +464,11 @@ def _train_joint(
     opt: OptimizerState,
     config: TrainConfig,
     out_dir,
-    stop_after: int | None = None,
+    stop_after: int | None,
+    workers: int,
 ) -> Path:
     """The joint stage on `split.train_refs` of `subjects`, training the
-    entries of `lr_scale` at their learning-rate factors."""
+    entries of `lr_scale` at their learning-rate factors, on `workers` lanes."""
     root = RngKey(config.seed, ("joint",))
     cache = PreprocCache(manifest).build()
     refs = {sid: split.train_refs[sid] for sid in subjects}
@@ -404,19 +479,24 @@ def _train_joint(
         by_sid: dict[str, list[int]] = {}
         for sid, row in (data.flat_index[i] for i in pick):
             by_sid.setdefault(sid, []).append(row)
-        token_parts, image_parts = [], []
-        for sid in sorted(by_sid):
-            x, images = data.gather(sid, by_sid[sid])
-            token_parts.append(
-                brain_forward_batch(x, store, config.brain, sid, training=True, key=skey.child("drop", sid))
-            )
-            image_parts.append(images)
-        tokens = token_parts[0] if len(token_parts) == 1 else ops.concat(token_parts, axis=0)
-        return image_to_diffusion(np.concatenate(image_parts, axis=0)), tokens
+        groups = [(sid, *data.gather(sid, by_sid[sid])) for sid in sorted(by_sid)]  # the batch's rows, by subject
+
+        def tokens(lo: int, hi: int) -> Tensor:
+            parts, start = [], 0
+            for sid, x, _ in groups:  # each subject's dropout is drawn for all of its rows
+                a, z = max(lo, start), min(hi, start + len(x))
+                if a < z:
+                    key = skey.child("drop", sid)
+                    parts.append(brain_forward_batch(x, store, config.brain, sid, True, key, (a - start, z - start)))
+                start += len(x)
+            return parts[0] if len(parts) == 1 else ops.concat(parts, axis=0)
+
+        return image_to_diffusion(np.concatenate([images for _, _, images in groups], axis=0)), tokens
 
     lr_sched = LrSchedule(config.max_lr, config.warmup_steps, config.steps)
     extra = {"phase": "joint", "subjects": subjects, "split": split.kind}
-    return _train_loop(batch, "bicubic", lr_sched, store, lr_scale, opt, config, root, out_dir, extra, stop_after)
+    return _train_loop(batch, "bicubic", lr_sched, store, lr_scale, opt, config, root, out_dir, extra, stop_after,
+                       workers)
 
 
 def train_single_stage(
@@ -428,8 +508,10 @@ def train_single_stage(
     subjects: list[str] | None = None,
     resume_from=None,
     stop_after: int | None = None,
+    workers: int = 1,
 ) -> Path:
-    """Joint training of the brain module and conditioned generator.
+    """Joint training of the brain module and conditioned generator, on
+    `workers` lanes.
 
     Every repetition is its own sample (no averaging). Several subjects
     (default: all of the manifest) share one trunk, adapters and null
@@ -450,7 +532,7 @@ def train_single_stage(
         if config.regime == "lora":
             create_lora_adapters(config.unet, root.child("init", "lora"), store)
     lr_scale = dict.fromkeys(regime_trainable_names(store, config.regime), 1.0)
-    return _train_joint(manifest, split, subjects, store, lr_scale, opt, config, out_dir, stop_after)
+    return _train_joint(manifest, split, subjects, store, lr_scale, opt, config, out_dir, stop_after, workers)
 
 
 def adapt_new_subject(
@@ -461,8 +543,10 @@ def adapt_new_subject(
     sessions_used: int,
     config: TrainConfig,
     out_dir,
+    workers: int = 1,
 ) -> Path:
-    """Adapt a pretrained multi-subject model to an unseen subject.
+    """Adapt a pretrained multi-subject model to an unseen subject, on
+    `workers` lanes.
 
     Fresh subject/timestep layers train at full rate; the shared trunk,
     adapters and null embedding finetune at max_lr * ADAPT_TRUNK_LR_SCALE.
@@ -498,7 +582,8 @@ def adapt_new_subject(
 
     refs = [(r, e) for r, e in split.train_refs[new_subject] if r < sessions_used]
     split = replace(split, train_refs={new_subject: refs})
-    return _train_joint(manifest, split, [new_subject], store, lr_scale, OptimizerState(), config, out_dir)
+    return _train_joint(manifest, split, [new_subject], store, lr_scale, OptimizerState(), config, out_dir, None,
+                        workers)
 
 
 # ---------------------------------------------------------------------------

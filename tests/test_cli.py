@@ -24,6 +24,7 @@ from bold2img.cli import (
 )
 from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import EvalConfig, evaluate_split
+from bold2img.lanes import blas_threads
 from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
 from bold2img.substrate import RngKey
 from bold2img.synthcortex import DatasetConfig, load_manifest
@@ -171,26 +172,53 @@ def test_eval_and_infer_decode_the_subjects_the_checkpoint_holds(cli_world, tmp_
     assert str(err.value) == f"checkpoint {ckpt} holds subjects ['sub01'], none of the split's test subjects ['sub02']"
 
 
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "resolved_config.json"  # it records --out
+    }
+
+
 def test_train_bits_do_not_depend_on_blas_threads(cli_world, tmp_path):
-    # what decode lanes, and training processes run side by side on one
-    # thread each, rely on: the thread count changes no output byte
+    # what decode and training lanes, and training processes run side by side
+    # on one thread each, rely on: the thread count changes no output byte.
+    # At batch 32 both shards of each step run in the one process.
     src = str(Path(bold2img.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "BOLD2IMG_OUT"}
+    for batch, workers in ((4, []), (32, ["--workers", "1"])):
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"b{batch}-threads{threads}"
+            argv = ["--set", f"paths.out_root={cli_world}", *TINY_OVERRIDES, "--set", f"train.batch_size={batch}",
+                    *workers, "train", "--out", str(out)]
+            done = subprocess.run([sys.executable, "-m", "bold2img.cli", *argv], capture_output=True, text=True,
+                                  env=dict(env, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads), timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs[threads] = _outputs(out)
+        assert "loss.csv" in outputs["1"] and sum(name.endswith(".bin") for name in outputs["1"]) > 10
+        assert sorted(outputs["1"]) == sorted(outputs["2"])
+        assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []
+
+
+def test_training_bits_do_not_depend_on_workers(cli_world, tmp_path):
+    # batch 32 is two shards: one lane computes both, or two lanes one each
+    threads = blas_threads()
     outputs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        argv = ["--set", f"paths.out_root={cli_world}", *TINY_OVERRIDES, "train", "--out", str(out)]
-        done = subprocess.run([sys.executable, "-m", "bold2img.cli", *argv], capture_output=True, text=True,
-                              env=dict(env, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads), timeout=300)
-        assert done.returncode == 0, done.stderr
-        outputs[threads] = {
-            str(p.relative_to(out)): p.read_bytes()
-            for p in sorted(out.rglob("*"))
-            if p.is_file() and p.name != "resolved_config.json"  # it records --out
-        }
-    assert "loss.csv" in outputs["1"] and sum(name.endswith(".bin") for name in outputs["1"]) > 10
-    assert sorted(outputs["1"]) == sorted(outputs["2"])
-    assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        for argv in (["--set", f"paths.pretrain={out / 'pretrain'}", "pretrain-gen"],
+                     ["train", "--out", str(out / "train")]):
+            assert _run(cli_world, "--set", "train.batch_size=32", "--workers", str(workers), *argv) == EXIT_OK
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no lane outlives its command
+        assert blas_threads() == threads
+        outputs[workers] = _outputs(out)
+    assert {"pretrain/loss.csv", "train/loss.csv"} <= set(outputs[1])
+    assert sum(name.endswith(".bin") for name in outputs[1]) > 20
+    for workers in (2, 3):
+        assert sorted(outputs[workers]) == sorted(outputs[1])
+        assert [name for name in outputs[1] if outputs[1][name] != outputs[workers][name]] == []
 
 
 def test_sweep_time_command(cli_world, tmp_path):
@@ -314,6 +342,16 @@ def test_dataset_setting_rejected_before_anything_is_written(tmp_path, capsys):
         ("cond_dropout=1", "pretrain-gen"),
         ("brain.hidden=0", "ablate-brainmod"),
         ("regime=bogus", "sweep-duration"),
+        ("batch_size=0", "pretrain-gen"),
+        ("batch_size=-4", "train"),
+        ("max_lr=0", "pretrain-gen"),
+        ("max_lr=-0.001", "train"),
+        ("pretrain_steps=-1", "pretrain-gen"),
+        ("offset_lambda=-0.1", "pretrain-gen"),
+        ("weight_decay=-1", "pretrain-gen"),
+        ("beta1=1.5", "pretrain-gen"),
+        ("beta2=1", "train"),
+        ("warmup_steps=-1", "train"),
     ],
 )
 def test_train_setting_rejected_before_anything_is_read_or_written(tmp_path, capsys, override, command):

@@ -1,4 +1,4 @@
-"""Forked decode lanes: the rows they fill, their BLAS threads, and their end."""
+"""Forked lanes: the requests they serve, the rows they fill, their BLAS threads, and their end."""
 
 import os
 import signal
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bold2img import lanes
-from bold2img.lanes import blas_threads, fill_rows
+from bold2img.lanes import Lanes, blas_threads, fill_rows, shared_zeros
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 needs_blas_threads = pytest.mark.skipif(not blas_threads(), reason="numpy's BLAS thread count cannot be set")
@@ -43,6 +43,47 @@ def test_span_i_fills_its_rows_on_lane_i_mod_l(lanes_asked):
     assert len(set(pids)) == n and pids == [pids[i % n] for i in range(len(spans))]
     if n > 1:
         assert set(out[:, 2].tolist()) == {max(1, threads // n)}
+
+
+@needs_blas_threads
+def test_lanes_forked_once_serve_every_request():
+    threads = blas_threads()
+    served = shared_zeros([((4, 3), np.int64)])[0]  # the pid that served request r on lane l
+
+    def serve(lane, request, where):
+        served[request, lane] = os.getpid()
+
+    with Lanes(3, serve) as lanes_:
+        for request in range(4):
+            lanes_.post(request)
+            serve(0, request, [""])
+            lanes_.collect()
+            assert (served[request] != 0).all()  # every lane answered before `collect` returned
+    _no_lane_left()
+    assert blas_threads() == threads
+    assert set(served[:, 0].tolist()) == {os.getpid()}
+    forked = [set(served[:, lane].tolist()) for lane in (1, 2)]
+    assert [len(pids) for pids in forked] == [1, 1] and len(forked[0] | forked[1] | {os.getpid()}) == 3
+
+
+@needs_blas_threads
+def test_a_lane_killed_between_requests_is_named_at_the_next_collect():
+    threads = blas_threads()
+    pids = shared_zeros([((2,), np.int64)])[0]
+
+    def serve(lane, request, where):
+        pids[lane] = os.getpid()
+
+    with pytest.raises(lanes.LaneError, match=r"^lane 1 was killed by signal 9$"):
+        with Lanes(2, serve) as lanes_:
+            lanes_.post(0)
+            lanes_.collect()
+            os.kill(int(pids[1]), signal.SIGKILL)
+            os.waitid(os.P_PID, int(pids[1]), os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+            lanes_.post(1)  # into a pipe nobody reads
+            lanes_.collect()
+    _no_lane_left()
+    assert blas_threads() == threads
 
 
 def test_no_fork_where_blas_threads_cannot_be_set(monkeypatch):

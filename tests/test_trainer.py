@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from bold2img.synthcortex import DatasetConfig, build_dataset
 from bold2img.trainer import (
     INFER_BATCH,
     REGIMES,
+    TRAIN_SHARD_ROWS,
     TrainConfig,
+    TrainingDiverged,
     adapt_new_subject,
     assemble_training_set,
     config_to_json,
@@ -28,6 +31,8 @@ from bold2img.trainer import (
     save_train_state,
     train_single_stage,
 )
+
+needs_blas_threads = pytest.mark.skipif(not blas_threads(), reason="numpy's BLAS thread count cannot be set")
 
 TINY_UNET = UNetConfig(resolution=32, channels=(8, 8, 16), tokens=4, token_dim=8)
 TINY_BRAIN = BrainModuleConfig(hidden=16, tokens=4, token_dim=8)
@@ -489,3 +494,143 @@ def test_nonfinite_activation_names_the_step_and_block(world, tmp_path):
     with pytest.raises(NonFiniteActivation, match=r"step 0: .*block 'enc2'"):
         train_single_stage(manifest, split, tmp_path / "nan_pre", tiny_config(steps=3, warmup_steps=1),
                            tmp_path / "out", subjects=["sub01"])
+
+
+# ---------------------------------------------------------------------------
+# training steps split into shards, on forked lanes
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "joint"])
+def test_shards_change_only_the_summation_order(world, tmp_path, monkeypatch, phase):
+    """One float64 step as one shard and as two: each shard takes its rows of
+    the whole batch's draws (rows, dropped conditioning, timesteps, noise,
+    brain dropout) and divides its squared error by the whole batch's size,
+    so the two shards' loss and gradients sum to the batch's."""
+    manifest, split, pre, _ = world
+    cfg = tiny_config(batch_size=8, cond_dropout=0.5, seed=2)  # a seed whose step 0 covers every case below
+    subjects = ["sub01", "sub02", "sub03"]
+    skey = RngKey(cfg.seed, (phase,)).child("step", 0)
+    dropped = skey.child("cdrop").generator().random(8) < cfg.cond_dropout
+    assert dropped[:4].any() and dropped[4:].any() and not dropped.all()
+    if phase == "pretrain":
+        init = pretrain_generator(manifest, cfg, tmp_path / "init", stop_after=0)
+    else:
+        init = train_single_stage(manifest, split, pre, cfg, tmp_path / "init", subjects=subjects, stop_after=0)
+        refs = {sid: split.train_refs[sid] for sid in subjects}
+        data = assemble_training_set(manifest, PreprocCache(manifest).build(), refs, cfg,
+                                     RngKey(cfg.seed, ("joint",)).child("labels"))
+        rows = sorted(data.flat_index[i][0] for i in skey.child("batch").generator().integers(0, data.n_total, 8))
+        assert rows[3] == rows[4] and len(set(rows)) > 1  # one subject's rows straddle the shard boundary
+    store, opt, config, extra = load_train_state(init)
+    save_train_state(tmp_path / "init64", store.astype(np.float64), opt, config, extra)
+
+    grads, losses = [], []
+    real = trainer.adamw_step
+
+    def recording(store, step_grads, *args, **kwargs):
+        grads.append({n: g.copy() for n, g in step_grads.items()})
+        return real(store, step_grads, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "adamw_step", recording)
+    monkeypatch.setattr(trainer._DivergenceGuard, "check", lambda guard, step, loss: losses.append(loss))
+    for shard_rows in (8, 4):
+        monkeypatch.setattr(trainer, "TRAIN_SHARD_ROWS", shard_rows)
+        out, init64 = tmp_path / f"rows{shard_rows}", tmp_path / "init64"
+        if phase == "pretrain":
+            pretrain_generator(manifest, cfg, out, resume_from=init64, stop_after=1)
+        else:
+            train_single_stage(manifest, split, pre, cfg, out, subjects=subjects, resume_from=init64, stop_after=1)
+    whole, halves = grads
+    assert sorted(whole) == sorted(halves) and {g.dtype for g in whole.values()} == {np.dtype(np.float64)}
+    assert abs(losses[1] - losses[0]) <= 1e-10 * losses[0]
+    for name, g in whole.items():
+        assert np.abs(halves[name] - g).max() <= 1e-10 * np.abs(g).max(), name
+
+
+def _two_shard_config():
+    return tiny_config(batch_size=2 * TRAIN_SHARD_ROWS, steps=4, warmup_steps=1)
+
+
+def _train_on_two_lanes(world, out, **kw):
+    manifest, split, pre, _ = world
+    return train_single_stage(manifest, split, pre, _two_shard_config(), out, subjects=["sub01", "sub02"],
+                              workers=2, **kw)
+
+
+def _failing_loss(monkeypatch, fail):
+    """Patch the step loop's loss so that `fail(step, in_lane)` runs first (forked lanes inherit the patch)."""
+    caller, real = os.getpid(), trainer.diffusion_loss
+
+    def loss(*args, **kwargs):
+        fail(int(args[5].path[-2]), os.getpid() != caller)  # the loss key: (..., "step", step, "loss")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "diffusion_loss", loss)
+
+
+@needs_blas_threads
+def test_a_failed_training_lane_names_the_step_and_its_rows(world, tmp_path, monkeypatch):
+    def fail(step, in_lane):
+        if in_lane and step == 2:
+            raise ValueError("no loss for step 2")
+
+    _failing_loss(monkeypatch, fail)
+    threads = blas_threads()
+    with pytest.raises(RuntimeError, match=r"^lane 1 failed at step 2, rows 16:32: ValueError: no loss for step 2$"):
+        _train_on_two_lanes(world, tmp_path / "out")
+    _no_lane_left()
+    assert blas_threads() == threads
+
+
+@needs_blas_threads
+def test_nonfinite_activation_in_a_lane_names_the_step_and_block(world, tmp_path, monkeypatch):
+    def fail(step, in_lane):
+        if in_lane and step == 1:
+            raise NonFiniteActivation("non-finite activation leaving block 'enc2'")
+
+    _failing_loss(monkeypatch, fail)
+    threads = blas_threads()
+    with pytest.raises(NonFiniteActivation, match=r"step 1, rows 16:32: .*step 1: .*block 'enc2'"):
+        _train_on_two_lanes(world, tmp_path / "out")
+    _no_lane_left()
+    assert blas_threads() == threads
+
+
+@needs_blas_threads
+@pytest.mark.parametrize("error", [NonFiniteActivation, TrainingDiverged])
+def test_a_failure_in_the_caller_kills_and_reaps_the_training_lane(world, tmp_path, monkeypatch, error):
+    def fail(step, in_lane):
+        if step == 1 and in_lane:
+            time.sleep(30)  # a lane still working when the caller fails
+        if step == 1 and not in_lane and error is NonFiniteActivation:
+            raise NonFiniteActivation("non-finite activation leaving block 'enc2'")
+
+    def diverge(guard, step, loss):
+        if step == 0:
+            raise TrainingDiverged(f"non-finite loss nan at step {step}")
+
+    _failing_loss(monkeypatch, fail)
+    if error is TrainingDiverged:
+        monkeypatch.setattr(trainer._DivergenceGuard, "check", diverge)
+    threads = blas_threads()
+    t0 = time.monotonic()
+    with pytest.raises(error, match="step 1: .*block 'enc2'" if error is NonFiniteActivation else "at step 0"):
+        _train_on_two_lanes(world, tmp_path / "out")
+    assert time.monotonic() - t0 < 20
+    _no_lane_left()
+    assert blas_threads() == threads
+
+
+@needs_blas_threads
+def test_resume_on_two_lanes_is_bitwise(world, tmp_path):
+    full = _train_on_two_lanes(world, tmp_path / "full")
+    part = _train_on_two_lanes(world, tmp_path / "part", stop_after=2)
+    resumed = _train_on_two_lanes(world, tmp_path / "resumed", resume_from=part)
+    _no_lane_left()
+    s_full, o_full, _, _ = load_train_state(full)
+    s_res, o_res, _, _ = load_train_state(resumed)
+    assert o_res.step == o_full.step == 4
+    assert s_res.hash_of() == s_full.hash_of()
+    assert all(np.array_equal(o_res.m[n], o_full.m[n]) and np.array_equal(o_res.v[n], o_full.v[n]) for n in o_full.m)
+    rows = [(p / "loss.csv").read_text().splitlines()[1:] for p in (full, part, resumed)]
+    assert rows[1] + rows[2] == rows[0]
