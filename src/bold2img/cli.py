@@ -193,7 +193,7 @@ def cmd_gen_data(config, args):
 
 def cmd_preprocess(config, args):
     manifest = load_manifest(config["paths"]["data"])
-    cache = PreprocCache(manifest).build()
+    cache = PreprocCache(manifest, workers=config["workers"]).build()
     _write_resolved(config, "preprocess", vars(args), cache.dir)
     print(f"preprocessed runs cached in {cache.dir}")
     return EXIT_OK
@@ -241,7 +241,7 @@ def cmd_infer(config, args):
         raise ConfigError("--limit", f"must be >= 1, got {args.limit}")
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, args.split, config)
-    cache = PreprocCache(manifest).build()
+    cache = PreprocCache(manifest, workers=config["workers"]).build()
     store, _, tc, _ = load_train_state(args.ckpt)
     split = held_subject_split(split, store, args.ckpt)
     refs = {s: split.test_refs[s][: args.limit] for s in split.test_refs}
@@ -375,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        help="gen-data's pool size, and the number of lanes, one BLAS thread each, that decode trials and compute"
-        " the shards of each training step (default: all cores)",
+        help="the number of lanes, one BLAS thread each, that write the stimuli and runs of gen-data and"
+        " preprocess, decode trials and compute the shards of each training step (default: all cores)",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -466,7 +466,7 @@ def dispatch(argv: list[str]) -> int:
         print(f"config error at {e}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as e:  # noqa: BLE001 - CLI boundary
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e}", *getattr(e, "__notes__", ()), sep="\n", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -205,7 +205,7 @@ def evaluate_split(
     else:
         rep_map = pick_test_repetitions(split, key.child("reps"))
         refs = chosen_test_refs(manifest, split, rep_map)
-    cache = PreprocCache(manifest).build()
+    cache = PreprocCache(manifest, workers=workers).build()
     epochs, _ = extract_epochs(cache, refs, tc.window_t, tc.window_d, delta)
     images = decoder(epochs)
 
@@ -313,7 +313,7 @@ def time_sweep(
     t, d = tc.window_t, tc.window_d
     t_len = window_length(d, manifest.tr)
     cap, eval_res = ev.max_trials_per_subject, ev.resolution(manifest)
-    cache = PreprocCache(manifest).build()
+    cache = PreprocCache(manifest, workers=workers).build()
     truth: dict = {}
 
     specialized_ckpts = match_specialized(specialized_ckpts, deltas, manifest.tr)

@@ -4,11 +4,13 @@ About half of a training step or of a guided U-Net forward is
 single-threaded numpy (norms, adds, copies), so one process on two BLAS
 threads leaves a core idle much of the time, while two single-thread
 processes keep both busy. `Lanes` forks such processes once and hands them
-numbered requests: `fill_rows` splits fixed spans of rows over them, and the
-training loop gives each lane shards of every step's batch. The calling
-process is lane 0; it forks the others, which hand results back through
-shared anonymous mappings (`shared_zeros`). Lanes never run multi-threaded
-BLAS: two processes on two BLAS threads each oversubscribe the cores and run
+numbered requests: `on_lanes` deals independent items over them (the
+stimuli and runs of `gen-data`, the runs `preprocess` rewrites), `fill_rows`
+splits fixed spans of rows over them, and the training loop gives each lane
+shards of every step's batch. The calling process is lane 0; it forks the
+others, which hand results back through shared anonymous mappings
+(`shared_zeros`) or files. Lanes never run multi-threaded BLAS: two
+processes on two BLAS threads each oversubscribe the cores and run
 several times slower than one.
 """
 
@@ -229,26 +231,48 @@ def _reap(lane: _Lane) -> tuple[str, str]:
     return kind, f"lane {lane.lane} failed at {message or 'an unknown point'}"
 
 
+def on_lanes(items: list, work, lanes: int, name) -> None:
+    """`work(item)` for each of `items`, item i on lane i mod L, where
+    L = min(`lanes`, len(`items`)) (`Lanes`; with L <= 1, or where numpy's
+    BLAS thread count cannot be set, every item runs here, unforked).
+
+    What a forked lane's work leaves in its own memory is lost with the lane:
+    work hands results back by writing files or shared mappings
+    (`shared_zeros`). `name(item)` says what an item is. When a forked lane
+    fails, this raises a LaneError naming the lane, the item it failed on and
+    its error; when the caller's own item raises, the lanes are killed and
+    the error propagates with a note (`__notes__`) naming the item.
+    """
+    n = lane_count(max(1, min(lanes, len(items))))
+
+    def serve(lane, _, where):
+        for item in items[lane::n]:
+            where[0] = name(item)
+            work(item)
+
+    where = [""]
+    with Lanes(n, serve) as forked:
+        forked.post(0)
+        try:
+            serve(0, 0, where)
+        except BaseException as e:
+            e.__notes__ = [*getattr(e, "__notes__", ()), f"lane 0 failed at {where[0]}"]  # add_note, 3.11+
+            raise
+        forked.collect()
+
+
 def fill_rows(shape: tuple, dtype, spans: list[tuple[int, int]], fill, lanes: int) -> np.ndarray:
     """An array of `shape` whose rows lo:hi are `fill(lo, hi)`, for each (lo, hi) in `spans`.
 
-    Span i runs on lane i mod L, where L = min(`lanes`, len(spans)) (`Lanes`;
-    with L = 1, or where numpy's BLAS thread count cannot be set, every span
-    runs here, unforked). When a forked lane fails, this raises a
-    RuntimeError naming the lane, the span it failed on and its error; when
-    the caller's own spans raise, the lanes are killed and the error
-    propagates.
+    Span i runs on lane i mod L, where L = min(`lanes`, len(spans))
+    (`on_lanes`). When a forked lane fails, this raises a RuntimeError
+    naming the lane, the span it failed on and its error; when the caller's
+    own spans raise, the lanes are killed and the error propagates.
     """
-    n = lane_count(min(lanes, len(spans)))
-    out = np.empty(shape, dtype) if n <= 1 else shared_zeros([(shape, dtype)])[0]
+    out = shared_zeros([(shape, dtype)])[0]
 
-    def serve(lane, _, where):
-        for lo, hi in spans[lane::n]:
-            where[0] = f"rows {lo}:{hi}"
-            out[lo:hi] = fill(lo, hi)
+    def fill_span(span):
+        out[span[0] : span[1]] = fill(*span)
 
-    with Lanes(n, serve) as forked:
-        forked.post(0)
-        serve(0, 0, [""])
-        forked.collect()
-    return out if n <= 1 else out.copy()
+    on_lanes(spans, fill_span, lanes, lambda span: "rows %d:%d" % span)
+    return out.copy()

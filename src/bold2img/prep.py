@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .lanes import on_lanes
 from .substrate.checkpoint import read_json_object, write_tensor
 from .substrate.rng import RngKey
 from .synthcortex.dataset import DatasetManifest
@@ -229,12 +230,14 @@ class PreprocCache:
     """Preprocessed runs on disk next to the dataset. `index.json` records the
     cutoff and the sha256 of the dataset's manifest they were made from; a
     cache made from other settings is rebuilt by `build` and refused by `get`.
-    Cached runs are read-only, so the windows cut from them stay views."""
+    Cached runs are read-only, so the windows cut from them stay views.
+    `build` rewrites runs on `workers` lanes."""
 
-    def __init__(self, manifest: DatasetManifest, cutoff_s: float = DEFAULT_CUTOFF_S, cache_dir=None):
+    def __init__(self, manifest: DatasetManifest, cutoff_s: float = DEFAULT_CUTOFF_S, cache_dir=None, workers: int = 1):
         self.manifest = manifest
         self.cutoff_s = cutoff_s
         self.dir = Path(cache_dir) if cache_dir else manifest.root / f"preproc_c{int(cutoff_s)}"
+        self.workers = workers
         self._mem: dict[tuple[str, int], FmriRun] = {}
         self._current = False
 
@@ -258,21 +261,27 @@ class PreprocCache:
         return None
 
     def build(self) -> "PreprocCache":
+        """Rewrite every run of a stale cache, and any run file missing from a
+        current one: run i of those on lane i mod L, L = min(`workers`, runs)
+        (`lanes.on_lanes`), each lane writing its own runs' files; a failed
+        run raises an error that names it (`sub01/run003`). `index.json` is
+        written here, last. A current cache with every run in place forks
+        nothing and writes nothing."""
         self.dir.mkdir(parents=True, exist_ok=True)
         stamp = self._stamp()
-        stale = written = self._stale(stamp) is not None
+        stale = self._stale(stamp) is not None
         if stale:  # no index until every run is rewritten
             (self.dir / "index.json").unlink(missing_ok=True)
-        index = {}
-        for subj in self.manifest.subject_ids:
-            for r in range(len(self.manifest.runs[subj])):
-                p = self._path(subj, r)
-                if stale or not p.exists():
-                    run = preprocess_run(self.manifest.load_run(subj, r), self.cutoff_s)
-                    write_tensor(p, run.data)
-                    written = True
-                index[f"{subj}/{r}"] = p.name
-        if written:  # a current index stays in place: another process may be reading it
+        refs = [(subj, r) for subj in self.manifest.subject_ids for r in range(len(self.manifest.runs[subj]))]
+        todo = [(subj, r) for subj, r in refs if stale or not self._path(subj, r).exists()]
+
+        def rewrite(ref):
+            run = preprocess_run(self.manifest.load_run(*ref), self.cutoff_s)
+            write_tensor(self._path(*ref), run.data)
+
+        on_lanes(todo, rewrite, self.workers, lambda ref: "%s/run%03d" % ref)
+        if todo or stale:  # a current index stays in place: another process may be reading it
+            index = {f"{subj}/{r}": self._path(subj, r).name for subj, r in refs}
             (self.dir / "index.json").write_text(json.dumps({**stamp, "runs": index}, sort_keys=True, indent=1))
         self._current = True
         return self

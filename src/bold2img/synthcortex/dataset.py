@@ -15,12 +15,12 @@ interrupted build leaves a root that fails to load instead of a mix of two.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..lanes import on_lanes
 from ..substrate.checkpoint import read_json_object, read_tensor, write_tensor
 from ..substrate.rng import RngKey
 from .scenes import DEFAULT_PALETTE, StimulusScene, render_mask, render_scene, sample_scene, validate_palette
@@ -137,8 +137,13 @@ class DatasetManifest:
 def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1) -> DatasetManifest:
     """Generate and write the full dataset; returns its manifest.
 
-    Run synthesis parallelizes over runs (each draws from its own derived
-    stream, so output bytes do not depend on `workers`).
+    Here the scenes are sampled, the subjects made and written, and each
+    run's trials laid out. The stimuli are then rendered, and the runs
+    synthesized, item i on lane i mod L, L = min(`workers`, items)
+    (`lanes.on_lanes`), each lane writing its own items' files. Every item
+    draws from its own derived stream, so the bytes do not depend on
+    `workers`. The manifest is written here, last. A failed item raises an
+    error that names it (`sub01/run003`, or its stimulus).
     """
     plan = plan_dataset(config)
     validate_palette(DEFAULT_PALETTE)
@@ -150,13 +155,8 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
 
     # --- stimulus catalog (shared across subjects) ---
     stim_ids = [f"stim{i:05d}" for i in range(config.n_unique)]
-    scenes: dict[str, StimulusScene] = {}
-    split_tag: dict[str, str] = {}
-    for i, sid in enumerate(stim_ids):
-        scenes[sid] = sample_scene(key.child("scene", sid))
-        split_tag[sid] = "train" if i < config.n_train_unique else "test"
-        write_tensor(root / "stimuli" / "images" / f"{sid}.bin", render_scene(scenes[sid], config.resolution))
-        write_tensor(root / "stimuli" / "masks" / f"{sid}.bin", render_mask(scenes[sid], config.resolution))
+    scenes = {sid: sample_scene(key.child("scene", sid)) for sid in stim_ids}
+    split_tag = {sid: "train" if i < config.n_train_unique else "test" for i, sid in enumerate(stim_ids)}
 
     # --- subjects with distinct voxel counts ---
     subject_ids = [f"sub{i + 1:02d}" for i in range(config.n_subjects)]
@@ -177,34 +177,36 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
     # --- per-subject trial sequences and runs ---
     runs: dict[str, list[dict]] = {}
     rep_map: dict[str, dict[str, list]] = {}
-    jobs = []
+    jobs = []  # (subject, run id, timeline, file)
     for sid in subject_ids:
         sequence = np.repeat(np.arange(config.n_unique), config.repetitions)
         order = key.child("order", sid).permutation(len(sequence))
         sequence = sequence[order]
-        runs[sid] = [None] * config.runs_per_subject
+        runs[sid] = []
         rep_map[sid] = {s: [] for s in stim_ids}
         for r in range(config.runs_per_subject):
             chunk = sequence[r * config.trials_per_run : (r + 1) * config.trials_per_run]
             trial_stims = [stim_ids[i] for i in chunk]
-            jobs.append((sid, r, trial_stims))
+            timeline = make_timeline(trial_stims, config.tr)
+            run_id = f"run{r:03d}"
+            rel = f"runs/{sid}_{run_id}.bin"
+            jobs.append((sid, run_id, timeline, rel))
+            runs[sid].append({"run_id": run_id, "file": rel, "events": [e.to_json() for e in timeline.events]})
             for ei, stim in enumerate(trial_stims):
                 rep_map[sid][stim].append([r, ei])
 
+    def render(sid):
+        write_tensor(root / "stimuli" / "images" / f"{sid}.bin", render_scene(scenes[sid], config.resolution))
+        write_tensor(root / "stimuli" / "masks" / f"{sid}.bin", render_mask(scenes[sid], config.resolution))
+
     def synthesize(job):
-        sid, r, trial_stims = job
-        timeline = make_timeline(trial_stims, config.tr)
-        run_id = f"run{r:03d}"
+        sid, run_id, timeline, rel = job
         run_key = key.child("run", sid, run_id)
         run = simulate_run(subjects[sid], timeline, scenes, run_key, config.noise_scale, config.drift_scale, run_id)
-        return sid, r, run, timeline
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(synthesize, jobs))
-    for sid, r, run, timeline in results:
-        rel = f"runs/{sid}_{run.run_id}.bin"
         write_tensor(root / rel, run.data)
-        runs[sid][r] = {"run_id": run.run_id, "file": rel, "events": [e.to_json() for e in timeline.events]}
+
+    on_lanes(stim_ids, render, workers, str)
+    on_lanes(jobs, synthesize, workers, lambda job: f"{job[0]}/{job[1]}")
 
     for sid in subject_ids:
         for stim in stim_ids:

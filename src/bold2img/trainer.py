@@ -470,7 +470,7 @@ def _train_joint(
     """The joint stage on `split.train_refs` of `subjects`, training the
     entries of `lr_scale` at their learning-rate factors, on `workers` lanes."""
     root = RngKey(config.seed, ("joint",))
-    cache = PreprocCache(manifest).build()
+    cache = PreprocCache(manifest, workers=workers).build()
     refs = {sid: split.train_refs[sid] for sid in subjects}
     data = assemble_training_set(manifest, cache, refs, config, shuffle_key=root.child("labels"))
 

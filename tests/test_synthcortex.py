@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corrupt_json import corrupt_manifests
 
+from bold2img.prep import PreprocCache
 from bold2img.substrate import RngKey
 from bold2img.synthcortex.scenes import SHAPE_COUNT_PROBS
 from bold2img.synthcortex import (
@@ -360,15 +361,21 @@ def test_dataset_manifest_corrupt_names_the_file(tiny_dataset, tmp_path_factory,
 
 
 def test_dataset_byte_identical_rebuild(tmp_path):
-    # the runs synthesize in a pool: its size must not reach the bytes
-    cfg = DatasetConfig(n_subjects=1, n_train_unique=8, n_test_unique=2, trials_per_run=15)
-    m1 = build_dataset(cfg, RngKey(77), tmp_path / "a")
-    m2 = build_dataset(cfg, RngKey(77), tmp_path / "b", workers=3)
-    files1 = sorted(p.relative_to(m1.root) for p in m1.root.rglob("*") if p.is_file())
-    files2 = sorted(p.relative_to(m2.root) for p in m2.root.rglob("*") if p.is_file())
-    assert files1 == files2
-    for rel in files1:
-        assert (m1.root / rel).read_bytes() == (m2.root / rel).read_bytes(), rel
+    # the stimuli, the runs and the preprocessed runs are dealt over `workers`
+    # lanes: their number must not reach the bytes of the dataset or its cache
+    cfg = DatasetConfig(n_subjects=2, n_train_unique=8, n_test_unique=2, trials_per_run=15)
+    trees = []
+    for workers in (1, 2, 3):
+        m = build_dataset(cfg, RngKey(77), tmp_path / f"w{workers}", workers=workers)
+        cache = PreprocCache(m, workers=workers).build()
+        trees.append({str(p.relative_to(m.root)): p.read_bytes() for p in sorted(m.root.rglob("*")) if p.is_file()})
+    # every one of three lanes gets stimuli, runs and preprocessed runs
+    assert len(m.stimulus_ids) >= 3 and sum(map(len, m.runs.values())) >= 3
+    assert str((cache.dir / "index.json").relative_to(m.root)) in trees[0]
+    for tree in trees[1:]:
+        assert list(tree) == list(trees[0])
+        for rel, data in tree.items():
+            assert data == trees[0][rel], rel
 
 
 def test_interrupted_rebuild_leaves_no_loadable_manifest(tmp_path, monkeypatch):

@@ -1,12 +1,15 @@
 """Every function the benchmark's span tracer wraps still exists where it patches it.
 
-`perfbench/tracer.py` replaces module globals by name; a refactor that drops
-or renames one of them breaks only traced benchmark runs, so check the names
-here against the package.
+`perfbench/tracer.py` replaces module globals by name, and wraps a few
+methods in wrappers that pass on a fixed argument list; a refactor that drops
+or renames one of them, or changes such a method's arguments, breaks only
+traced benchmark runs, so check the names and the arities here against the
+package.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -28,3 +31,23 @@ def test_every_function_site_resolves():
         if not callable(vars(importlib.import_module(mod_name)).get(attr))
     ]
     assert missing == []
+
+
+def test_every_fixed_argument_method_hook_takes_self_alone():
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        hooked = {
+            f"{owner.__name__}.{attr}": (getattr(owner, attr), original)
+            for owner, attr, original in tracer._patches
+            if isinstance(owner, type)
+        }
+    finally:
+        tracer.uninstall()
+    variadic = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    fixed = {
+        name: [p.name for p in inspect.signature(original).parameters.values()]
+        for name, (wrapper, original) in hooked.items()
+        if not any(p.kind in variadic for p in inspect.signature(wrapper, follow_wrapped=False).parameters.values())
+    }
+    assert fixed == {"PreprocCache.build": ["self"], "ParamStore.zero_grads": ["self"]}
