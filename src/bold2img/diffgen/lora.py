@@ -1,10 +1,13 @@
 """Low-rank adapters on frozen projection weights.
 
-An adapted projection computes y = x W + (x A) B where W stays frozen and only
+An adapted projection computes y = x (W + A B) where W stays frozen and only
 A, B train. This is the usual W + (alpha/r) B A with row-vector inputs and
-alpha = r, so the update carries no extra scale. B starts at zero, so a freshly
-adapted network is exactly the frozen one. The store decides the wiring: a
-projection is adapted exactly when its adapter entries are in the store.
+alpha = r, so the update carries no extra scale. The weights are merged on
+every call, a (d_in, d_out) sum, so no array with one row per input row is
+built besides the output; the adapters' gradients come from the merged
+weight's, dA = dW B^T and dB = A^T dW. B starts at zero, so a freshly adapted
+network is exactly the frozen one. The store decides the wiring: a projection
+is adapted exactly when its adapter entries are in the store.
 """
 
 from __future__ import annotations
@@ -25,10 +28,13 @@ def add_lora_params(store: ParamStore, key: RngKey, site: str, proj: str, d_in: 
     store.add(f"lora/{site}/{proj}/b", np.zeros((LORA_RANK, d_out), dtype=np.float32))
 
 
-def lora_linear(x: Tensor, store: ParamStore, weight_name: str, bias_name: str, site: str, proj: str) -> Tensor:
-    """Projection plus the low-rank path when the store holds its adapters."""
-    y = ops.linear(x, store[weight_name], store[bias_name])
+def lora_linear(
+    x: Tensor, store: ParamStore, weight_name: str, bias_name: str, site: str, proj: str, *, residual=None
+) -> Tensor:
+    """Projection against W + A B when the store holds the adapters, else W;
+    `residual` is added in place (`ops.linear`)."""
+    w = store[weight_name]
     lora = f"lora/{site}/{proj}"
     if f"{lora}/a" in store:
-        y = ops.add(y, ops.linear(ops.linear(x, store[f"{lora}/a"]), store[f"{lora}/b"]))
-    return y
+        w = ops.add(w, ops.matmul(store[f"{lora}/a"], store[f"{lora}/b"]))
+    return ops.linear(x, w, store[bias_name], residual=residual)

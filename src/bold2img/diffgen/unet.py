@@ -196,12 +196,10 @@ def unet_forward(x, t, tokens: Tensor, store: ParamStore, config: UNetConfig) ->
     temb = ops.silu(temb)
     temb = ops.linear(temb, store["unet/temb/l2/w"], store["unet/temb/l2/b"])
 
-    def resblock(h, name, ch):
+    def resblock(h, name):
         y = ops.group_norm_silu(h, store[f"unet/{name}/gn/g"], store[f"unet/{name}/gn/bta"])
-        y = ops.conv2d(y, store[f"unet/{name}/conv/w"], store[f"unet/{name}/conv/b"])
         shift = ops.linear(temb, store[f"unet/{name}/temb/w"], store[f"unet/{name}/temb/b"])
-        y = ops.add(y, ops.reshape(shift, (h.shape[0], 1, 1, ch)))
-        out = ops.add(h, y)
+        out = ops.conv2d(y, store[f"unet/{name}/conv/w"], store[f"unet/{name}/conv/b"], shift=shift, residual=h)
         _check(out, name)
         return out
 
@@ -212,34 +210,33 @@ def unet_forward(x, t, tokens: Tensor, store: ParamStore, config: UNetConfig) ->
         q = lora_linear(y, store, f"unet/{name}/q/w", f"unet/{name}/q/b", name, "q")
         k = lora_linear(tokens, store, f"unet/{name}/k/w", f"unet/{name}/k/b", name, "k")
         v = lora_linear(tokens, store, f"unet/{name}/v/w", f"unet/{name}/v/b", name, "v")
-        a = ops.attention(q, k, v)
-        o = lora_linear(a, store, f"unet/{name}/o/w", f"unet/{name}/o/b", name, "o")
-        out = ops.add(h, ops.reshape(o, h.shape))
+        a = ops.reshape(ops.attention(q, k, v), h.shape)
+        out = lora_linear(a, store, f"unet/{name}/o/w", f"unet/{name}/o/b", name, "o", residual=h)
         _check(out, name)
         return out
 
     c0, c1, c2 = config.channels
     coords = Tensor(np.broadcast_to(_coord_grid(config.resolution), (b, config.resolution, config.resolution, 2)).copy())
     h = ops.conv2d(ops.concat([x, coords], axis=3), store["unet/conv_in/w"], store["unet/conv_in/b"])
-    h32 = resblock(h, "enc1", c0)
+    h32 = resblock(h, "enc1")
     h = ops.conv2d(h32, store["unet/down1/w"], store["unet/down1/b"], stride=2)
-    h = resblock(h, "enc2", c1)
+    h = resblock(h, "enc2")
     # everything above reads no tokens; from here on each row block has its own
     h32, h, temb = tile(h32), tile(h), tile(temb)
     h16 = xattn(h, "xa_e16", c1)
     h = ops.conv2d(h16, store["unet/down2/w"], store["unet/down2/b"], stride=2)
-    h = resblock(h, "enc3", c2)
+    h = resblock(h, "enc3")
     h = xattn(h, "xa_e8", c2)
-    h = resblock(h, "mid", c2)
+    h = resblock(h, "mid")
     h = xattn(h, "xa_d8", c2)
     # channel reduction happens at the low resolution, then nearest upsampling
     h = ops.upsample_nearest2x(ops.conv2d(h, store["unet/up1/w"], store["unet/up1/b"]))
     h = ops.add(h, h16)
-    h = resblock(h, "dec1", c1)
+    h = resblock(h, "dec1")
     h = xattn(h, "xa_d16", c1)
     h = ops.upsample_nearest2x(ops.conv2d(h, store["unet/up2/w"], store["unet/up2/b"]))
     h = ops.add(h, h32)
-    h = resblock(h, "dec2", c0)
+    h = resblock(h, "dec2")
     h = ops.group_norm_silu(h, store["unet/out/gn/g"], store["unet/out/gn/bta"])
     out = ops.conv2d(h, store["unet/out/conv/w"], store["unet/out/conv/b"])
     _check(out, "out")

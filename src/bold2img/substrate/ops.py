@@ -180,8 +180,12 @@ def matmul(a, b) -> Tensor:
     return make_node(out, (a, b), backward)
 
 
-def linear(x, w, b=None) -> Tensor:
-    """y = x @ w + b over the last axis; x may have any leading shape."""
+def linear(x, w, b=None, *, residual=None) -> Tensor:
+    """y = x @ w + b over the last axis; x may have any leading shape.
+
+    `residual`, of y's shape, is added in place after the bias, so a skip
+    connection builds no node and no array of its own.
+    """
     x, w = as_tensor(x), as_tensor(w)
     lead = x.data.shape[:-1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
@@ -190,7 +194,10 @@ def linear(x, w, b=None) -> Tensor:
         b = as_tensor(b)
         y += b.data
     out = y.reshape(lead + (w.data.shape[1],))
-    parents = (x, w) if b is None else (x, w, b)
+    if residual is not None:
+        residual = as_tensor(residual)
+        out += residual.data
+    parents = tuple(p for p in (x, w, b, residual) if p is not None)
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -200,6 +207,8 @@ def linear(x, w, b=None) -> Tensor:
             w.accumulate_grad(x2.T @ g2, fresh=True)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), fresh=True)
+        if residual is not None and residual.requires_grad:
+            residual.accumulate_grad(g)
 
     return make_node(out, parents, backward)
 
@@ -319,10 +328,13 @@ def _conv_taps_wgrad(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return dw.reshape(3, 3, c3 // 3, cout)
 
 
-def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
+def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tensor:
     """3x3 zero-padded convolution, stride 1 or 2.
 
-    x: (B, H, W, Cin), w: (3, 3, Cin, Cout), b: (Cout,).
+    x: (B, H, W, Cin), w: (3, 3, Cin, Cout), b: (Cout,). The epilogue adds,
+    in place and in this order, the bias, `shift` (B, Cout), a per-sample
+    bias such as a timestep shift, and `residual` (B, OH, OW, Cout), a skip
+    connection; neither builds a node or an array of its own.
 
     Stride 1 runs on the tap-row matrix (`_tap_rows`, 3*Cin wide) as three
     K=3*Cin GEMMs. A weight that needs a gradient keeps the tap rows, and
@@ -344,8 +356,14 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     if b is not None:
         b = as_tensor(b)
         out4 += b.data
+    if shift is not None:
+        shift = as_tensor(shift)
+        out4 += shift.data[:, None, None, :]
+    if residual is not None:
+        residual = as_tensor(residual)
+        out4 += residual.data
     oh, ow = out4.shape[1], out4.shape[2]
-    parents = (x, w) if b is None else (x, w, b)
+    parents = tuple(p for p in (x, w, b, shift, residual) if p is not None)
 
     def backward(g):
         g2 = g.reshape(-1, cout)
@@ -357,6 +375,8 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
             w.accumulate_grad(dw, fresh=True)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), fresh=True)
+        if shift is not None and shift.requires_grad:
+            shift.accumulate_grad(g.sum(axis=(1, 2)), fresh=True)
         if x.requires_grad:
             if stride == 1:
                 # input gradient is a convolution of g with the rotated,
@@ -372,6 +392,8 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
                             :, :, :, ki, kj, :
                         ]
                 x.accumulate_grad(dxp[:, 1 : 1 + h, 1 : 1 + ww_, :], fresh=True)
+        if residual is not None and residual.requires_grad:
+            residual.accumulate_grad(g)
 
     return make_node(out4, parents, backward)
 

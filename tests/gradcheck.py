@@ -105,23 +105,34 @@ def gradcheck(params: ParamStore, build, grad_transform=None) -> GradReport:
 # --- the cases ----------------------------------------------------------------
 
 
-def _linear(key: RngKey):
-    p = ParamStore()
-    p.add("w", key.child("w").normal((4, 3), 0.5, np.float64))
-    p.add("b", key.child("b").normal((3,), 0.5, np.float64))
-    x = key.child("x").normal((5, 4), 1.0, np.float64)
-    return p, lambda p: ops.linear(Tensor(x), p["w"], p["b"])
+def _linear(residual: bool):
+    # a residual is a parameter too, so its gradient is checked
+    def case(key: RngKey):
+        p = ParamStore()
+        p.add("w", key.child("w").normal((4, 3), 0.5, np.float64))
+        p.add("b", key.child("b").normal((3,), 0.5, np.float64))
+        if residual:
+            p.add("h", key.child("h").normal((5, 3), 1.0, np.float64))
+        x = key.child("x").normal((5, 4), 1.0, np.float64)
+        return p, lambda p: ops.linear(Tensor(x), p["w"], p["b"], residual=p["h"] if residual else None)
+
+    return case
 
 
-def _conv(stride: int):
+def _conv(stride: int, epilogue: bool = False):
     # every input gets a gradient; at stride 2 the input gradient is the
-    # strided scatter
+    # strided scatter; the epilogue's per-sample shift and residual are
+    # parameters too
     def case(key: RngKey):
         p = ParamStore()
         p.add("x", key.child("x").normal((2, 8, 8, 4), 1.0, np.float64))
         p.add("w", key.child("w").normal((3, 3, 4, 6), 0.3, np.float64))
         p.add("b", key.child("b").normal((6,), 0.3, np.float64))
-        return p, lambda p: ops.conv2d(p["x"], p["w"], p["b"], stride=stride)
+        if not epilogue:
+            return p, lambda p: ops.conv2d(p["x"], p["w"], p["b"], stride=stride)
+        p.add("shift", key.child("shift").normal((2, 6), 0.3, np.float64))
+        p.add("h", key.child("h").normal((2, 8 // stride, 8 // stride, 6), 1.0, np.float64))
+        return p, lambda p: ops.conv2d(p["x"], p["w"], p["b"], stride=stride, shift=p["shift"], residual=p["h"])
 
     return case
 
@@ -203,8 +214,10 @@ def _unet_small(key: RngKey):
 
 
 CASES = {
-    "linear": _linear,
+    "linear": _linear(residual=False),
+    "linear_residual": _linear(residual=True),
     "conv2d_s1": _conv(1),
+    "conv2d_s1_epilogue": _conv(1, epilogue=True),
     "conv2d_s2": _conv(2),
     "conv2d_s1_frozen": _conv_frozen,
     "group_norm": _norm(ops.group_norm, (2, 4, 4, 16)),

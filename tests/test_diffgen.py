@@ -148,7 +148,8 @@ def test_lora_zero_b_is_identity_on_weight():
 
 
 def test_lora_scale_is_one_at_rank4_alpha4():
-    # alpha = r, so with W = 0 and zero bias the output is exactly the unscaled low-rank path
+    # alpha = r, so with W = 0 and zero bias the output is exactly the unscaled
+    # low-rank path, applied as the merged weight 0 + A B
     assert LORA_RANK == 4
     key = RngKey(8, ("ls",))
     store = ParamStore()
@@ -158,11 +159,34 @@ def test_lora_scale_is_one_at_rank4_alpha4():
     b = store.add("lora/site/q/b", key.child("b").normal((LORA_RANK, 2), 1.0, np.float64)).data
     x = key.child("x").normal((4, 3), 1.0, np.float64)
     out = lora_linear(Tensor(x), store, "w", "b", "site", "q")
-    np.testing.assert_array_equal(out.data, (x @ a) @ b)
+    np.testing.assert_array_equal(out.data, x @ (a @ b))
+
+
+def test_lora_graph_holds_no_array_with_a_row_per_input_row():
+    # the merged weight W + A B is (d_in, d_out): besides the input and the
+    # output, nothing the graph keeps for the backward grows with the rows
+    n, d_in, d_out = 96, 8, 6
+    key = RngKey(8, ("lm",))
+    store = ParamStore()
+    store.add("w", key.child("w").normal((d_in, d_out)))
+    store.add("b", key.child("b").normal((d_out,)))
+    add_lora_params(store, key, "site", "q", d_in, d_out)
+    x = Tensor(key.child("x").normal((n, d_in)), requires_grad=True)
+    out = lora_linear(x, store, "w", "b", "site", "q")
+    seen, stack, tall = set(), [out], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node is not x and node is not out and node.ndim and node.shape[0] == n:
+                tall.append(node.shape)
+            stack.extend(node._parents)
+    assert out.requires_grad and len(seen) > 2
+    assert tall == []
 
 
 def test_lora_hand_example():
-    # y = x W + (x A) B with W = I, A = e1, B = e1^T at rank 1
+    # y = x (W + A B) with W = I, A = e1, B = e1^T at rank 1
     store = ParamStore()
     store.add("w", np.eye(2))
     store.add("b", np.zeros(2))

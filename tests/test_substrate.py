@@ -326,6 +326,70 @@ def test_group_norm_silu_is_bitwise_the_two_ops(grad):
         assert fused.tobytes() == plain.tobytes()
 
 
+def _fold_results(build, arrays, up, grad):
+    """Output, and with `grad` every parent's gradient, of `build(*parents)`."""
+    parents = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    if not grad:
+        with no_grad():
+            return [build(*parents).data]
+    y = build(*parents)
+    _weighted_sum(y, up).backward()
+    return [y.data] + [p.grad for p in parents]
+
+
+def _assert_bitwise(fused, plain):
+    assert len(fused) == len(plain)
+    for f, p in zip(fused, plain):
+        assert f.dtype == p.dtype == np.float32
+        assert f.shape == p.shape and f.tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("grad", [True, False])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_epilogue_is_bitwise_the_adds(stride, grad):
+    """conv2d's in-place shift and residual give the bits, and every parent
+    the gradient, of the three nodes they replace."""
+    key = RngKey(33, ("conv_epilogue", str(stride)))
+    bsz, cout = 3, 16
+    oh = 8 // stride
+    arrays = [
+        key.child("x").normal((bsz, 8, 8, 8)),
+        key.child("w").normal((3, 3, 8, cout), 0.3),
+        key.child("b").normal((cout,), 0.3),
+        key.child("s").normal((bsz, cout)),
+        key.child("h").normal((bsz, oh, oh, cout)),
+    ]
+    up = key.child("up").normal((bsz, oh, oh, cout))
+
+    def fused(x, w, b, s, h):
+        return ops.conv2d(x, w, b, stride, shift=s, residual=h)
+
+    def plain(x, w, b, s, h):
+        return ops.add(h, ops.add(ops.conv2d(x, w, b, stride), ops.reshape(s, (bsz, 1, 1, cout))))
+
+    _assert_bitwise(_fold_results(fused, arrays, up, grad), _fold_results(plain, arrays, up, grad))
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_linear_residual_is_bitwise_the_add(grad):
+    key = RngKey(35, ("linear_residual",))
+    arrays = [
+        key.child("x").normal((2, 5, 6)),
+        key.child("w").normal((6, 7), 0.5),
+        key.child("b").normal((7,), 0.5),
+        key.child("h").normal((2, 5, 7)),
+    ]
+    up = key.child("up").normal((2, 5, 7))
+
+    def fused(x, w, b, h):
+        return ops.linear(x, w, b, residual=h)
+
+    def plain(x, w, b, h):
+        return ops.add(h, ops.linear(x, w, b))
+
+    _assert_bitwise(_fold_results(fused, arrays, up, grad), _fold_results(plain, arrays, up, grad))
+
+
 # ---------------------------------------------------------------------------
 # convolution lowerings: the stride-1 tap-row GEMMs against the im2col reference
 

@@ -12,6 +12,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from bold2img.substrate import ops
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -51,3 +53,13 @@ def test_every_fixed_argument_method_hook_takes_self_alone():
         if not any(p.kind in variadic for p in inspect.signature(wrapper, follow_wrapped=False).parameters.values())
     }
     assert fixed == {"PreprocCache.build": ["self"], "ParamStore.zero_grads": ["self"]}
+
+
+def test_conv2d_positional_parameters_are_the_ones_the_tracer_reads():
+    # `op_kind` reads the stride from args[3], `_conv_counts` reads x and w
+    # from args[0] and args[1]; the epilogue's inputs come by keyword only
+    params = inspect.signature(ops.conv2d).parameters.values()
+    kinds = {p.name: p.kind for p in params}
+    assert [n for n, k in kinds.items() if k is inspect.Parameter.POSITIONAL_OR_KEYWORD] == ["x", "w", "b", "stride"]
+    assert [n for n, k in kinds.items() if k is inspect.Parameter.KEYWORD_ONLY] == ["shift", "residual"]
+    assert len(kinds) == 6
