@@ -4,12 +4,13 @@ Layout convention is channels-last: images are (B, H, W, C), token matrices
 are (B, P, D). Convolutions are 3x3 with zero padding at stride 1 or 2 and
 are lowered to GEMM (see `conv2d`). Stride 1 builds a tap-row matrix
 (B, H+2, W, 3C) whose rows hold one kernel row's three taps: the forward and
-the input gradient are three K=3C GEMMs over row windows of it, dW is three
-GEMMs of those windows against the output gradient, and a trainable weight
-keeps only this matrix, a third of the 9C-wide im2col columns. Stride 2
-builds the im2col column matrix (B*OH*OW, 9C) and does one GEMM. Backward
-closures hand freshly allocated arrays to `accumulate_grad(..., fresh=True)`
-so no defensive copies happen on the hot path. Scratch and output arrays are
+the input gradient are three K=3C GEMMs over row windows of it, and dW is
+three GEMMs of the input against row windows of the output gradient's tap
+rows. Stride 2 builds the im2col column matrix (B*OH*OW, 9C) and does one
+GEMM, and a trainable weight's backward builds it again for dW. So a conv
+keeps no lowered matrix, only the input the graph keeps anyway. Backward
+closures hand fresh arrays to `accumulate_grad(..., fresh=True)`, so no
+defensive copies happen on the hot path. Scratch and output arrays are
 plain `np.empty`; the CLI makes the allocator keep freed memory
 (`cli._retain_freed_memory`), so allocating them anew each call does not
 fault in fresh pages.
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .rng import RngKey
-from .tensor import Tensor, as_tensor, grad_enabled, make_node
+from .tensor import Tensor, as_tensor, make_node
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -247,8 +248,8 @@ def _im2col_flat(xp: np.ndarray, stride: int, oh: int, ow: int) -> np.ndarray:
     return col
 
 
-def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """im2col conv, one GEMM; returns (output 4-D, column matrix or None).
+def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int) -> np.ndarray:
+    """im2col conv, one GEMM; returns the 4-D output.
 
     Also the reference that tests hold the tap-row lowering to.
     """
@@ -256,10 +257,9 @@ def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int, keep_col: bool) -> tu
     bb, h, ww_, _ = x.shape
     oh = (h + 2 - kh) // stride + 1
     ow = (ww_ + 2 - kw) // stride + 1
-    xp = _padded(x)
-    col = _im2col_flat(xp, stride, oh, ow)
+    col = _im2col_flat(_padded(x), stride, oh, ow)
     y = col.reshape(bb * oh * ow, 9 * cin) @ w4.reshape(kh * kw * cin, cout)
-    return y.reshape(bb, oh, ow, cout), col if keep_col else None
+    return y.reshape(bb, oh, ow, cout)
 
 
 _TAP_BLOCK_ROWS = 2048  # rows per block: tap rows, product and accumulator stay in L2
@@ -308,24 +308,25 @@ def _conv_taps(rows: np.ndarray, w4: np.ndarray) -> np.ndarray:
     return yp[:, : hp - 2]
 
 
-def _conv_taps_wgrad(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """dW (3, 3, C, Cout) of the stride-1 conv whose tap rows are `rows`.
+def _conv_taps_wgrad(x: np.ndarray, grows: np.ndarray) -> np.ndarray:
+    """dW (3, 3, C, Cout) of the stride-1 conv of x, from the tap rows
+    `grows` (B, H+2, W, 3*Cout) of its output gradient g.
 
-    Kernel row ki is one GEMM rows[ki*W : ki*W + n].T @ g_padded, where
-    g_padded is g with two zero rows per image at the junk anchors.
+    Weight (ki, kj) meets x at (p, q) and g at (p+1-ki, q+1-kj): tap
+    kq = 2-kj of g's tap row (p+kp, q), kp = 2-ki. So with x in a buffer of
+    H+2 rows per image, the last two zero, kernel row ki is one flat GEMM
+    x[:n].T @ grows[kp*W : kp*W + n], its taps in reversed kj order.
     """
-    bb, hp, w, c3 = rows.shape
-    cout = g.shape[3]
-    gp = np.empty((bb, hp, w, cout), g.dtype)
-    gp[:, : hp - 2] = g
-    gp[:, hp - 2 :] = 0
-    n = bb * hp * w - 2 * w
-    flat = rows.reshape(bb * hp * w, c3)
-    g2 = gp.reshape(bb * hp * w, cout)[:n]
-    dw = np.empty((3, c3, cout), np.result_type(rows, g))
-    for ki in range(3):
-        np.matmul(flat[ki * w : ki * w + n].T, g2, out=dw[ki])
-    return dw.reshape(3, 3, c3 // 3, cout)
+    bb, h, w, c = x.shape
+    xb = np.empty((bb, h + 2, w, c), np.result_type(x, grows))
+    xb[:, :h] = x
+    xb[:, h:] = 0
+    n = bb * (h + 2) * w - 2 * w
+    xf, gf = xb.reshape(-1, c)[:n], grows.reshape(-1, grows.shape[3])
+    dw = np.empty((3, 3, c, grows.shape[3] // 3), xb.dtype)
+    for kp in range(3):
+        dw[2 - kp] = (xf.T @ gf[kp * w : kp * w + n]).reshape(c, 3, -1)[:, ::-1].transpose(1, 0, 2)
+    return dw
 
 
 def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tensor:
@@ -337,22 +338,21 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
     connection; neither builds a node or an array of its own.
 
     Stride 1 runs on the tap-row matrix (`_tap_rows`, 3*Cin wide) as three
-    K=3*Cin GEMMs. A weight that needs a gradient keeps the tap rows, and
-    dW is three GEMMs over them. The input gradient is the same conv of g
-    with the rotated, transposed kernel. Stride 2 runs on im2col: one
-    K=9*Cin GEMM, its column matrix kept for dW when the weight needs one.
+    K=3*Cin GEMMs. The backward builds the tap rows of g once: the input
+    gradient is the same conv of them with the rotated, transposed kernel,
+    and dW is three GEMMs of x against row windows of them. Stride 2 runs
+    on im2col: one K=9*Cin GEMM, whose column matrix the backward builds
+    again from x for dW. So the node keeps no lowered copy of x, only x.
     """
     x, w = as_tensor(x), as_tensor(w)
     kh, kw, cin, cout = w.data.shape
     bb, h, ww_, c = x.data.shape
     if c != cin:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
-    need_wgrad = w.requires_grad and grad_enabled()
     if stride == 1:
-        rows = _tap_rows(x.data.astype(np.result_type(x.data, w.data), copy=False))
-        out4, lowered = _conv_taps(rows, w.data), rows if need_wgrad else None
+        out4 = _conv_taps(_tap_rows(x.data.astype(np.result_type(x.data, w.data), copy=False)), w.data)
     else:
-        out4, lowered = _conv_gemm(x.data, w.data, stride, keep_col=need_wgrad)
+        out4 = _conv_gemm(x.data, w.data, stride)
     if b is not None:
         b = as_tensor(b)
         out4 += b.data
@@ -367,11 +367,12 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
 
     def backward(g):
         g2 = g.reshape(-1, cout)
-        if need_wgrad:
+        grows = _tap_rows(g) if stride == 1 else None
+        if w.requires_grad:
             if stride == 1:
-                dw = _conv_taps_wgrad(lowered, g)
-            else:
-                dw = (lowered.reshape(bb * oh * ow, 9 * cin).T @ g2).reshape(kh, kw, cin, cout)
+                dw = _conv_taps_wgrad(x.data, grows)
+            else:  # the columns, rebuilt from x, are a temporary freed before dcol
+                dw = (_im2col_flat(_padded(x.data), stride, oh, ow).reshape(-1, 9 * cin).T @ g2).reshape(w.data.shape)
             w.accumulate_grad(dw, fresh=True)
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0), fresh=True)
@@ -382,7 +383,7 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
                 # input gradient is a convolution of g with the rotated,
                 # transposed kernel
                 w_rot = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-                x.accumulate_grad(_conv_taps(_tap_rows(g), w_rot), fresh=True)
+                x.accumulate_grad(_conv_taps(grows, w_rot), fresh=True)
             else:
                 dcol = (g2 @ w.data.reshape(kh * kw * cin, cout).T).reshape(bb, oh, ow, kh, kw, cin)
                 dxp = np.zeros((bb, h + 2, ww_ + 2, cin), dtype=g.dtype)
@@ -428,8 +429,8 @@ def _group_norm_affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return y3, x3, mu, inv
 
 
-def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, x3, mu, inv):
-    """Accumulate the group-norm gradients for output gradient g."""
+def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, x3, mu, inv, g_is_scratch=False):
+    """Accumulate the group-norm gradients for output gradient g, building dx in g if `g_is_scratch`."""
     bb, h, w, c = x.data.shape
     cg = c // GN_GROUPS
     n = h * w * cg
@@ -456,8 +457,9 @@ def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, 
         coef_a = inv_bc * gamma.data  # (B, C) multiplies g
         coef_b = inv_bc * inv_bc * m2_bc  # multiplies (x - mu)
         coef_c = inv_bc * m1_bc + coef_b * (-mu_bc)  # constant term
-        dx = g3 * coef_a[:, None, :]
-        dx -= x3 * coef_b[:, None, :]
+        dx = np.multiply(g3, coef_a[:, None, :], out=g3 if g_is_scratch else None)
+        for i in range(bb):  # per image: the x3 term needs no full-size temporary
+            dx[i] -= x3[i] * coef_b[i]
         dx -= coef_c[:, None, :]
         x.accumulate_grad(dx.reshape(bb, h, w, c), fresh=True)
 
@@ -479,7 +481,8 @@ def group_norm_silu(x, gamma, beta) -> Tensor:
 
     The sigmoid and the SiLU run in place, so the pair allocates two
     full-size buffers (the output and the sigmoid kept for the backward)
-    where the two ops allocate seven, and the graph keeps no normalised copy.
+    where the two ops allocate seven, and the graph keeps no normalised
+    copy. The backward builds dx in the buffer of the SiLU gradient.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data)
@@ -488,7 +491,7 @@ def group_norm_silu(x, gamma, beta) -> Tensor:
     out *= sig
 
     def backward(g):
-        _group_norm_backward(_silu_grad(g, sig, out), x, gamma, beta, x3, mu, inv)
+        _group_norm_backward(_silu_grad(g, sig, out), x, gamma, beta, x3, mu, inv, g_is_scratch=True)
 
     return make_node(out, (x, gamma, beta), backward)
 

@@ -400,6 +400,12 @@ def _rel_err(a, ref):
     return float(np.abs(a - ref).max() / np.abs(ref).max())
 
 
+def _columns(x, stride):
+    """im2col columns (B, OH, OW, 3, 3C) of x, padded by np.pad."""
+    oh, ow = (x.shape[1] - 1) // stride + 1, (x.shape[2] - 1) // stride + 1
+    return ops._im2col_flat(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), stride, oh, ow)
+
+
 def _anchor_rows(shape):
     """Anchor rows the tap-row GEMMs compute for a (B, H, W, C) input."""
     b, h, w, _ = shape
@@ -443,14 +449,14 @@ def test_conv_shifted_matches_im2col(shape, cout, block, x_dtype, w_dtype, monke
     w = key.child("w").normal((3, 3, shape[3], cout), 0.3, w_dtype)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     y = ops.conv2d(xt, wt)
-    ref, col = ops._conv_gemm(x, w, 1, keep_col=True)
+    ref, col = ops._conv_gemm(x, w, 1), _columns(x, 1)
     dtype = np.result_type(x, w)
     assert y.dtype == ref.dtype == dtype
     assert y.shape == ref.shape == shape[:3] + (cout,)
     g = key.child("g").normal(ref.shape, 1.0, dtype)
     _weighted_sum(y, g).backward()
     w_rot = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-    dx_ref, _ = ops._conv_gemm(g, w_rot, 1, keep_col=False)
+    dx_ref = ops._conv_gemm(g, w_rot, 1)
     dw_ref = (col.reshape(-1, 9 * shape[3]).T @ g.reshape(-1, cout)).reshape(w.shape)
     for got, want in ((y.data, ref), (xt.grad, dx_ref), (wt.grad, dw_ref)):
         assert got.shape == want.shape
@@ -475,7 +481,8 @@ def test_conv_shifted_matches_im2col(shape, cout, block, x_dtype, w_dtype, monke
 )
 def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, dtype, monkeypatch):
     """Stride 1 never builds an im2col matrix, whether or not the weight
-    trains; stride 2 builds one per forward."""
+    trains; stride 2 builds one per forward, and a trainable weight's
+    backward builds it again for dW."""
     calls = []
     im2col = ops._im2col_flat
     monkeypatch.setattr(ops, "_im2col_flat", lambda xp, *a: calls.append(xp.shape) or im2col(xp, *a))
@@ -486,16 +493,31 @@ def test_conv2d_lowering_rule_and_input_grad(shape, cout, stride, w_grad, dtype,
     y = ops.conv2d(x, w, stride=stride)
     g = key.child("g").normal(y.shape, 1.0, dtype)
     _weighted_sum(y, g).backward()
-    assert len(calls) == (stride == 2)
-    ref, col = ops._conv_gemm(xd, wd, stride, keep_col=True)
+    assert len(calls) == (stride == 2) * (1 + w_grad)
+    ref, col = ops._conv_gemm(xd, wd, stride), _columns(xd, stride)
     assert y.data.dtype == ref.dtype and _rel_err(y.data, ref) <= _CONV_TOL[dtype]
     if w_grad:
         dw_ref = (col.reshape(-1, 9 * shape[3]).T @ g.reshape(-1, cout)).reshape(wd.shape)
         assert w.grad.dtype == dtype and _rel_err(w.grad, dw_ref) <= _CONV_TOL[dtype]
     if stride == 1:
         w_rot = np.ascontiguousarray(wd[::-1, ::-1].transpose(0, 1, 3, 2))
-        dx_ref, _ = ops._conv_gemm(g, w_rot, 1, keep_col=False)
+        dx_ref = ops._conv_gemm(g, w_rot, 1)
         assert x.grad.dtype == dx_ref.dtype and _rel_err(x.grad, dx_ref) <= _CONV_TOL[dtype]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_trainable_conv_keeps_no_lowered_input(stride):
+    """A trainable conv's backward holds no array with more than Cin values
+    per input pixel: neither tap rows (3*Cin) nor im2col columns (9*Cin / 4
+    at stride 2), only x, which the graph keeps as the conv's parent."""
+    shape = (2, 8, 8, 4)
+    key = RngKey(27, ("conv_keeps", stride))
+    x = Tensor(key.child("x").normal(shape), requires_grad=True)
+    w = Tensor(key.child("w").normal((3, 3, 4, 6), 0.3), requires_grad=True)
+    y = ops.conv2d(x, w, Tensor(np.zeros(6), requires_grad=True), stride)
+    held = [c.cell_contents for c in y._backward_fn.__closure__]
+    wide = [a.shape for a in held if isinstance(a, np.ndarray) and a.size > x.size]
+    assert not wide, f"backward keeps {wide} for a {shape} input"
 
 
 def _allocator_fills(monkeypatch, value):
@@ -512,7 +534,8 @@ def _allocator_fills(monkeypatch, value):
 
 @pytest.mark.parametrize("lowering", ["gemm-s1", "gemm-s2", "shifted"])
 def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypatch):
-    """The "shifted" case is the tap-row lowering: its tap rows, forward and dW."""
+    """The "shifted" case is the tap-row lowering: its tap rows, forward, and
+    dW from x and the tap rows of g."""
     shape = (2, 9, 7, 5)
     key = RngKey(25, ("conv_pad", lowering))
     x = key.child("x").normal(shape)
@@ -521,8 +544,8 @@ def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypat
         g = key.child("g").normal(shape[:3] + (4,))
 
         def conv(x, w):
-            rows = ops._tap_rows(x)
-            return np.concatenate([rows.ravel(), ops._conv_taps(rows, w).ravel(), ops._conv_taps_wgrad(rows, g).ravel()])
+            rows, grows = ops._tap_rows(x), ops._tap_rows(g)
+            return np.concatenate([rows.ravel(), ops._conv_taps(rows, w).ravel(), ops._conv_taps_wgrad(x, grows).ravel()])
 
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         rows_ref = np.concatenate([xp[:, :, kj : kj + shape[2]] for kj in range(3)], axis=3)
@@ -533,11 +556,10 @@ def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypat
         stride = int(lowering[-1])
 
         def conv(x, w):
-            return ops._conv_gemm(x, w, stride, keep_col=False)[0]
+            return ops._conv_gemm(x, w, stride)
 
-        oh, ow = (shape[1] - 1) // stride + 1, (shape[2] - 1) // stride + 1
-        col = ops._im2col_flat(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), stride, oh, ow)
-        ref = (col.reshape(-1, 45) @ w.reshape(45, 4)).reshape(shape[0], oh, ow, 4)
+        col = _columns(x, stride)
+        ref = (col.reshape(-1, 45) @ w.reshape(45, 4)).reshape(col.shape[:3] + (4,))
     _allocator_fills(monkeypatch, np.nan)
     y = conv(x, w)
     assert y.tobytes() == ref.tobytes()
