@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -42,29 +43,30 @@ def write_tensor(path, arr: np.ndarray):
 
 
 def read_tensor(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    if buf[:4] != MAGIC:
-        raise ValueError(f"{path}: not a tensor container")
-    if len(buf) < 16:
-        raise ValueError(f"{path}: truncated header")
-    version, code, ndim = struct.unpack_from("<III", buf, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    if code not in _DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    start = 16 + 4 * ndim
-    if len(buf) < start:
-        raise ValueError(f"{path}: truncated header")
-    shape = struct.unpack_from(f"<{ndim}I", buf, 16)
-    dtype = np.dtype(_DTYPES[code])
-    expected = math.prod(shape)
-    if len(buf) - start != expected * dtype.itemsize:
-        raise ValueError(f"{path}: payload has {len(buf) - start} bytes, header says {expected} {dtype.name} values")
-    try:
-        arr = np.frombuffer(buf, dtype=dtype, offset=start).reshape(shape)
-    except ValueError as e:  # a zero dim passes the size check; numpy still bounds the others
-        raise ValueError(f"{path}: shape {shape} is not readable: {e}") from None
-    return arr.astype(dtype.newbyteorder("="))
+    with open(path, "rb") as f:
+        size, head = os.fstat(f.fileno()).st_size, f.read(16)
+        if head[:4] != MAGIC:
+            raise ValueError(f"{path}: not a tensor container")
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated header")
+        version, code, ndim = struct.unpack_from("<III", head, 4)
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported container version {version}")
+        if code not in _DTYPES:
+            raise ValueError(f"{path}: unknown dtype code {code}")
+        start = 16 + 4 * ndim
+        if size < start:
+            raise ValueError(f"{path}: truncated header")
+        shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+        dtype = np.dtype(_DTYPES[code])
+        expected = math.prod(shape)
+        if size - start != expected * dtype.itemsize:
+            raise ValueError(f"{path}: payload has {size - start} bytes, header says {expected} {dtype.name} values")
+        try:
+            arr = np.fromfile(f, dtype, count=expected).reshape(shape)
+        except ValueError as e:  # a zero dim passes the size check; numpy still bounds the others
+            raise ValueError(f"{path}: shape {shape} is not readable: {e}") from None
+    return arr.astype(dtype.newbyteorder("="), copy=False)
 
 
 def _blob_name(param_name: str) -> str:

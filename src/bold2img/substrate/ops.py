@@ -2,13 +2,13 @@
 
 Layout convention is channels-last: images are (B, H, W, C), token matrices
 are (B, P, D). Convolutions are 3x3 with zero padding at stride 1 or 2 and
-are lowered to GEMM (see `conv2d`). Stride 1 builds a tap-row matrix
-(B, H+2, W, 3C) whose rows hold one kernel row's three taps: the forward and
-the input gradient are three K=3C GEMMs over row windows of it, and dW is
-three GEMMs of the input against row windows of the output gradient's tap
-rows. Stride 2 builds the im2col column matrix (B*OH*OW, 9C) and does one
-GEMM, and a trainable weight's backward builds it again for dW. So a conv
-keeps no lowered matrix, only the input the graph keeps anyway. Backward
+are lowered to GEMM (see `conv2d`). At stride 1 a tap row holds one kernel
+row's three taps (3C values): the forward and the input gradient are three
+K=3C GEMMs over tap rows built block by block into one small scratch, and dW
+is three GEMMs of the input against the output gradient's full tap rows.
+Stride 2 builds the im2col column matrix (B*OH*OW, 9C) and does one GEMM,
+and a trainable weight's backward builds it again for dW. So a conv keeps no
+lowered matrix, only the input the graph keeps anyway. Backward
 closures hand fresh arrays to `accumulate_grad(..., fresh=True)`, so no
 defensive copies happen on the hot path. Scratch and output arrays are
 plain `np.empty`; the CLI makes the allocator keep freed memory
@@ -265,47 +265,91 @@ def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int) -> np.ndarray:
 _TAP_BLOCK_ROWS = 2048  # rows per block: tap rows, product and accumulator stay in L2
 
 
+def _spans(u0: int, u1: int, per: int):
+    """Units u0..u1 of a run of images of `per` units each, as at most three
+    (unit, image, images, start, stop) spans: a head, whole images, a tail."""
+    while u0 < u1:
+        b, k = divmod(u0, per)
+        nb = max(1, (u1 - u0) // per) if k == 0 else 1
+        k1 = min(per, k + u1 - u0)
+        yield u0, b, nb, k, k1
+        u0 += nb * (k1 - k)
+
+
+def _tap_rows_into(dst: np.ndarray, x: np.ndarray, q0: int, q1: int):
+    """Tap rows of padded rows q0..q1 of x (q = b*(H+2) + i) into dst[: q1 - q0]
+    (nq, W, 3C). Tap row (b, i, j) holds padded pixels (i, j..j+2), one
+    kernel row's taps in the (kj, c) order of a (3, 3, C, Cout) weight; off
+    the edge columns that is one 3C-run of x. The padding is written as
+    zeros every time, over whatever the last block left."""
+    _, h, w, c = x.shape
+    for q, b, nb, i0, i1 in _spans(q0, q1, h + 2):
+        d = dst[q - q0 : q - q0 + nb * (i1 - i0)].reshape(nb, i1 - i0, w, 3, c)
+        a, z = max(i0, 1) - i0, min(i1, h + 1) - i0  # rows of d inside the image
+        d[:, :a], d[:, z:] = 0, 0
+        s, d = x[b : b + nb, a + i0 - 1 : z + i0 - 1], d[:, a:z]
+        d[:, :, 0, 0], d[:, :, -1, 2] = 0, 0  # the edges' outer taps
+        d[:, :, 0, 1 : 1 + min(w, 2)] = s[:, :, :2]
+        if w > 1:
+            d[:, :, -1, :2] = s[:, :, -2:]
+        s0, s1, s2, s3 = s.strides
+        d[:, :, 1:-1] = np.lib.stride_tricks.as_strided(s, (nb, z - a, max(w - 2, 0), 3, c), (s0, s1, s2, s2, s3))
+
+
 def _tap_rows(x: np.ndarray) -> np.ndarray:
-    """Tap-row matrix (B, H+2, W, 3C) of x zero-padded by one pixel.
-
-    Row (b, i, j) holds padded pixels (i, j), (i, j+1), (i, j+2): the three
-    taps of one kernel row, in the (kj, c) order of a (3, 3, C, Cout) weight.
-    They are one contiguous 3C-run of the padded input, so the matrix is a
-    single strided copy.
-    """
+    """Tap-row matrix (B, H+2, W, 3C) of x zero-padded by one pixel."""
     bb, h, w, c = x.shape
-    xp = _padded(x)
-    rows = np.empty((bb, h + 2, w, 3 * c), x.dtype)
-    np.copyto(rows, np.lib.stride_tricks.as_strided(xp, shape=rows.shape, strides=xp.strides))
-    return rows
+    rows = np.empty((bb * (h + 2), w, 3 * c), x.dtype)
+    _tap_rows_into(rows, x, 0, bb * (h + 2))
+    return rows.reshape(bb, h + 2, w, 3 * c)
 
 
-def _conv_taps(rows: np.ndarray, w4: np.ndarray) -> np.ndarray:
-    """Stride-1 3x3 conv of the input whose tap rows are `rows`.
+def _epilogue(dst: np.ndarray, conv: np.ndarray, b, shift, residual):
+    """dst = ((conv + b) + shift) + residual, skipping the terms that are None."""
+    np.copyto(dst, conv) if b is None else np.add(conv, b, out=dst)
+    for t in (shift, residual):
+        if t is not None:
+            dst += t
 
-    Viewed flat, output pixel (b, i, j) is anchored at row
-    r = (b*(H+2) + i)*W + j and reads kernel row ki from tap row r + ki*W,
-    so the conv is three K=3C GEMMs over row windows shifted by 0, W and
-    2W. Anchors at i = H, H+1 give junk rows; the result is the view of the
-    valid ones. Rows go in L2-sized blocks through one product buffer.
-    """
-    bb, hp, w, c3 = rows.shape
-    cout = w4.shape[3]
-    flat = rows.reshape(bb * hp * w, c3)
-    wk = w4.reshape(3, c3, cout).astype(rows.dtype, copy=False)
-    n = bb * hp * w - 2 * w  # one past the last valid anchor
-    yp = np.empty((bb, hp, w, cout), rows.dtype)
-    acc_rows = yp.reshape(bb * hp * w, cout)
-    prod = np.empty((min(_TAP_BLOCK_ROWS, n), cout), rows.dtype)
+
+def _conv_taps(x: np.ndarray, w4: np.ndarray, rows=None, b=None, shift=None, residual=None) -> np.ndarray:
+    """Stride-1 3x3 conv of x as a new (B, H, W, Cout) array, plus b, a
+    per-sample shift (B, Cout) and a residual, added in that order.
+
+    Output pixel (b, i, j) is anchored at flat tap row r = (b*(H+2) + i)*W + j
+    and reads kernel row ki from tap row r + ki*W: three K=3C GEMMs over row
+    windows shifted by 0, W and 2W. Per L2-sized block, one reused scratch
+    takes the tap rows and their 2W-row tail (unless the caller passes x's
+    `rows`), the GEMMs fill an accumulator, and the anchors at i < H land in
+    the output; those at i = H, H+1 are junk."""
+    bb, h, w, c = x.shape
+    cout, hw = w4.shape[3], h * w
+    wk = w4.reshape(3, 3 * c, cout).astype(x.dtype, copy=False)
+    n = bb * (h + 2) * w - 2 * w  # one past the last valid anchor
+    m = min(_TAP_BLOCK_ROWS, n)
+    acc, prod = np.empty((m, cout), x.dtype), np.empty((m, cout), x.dtype)
+    taps = np.empty((min(-(-m // w) + 3, bb * (h + 2)), w, 3 * c), x.dtype) if rows is None else rows
+    flat = taps.reshape(-1, 3 * c)
+    out, res3 = None, None if residual is None else residual.reshape(bb, hw, cout)
     for r0 in range(0, n, _TAP_BLOCK_ROWS):
         r1 = min(n, r0 + _TAP_BLOCK_ROWS)
-        acc = acc_rows[r0:r1]
-        p = prod[: r1 - r0]
-        np.matmul(flat[r0:r1], wk[0], out=acc)
+        if rows is None:
+            _tap_rows_into(taps, x, r0 // w, -(-(r1 + 2 * w) // w))
+        t0 = r0 % w if rows is None else r0  # row r0 in flat
+        a, p = acc[: r1 - r0], prod[: r1 - r0]
+        np.matmul(flat[t0 : t0 + r1 - r0], wk[0], out=a)
         for ki in (1, 2):
-            np.matmul(flat[r0 + ki * w : r1 + ki * w], wk[ki], out=p)
-            acc += p
-    return yp[:, : hp - 2]
+            np.matmul(flat[t0 + ki * w : t0 + ki * w + r1 - r0], wk[ki], out=p)
+            a += p
+        if r1 == n:  # so a single block frees its tap rows and product before the output exists
+            taps = flat = p = prod = None
+        out = np.empty((bb, h, w, cout), x.dtype) if out is None else out
+        for r, i, nb, k0, k1 in _spans(r0, r1, (h + 2) * w):
+            kv, im = max(k0, min(k1, hw)), slice(i, i + nb)
+            conv = a[r - r0 : r - r0 + nb * (k1 - k0)].reshape(nb, k1 - k0, cout)[:, : kv - k0]
+            sh, res = shift if shift is None else shift[im, None], res3 if res3 is None else res3[im, k0:kv]
+            _epilogue(out.reshape(bb, hw, cout)[im, k0:kv], conv, b, sh, res)
+    return out
 
 
 def _conv_taps_wgrad(x: np.ndarray, grows: np.ndarray) -> np.ndarray:
@@ -337,37 +381,31 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
     bias such as a timestep shift, and `residual` (B, OH, OW, Cout), a skip
     connection; neither builds a node or an array of its own.
 
-    Stride 1 runs on the tap-row matrix (`_tap_rows`, 3*Cin wide) as three
-    K=3*Cin GEMMs. The backward builds the tap rows of g once: the input
-    gradient is the same conv of them with the rotated, transposed kernel,
-    and dW is three GEMMs of x against row windows of them. Stride 2 runs
-    on im2col: one K=9*Cin GEMM, whose column matrix the backward builds
-    again from x for dW. So the node keeps no lowered copy of x, only x.
+    Stride 1 is `_conv_taps`, which writes a contiguous output from a
+    block-sized scratch of tap rows. The input gradient is the same conv of
+    g with the rotated, transposed kernel; a trainable weight's backward
+    builds the full tap rows of g once, for dW and for that conv. Stride 2
+    runs on im2col: one K=9*Cin GEMM, whose column matrix the backward
+    builds again from x for dW. So the node keeps no lowered copy of x.
     """
     x, w = as_tensor(x), as_tensor(w)
     kh, kw, cin, cout = w.data.shape
     bb, h, ww_, c = x.data.shape
     if c != cin:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
+    b, shift, residual = (None if t is None else as_tensor(t) for t in (b, shift, residual))
+    bd, sd, rd = (None if t is None else t.data for t in (b, shift, residual))
     if stride == 1:
-        out4 = _conv_taps(_tap_rows(x.data.astype(np.result_type(x.data, w.data), copy=False)), w.data)
+        out4 = _conv_taps(x.data.astype(np.result_type(x.data, w.data), copy=False), w.data, None, bd, sd, rd)
     else:
         out4 = _conv_gemm(x.data, w.data, stride)
-    if b is not None:
-        b = as_tensor(b)
-        out4 += b.data
-    if shift is not None:
-        shift = as_tensor(shift)
-        out4 += shift.data[:, None, None, :]
-    if residual is not None:
-        residual = as_tensor(residual)
-        out4 += residual.data
+        _epilogue(out4, out4, bd, None if sd is None else sd[:, None, None, :], rd)
     oh, ow = out4.shape[1], out4.shape[2]
     parents = tuple(p for p in (x, w, b, shift, residual) if p is not None)
 
     def backward(g):
         g2 = g.reshape(-1, cout)
-        grows = _tap_rows(g) if stride == 1 else None
+        grows = _tap_rows(g) if stride == 1 and w.requires_grad else None
         if w.requires_grad:
             if stride == 1:
                 dw = _conv_taps_wgrad(x.data, grows)
@@ -383,7 +421,7 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
                 # input gradient is a convolution of g with the rotated,
                 # transposed kernel
                 w_rot = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-                x.accumulate_grad(_conv_taps(grows, w_rot), fresh=True)
+                x.accumulate_grad(_conv_taps(g, w_rot, grows), fresh=True)
             else:
                 dcol = (g2 @ w.data.reshape(kh * kw * cin, cout).T).reshape(bb, oh, ow, kh, kw, cin)
                 dxp = np.zeros((bb, h + 2, ww_ + 2, cin), dtype=g.dtype)

@@ -25,12 +25,12 @@ HRF_SUPPORT_S = 40.0  # negligible beyond this lag
 def hrf(tau) -> np.ndarray:
     """Amplitude at lag tau seconds (scalar or array); zero for tau <= 0."""
     t = np.asarray(tau, dtype=np.float64)
-    out = np.zeros_like(t)
     pos = t > 0
-    tp = t[pos]
-    g1 = np.exp((A1 - 1.0) * np.log(tp) - tp / B1 - _LOG_NORM1)
-    g2 = np.exp((A2 - 1.0) * np.log(tp) - tp / B2 - _LOG_NORM2)
-    out[pos] = g1 - UNDERSHOOT_RATIO * g2
+    tp = np.where(pos, t, 1.0)  # lags <= 0 get a harmless 1 and a 0 at the end
+    log_t = np.log(tp)
+    g1 = np.exp((A1 - 1.0) * log_t - tp / B1 - _LOG_NORM1)
+    g2 = np.exp((A2 - 1.0) * log_t - tp / B2 - _LOG_NORM2)
+    out = np.where(pos, g1 - UNDERSHOOT_RATIO * g2, 0.0)
     if np.isscalar(tau):
         return float(out)
     return out

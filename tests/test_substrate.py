@@ -532,26 +532,36 @@ def _allocator_fills(monkeypatch, value):
     monkeypatch.setattr(np, "empty", filled)
 
 
+def _np_pad_tap_rows(a):
+    """Tap-row matrix (B, H+2, W, 3C) of a, built from np.pad."""
+    ap = np.pad(a, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    return np.concatenate([ap[:, :, kj : kj + a.shape[2]] for kj in range(3)], axis=3)
+
+
 @pytest.mark.parametrize("lowering", ["gemm-s1", "gemm-s2", "shifted"])
 def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypatch):
-    """The "shifted" case is the tap-row lowering: its tap rows, forward, and
-    dW from x and the tap rows of g."""
+    """The "shifted" case is the tap-row lowering in blocks of 10 anchor rows,
+    so one scratch serves 14 blocks across both images and block edges fall
+    inside pixel rows: the full tap rows, the forward streamed through the
+    scratch, the forward read from kept tap rows, and dW. Its reference runs
+    the same GEMMs on tap rows built by np.pad."""
     shape = (2, 9, 7, 5)
     key = RngKey(25, ("conv_pad", lowering))
     x = key.child("x").normal(shape)
     w = key.child("w").normal((3, 3, 5, 4), 0.3)
     if lowering == "shifted":
         g = key.child("g").normal(shape[:3] + (4,))
+        monkeypatch.setattr(ops, "_TAP_BLOCK_ROWS", 10)
 
         def conv(x, w):
             rows, grows = ops._tap_rows(x), ops._tap_rows(g)
-            return np.concatenate([rows.ravel(), ops._conv_taps(rows, w).ravel(), ops._conv_taps_wgrad(x, grows).ravel()])
+            parts = [rows, ops._conv_taps(x, w), ops._conv_taps(x, w, rows), ops._conv_taps_wgrad(x, grows)]
+            return np.concatenate([a.ravel() for a in parts])
 
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        rows_ref = np.concatenate([xp[:, :, kj : kj + shape[2]] for kj in range(3)], axis=3)
-        _allocator_fills(monkeypatch, 0.0)
-        ref = conv(x, w)
-        assert ref[: rows_ref.size].tobytes() == rows_ref.tobytes()
+        rows_ref, fwd_ref = _np_pad_tap_rows(x), ops._conv_taps(x, w, _np_pad_tap_rows(x))
+        parts = [rows_ref, fwd_ref, fwd_ref, ops._conv_taps_wgrad(x, _np_pad_tap_rows(g))]
+        ref = np.concatenate([a.ravel() for a in parts])
+        assert np.isfinite(ref).all()
     else:
         stride = int(lowering[-1])
 
@@ -563,6 +573,60 @@ def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypat
     _allocator_fills(monkeypatch, np.nan)
     y = conv(x, w)
     assert y.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("w_grad", [False, True])
+def test_stride1_conv_output_and_input_grad_own_contiguous_arrays(w_grad):
+    """A stride-1 conv writes its valid anchors, epilogue included, into a
+    new C-contiguous (B, H, W, Cout) array, and so does its input gradient:
+    no view into a buffer with junk anchor rows between the images."""
+    shape, cout = (3, 8, 8, 4), 6
+    key = RngKey(29, ("conv_contiguous", w_grad))
+    x = Tensor(key.child("x").normal(shape, 1.0, np.float32), requires_grad=True)
+    w = Tensor(key.child("w").normal((3, 3, 4, cout), 0.3, np.float32), requires_grad=w_grad)
+    shift = Tensor(key.child("s").normal((3, cout), 1.0, np.float32))
+    h = Tensor(key.child("h").normal(shape[:3] + (cout,), 1.0, np.float32))
+    y = ops.conv2d(x, w, Tensor(np.ones(cout, np.float32)), shift=shift, residual=h)
+    assert y.data.flags.c_contiguous and y.data.base is None
+    _weighted_sum(y, key.child("g").normal(y.shape, 1.0, np.float32)).backward()
+    assert x.grad.shape == shape and x.grad.flags.c_contiguous and x.grad.base is None
+
+
+@pytest.mark.parametrize("block", [pytest.param(256, id="256-row-blocks"), pytest.param(None, id="default-block")])
+def test_stride1_conv_holds_one_block_of_tap_rows(monkeypatch, block):
+    """A no-grad stride-1 conv allocates one block's scratch (tap rows with
+    their 2W-row tail, accumulator and product) and its output, not a padded
+    copy of x and the tap rows of the whole batch. Blocks of 256 anchor rows
+    make five of them here. At the default size the conv is one block, as
+    every 8x8 U-Net conv at B=16 is: its scratch is then the whole batch's
+    tap rows, accumulator and product, as at the parent, and it frees the tap
+    rows and product before its output exists, so the peak is no higher."""
+    shape, cout = (4, 16, 16, 32), 32
+    key = RngKey(31, ("conv_streams",))
+    x = Tensor(key.child("x").normal(shape, 1.0, np.float32))
+    w = Tensor(key.child("w").normal((3, 3, 32, cout), 0.1, np.float32))
+    b = Tensor(np.zeros(cout, np.float32))
+    if block is not None:
+        monkeypatch.setattr(ops, "_TAP_BLOCK_ROWS", block)
+    bb, h, wd, c = shape
+    n = bb * (h + 2) * wd - 2 * wd  # anchor rows
+    m = min(ops._TAP_BLOCK_ROWS, n)
+    scratch = 4 * (min(-(-m // wd) + 3, bb * (h + 2)) * wd * 3 * c + 2 * m * cout)
+    tracemalloc.start()
+    try:
+        y = ops.conv2d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if m < n:
+        # whole-batch tap rows alone are 4*18*16*96*4 = 442 KB, x and y 128 KB
+        # each, the scratch 178 KB; the parent peaked at 610 KB
+        assert peak < scratch + x.data.nbytes + y.data.nbytes
+    else:
+        # the scratch is 712 KB and the parent peaked at 718 KB; holding the
+        # output beside the scratch peaked at 875 KB
+        assert peak < scratch + 8 * 1024
+    assert y.data.tobytes() == ops._conv_taps(x.data, w.data, _np_pad_tap_rows(x.data), b.data).tobytes()
 
 
 # ---------------------------------------------------------------------------

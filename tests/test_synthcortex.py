@@ -10,6 +10,7 @@ from corrupt_json import corrupt_manifests
 
 from bold2img.prep import PreprocCache
 from bold2img.substrate import RngKey
+from bold2img.synthcortex.hrf import HRF_SUPPORT_S
 from bold2img.synthcortex.scenes import SHAPE_COUNT_PROBS
 from bold2img.synthcortex import (
     DEFAULT_PALETTE,
@@ -155,6 +156,20 @@ def test_hrf_peaks_near_five_seconds():
 
 def test_hrf_undershoot_negative():
     assert hrf(15.0) < 0.0
+
+
+def test_hrf_of_an_array_is_the_hrf_of_each_entry_bit_for_bit():
+    """The vectorised lags a run simulator passes give, entry by entry, the
+    scalar call's value: 0 and negative lags give exactly 0.0, and every
+    positive lag up to the support's end gives the same bits."""
+    lags = np.concatenate([[0.0, -0.0, -1e-300, -3.5, -40.0, HRF_SUPPORT_S, 1e-300, 5e-324], np.linspace(-5.0, 41.0, 501)])
+    lags = np.stack([lags, lags[::-1]])  # a 2-D block, as the simulator's (events, lags)
+    got = hrf(lags)
+    assert got.shape == lags.shape and got.dtype == np.float64
+    want = np.array([[hrf(float(v)) for v in row] for row in lags])
+    assert got.tobytes() == want.tobytes()
+    assert all(hrf(float(v)) == 0.0 for v in lags.ravel() if v <= 0)
+    assert hrf(HRF_SUPPORT_S) != 0.0 and isinstance(hrf(HRF_SUPPORT_S), float)
 
 
 # ---------------------------------------------------------------------------

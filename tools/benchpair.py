@@ -29,6 +29,7 @@ every parent run, and `held` otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import statistics
@@ -136,6 +137,26 @@ def git(repo: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
+def commits(repo: Path, parent: str, change: str) -> dict[str, str]:
+    """{"parent": sha, "change": sha} of the two revisions."""
+    return {side: git(repo, "rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in
+            (("parent", parent), ("change", change))}
+
+
+@contextlib.contextmanager
+def worktrees(repo: Path, scratch: Path, revs: dict[str, str]):
+    """Each side's commit as a detached `git worktree` at scratch/<side>;
+    yields {side: checkout} and removes the worktrees on exit."""
+    checkouts = {side: scratch / side for side in revs}
+    try:
+        for side, rev in revs.items():
+            git(repo, "worktree", "add", "--detach", "--force", str(checkouts[side]), rev)
+        yield checkouts
+    finally:
+        for path in checkouts.values():
+            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(path)], capture_output=True)
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int) -> tuple[dict | None, dict | None, str]:
     """One `perfbench/run.py --trace 0` run: (final JSON, provenance record, error)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
@@ -167,18 +188,14 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     repo = Path(__file__).resolve().parents[1]
-    revs = {side: git(repo, "rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in
-            (("parent", args.parent), ("change", args.change))}
+    revs = commits(repo, args.parent, args.change)
     workloads = args.workloads.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     scratch = args.scratch.resolve()
     scratch.mkdir(parents=True, exist_ok=True)
-    checkouts = {side: scratch / side for side in revs}
     out_path = args.out / f"BENCH_{args.tag}.json"
     runs: list[dict] = []
-    try:
-        for side, rev in revs.items():
-            git(repo, "worktree", "add", "--detach", "--force", str(checkouts[side]), rev)
+    with worktrees(repo, scratch, revs) as checkouts:
         end_to_end = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
         for pair in range(PAIRS):
             seed = seeds[pair % len(seeds)]
@@ -202,9 +219,6 @@ def main(argv=None) -> int:
                 "runs": runs,
             }
             out_path.write_text(json.dumps(doc, indent=1) + "\n")
-    finally:
-        for path in checkouts.values():
-            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(path)], capture_output=True)
     print(f"wrote {out_path}")
     return 0
 
