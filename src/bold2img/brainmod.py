@@ -46,6 +46,13 @@ class BrainModuleConfig:
         if self.aggregation_position not in (AGG_IN, AGG_OUT):
             raise ValueError(f"train.brain.aggregation_position must be IN or OUT, got {self.aggregation_position!r}")
 
+    def variant(self) -> str:
+        """The design variant this config builds; under IN one matrix follows
+        the aggregation whether or not the timestep layer is enabled."""
+        if self.aggregation_position == AGG_IN:
+            return "timestep_agg_in"
+        return "timestep_agg_out" if self.timestep_layer_enabled else "no_timestep_agg_out"
+
 
 def init_brain_module(
     config: BrainModuleConfig,

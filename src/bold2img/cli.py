@@ -14,17 +14,17 @@ import ctypes
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .brainmod import AGG_IN
 from .evalkit import (
     EvalConfig,
+    duration_checkpoints,
     duration_sweep,
     emit_report,
     emit_sweep,
     evaluate_split,
     held_subject_split,
+    keyed_checkpoints,
     match_specialized,
     time_sweep,
 )
@@ -40,6 +40,7 @@ from .trainer import (
     infer,
     load_train_state,
     pretrain_generator,
+    recorded_train_config,
     train_single_stage,
 )
 
@@ -136,12 +137,17 @@ def resolve_config(config_file: str | None, overrides: list[str]) -> dict:
     return config
 
 
+def _config_checked(where: str, check, *args):
+    """`check(*args)`, whose ValueError is a config error at `where`."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise ConfigError(where, str(e)) from None
+
+
 def _validated(config, section: str):
     """Run the section's own checks; a rejected value is a config error."""
-    try:
-        config.validate()
-    except ValueError as e:
-        raise ConfigError(section, str(e)) from None
+    _config_checked(section, config.validate)
     return config
 
 
@@ -289,21 +295,12 @@ def cmd_eval(config, args):
 def cmd_sweep_time(config, args):
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, "time-resolved", config)
-    specialized = {}
-    for item in args.specialized or []:
-        try:
-            delta_str, ckpt = item.split("=", 1)
-            specialized[float(delta_str)] = ckpt
-        except ValueError:
-            raise ConfigError("--specialized", f"expected DELTA=CKPT with a number DELTA, got {item!r}") from None
     ev = eval_config(config)
     deltas = [k * manifest.tr for k in ev.deltas_tr]
-    try:
-        specialized = match_specialized(specialized, deltas, manifest.tr)
-    except ValueError as e:
-        raise ConfigError("--specialized", str(e)) from None
+    general = recorded_train_config(args.general)  # time_sweep matches again, once it has loaded the model
+    _config_checked("--specialized", match_specialized, general, args.specialized, deltas, manifest.tr)
     key = RngKey(config["seed"], ("sweep-time",))
-    sweep = time_sweep(args.general, specialized, manifest, split, key, deltas, ev, config["workers"])
+    sweep = time_sweep(args.general, args.specialized, manifest, split, key, deltas, ev, config["workers"])
     out = Path(args.out or Path(config["paths"]["out_root"]) / "sweep_time")
     emit_sweep(sweep, out, "sweep_time")
     _write_resolved(config, "sweep-time", vars(args), out)
@@ -312,47 +309,27 @@ def cmd_sweep_time(config, args):
 
 
 def cmd_sweep_duration(config, args):
-    durations_tr = args.durations_tr or [1, 2, 3, 4, 5, 6]
-    if min(durations_tr) < 1 or len(set(durations_tr)) < len(durations_tr):
-        raise ConfigError("--durations-tr", f"expected distinct counts >= 1, got {durations_tr}")
-    tc = train_config(config)
+    ev = eval_config(config)
     manifest = load_manifest(config["paths"]["data"])
+    _config_checked("--ckpt", duration_checkpoints, args.ckpt, manifest.tr)
     split = _split_for(manifest, "standard", config)
-    durations = [k * manifest.tr for k in durations_tr]
     out = Path(args.out or Path(config["paths"]["out_root"]) / "sweep_duration")
-    sweep = duration_sweep(
-        manifest,
-        split,
-        config["paths"]["pretrain"],
-        tc,
-        durations,
-        out,
-        RngKey(config["seed"], ("sweep-duration",)),
-        eval_config(config),
-        config["workers"],
-    )
+    key = RngKey(config["seed"], ("sweep-duration",))
+    sweep = duration_sweep(args.ckpt, manifest, split, key, ev, config["workers"])
     emit_sweep(sweep, out, "sweep_duration")
     _write_resolved(config, "sweep-duration", vars(args), out)
-    print(f"duration sweep over {durations} -> {out}")
+    print(f"duration sweep over {sweep.protocol['durations']} -> {out}")
     return EXIT_OK
 
 
 def cmd_ablate_brainmod(config, args):
-    base, ev = train_config(config), eval_config(config)
+    ev = eval_config(config)
+    variants = _config_checked("--ckpt", keyed_checkpoints, args.ckpt, lambda tc: tc.brain.variant(), "variant")
     manifest = load_manifest(config["paths"]["data"])
     split = _split_for(manifest, "standard", config)
-    variants = {
-        "no_timestep_agg_out": replace(base.brain, timestep_layer_enabled=False),
-        "timestep_agg_in": replace(base.brain, aggregation_position=AGG_IN),
-        "timestep_agg_out": base.brain,
-    }
     out = Path(args.out or Path(config["paths"]["out_root"]) / "ablate_brainmod")
     results = {}
-    for name, brain in sorted(variants.items()):
-        tc = replace(base, brain=brain)
-        ckpt = train_single_stage(
-            manifest, split, config["paths"]["pretrain"], tc, out / name, workers=config["workers"]
-        )
+    for name, (ckpt, _) in variants.items():
         report = evaluate_split(
             ckpt, manifest, split, RngKey(config["seed"], ("ablate", name)), ev, workers=config["workers"]
         )
@@ -407,14 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("sweep-time")
     st.add_argument("--general", required=True)
-    st.add_argument("--specialized", action="append", metavar="DELTA=CKPT")
+    st.add_argument("--specialized", action="append", default=[], metavar="CKPT")
     st.add_argument("--out")
 
     sd = sub.add_parser("sweep-duration")
-    sd.add_argument("--durations-tr", type=int, nargs="*")
+    sd.add_argument("--ckpt", required=True, nargs="+")
     sd.add_argument("--out")
 
     ab = sub.add_parser("ablate-brainmod")
+    ab.add_argument("--ckpt", required=True, nargs="+")
     ab.add_argument("--out")
     return p
 

@@ -7,7 +7,6 @@ whole to every entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from ..prep import DEFAULT_TEST_RUN_FRACTION, PreprocCache, SplitSpec, extract_e
 from ..substrate.params import ParamStore
 from ..substrate.rng import RngKey
 from ..synthcortex.dataset import DatasetManifest
-from ..trainer import TrainConfig, infer, load_train_state, train_single_stage
+from ..trainer import TrainConfig, infer, load_train_state, recorded_train_config
 from .metrics import SSIM_WINDOW, miou, pixcorr, probe_features, resize_nearest, segment_by_palette, ssim, two_way_id
 
 SCHEMA_VERSION = 1
@@ -229,23 +228,6 @@ def evaluate_split(
 # shifted-window sweep
 
 
-def _sweep_point_eval(
-    store: ParamStore,
-    tc: TrainConfig,
-    manifest: DatasetManifest,
-    epochs: list,
-    key: RngKey,
-    ev: EvalConfig,
-    truth: dict,
-    workers: int,
-) -> tuple[dict, list[np.ndarray]]:
-    """One model's summary over `epochs`, decoded on `workers` lanes, and its
-    reconstructions' low-level features."""
-    images = infer(store, tc, epochs, key, ev.steps, ev.guidance, workers)
-    per_subject, recon_low = score_trials(manifest, images, epochs, ev.resolution(manifest), truth)
-    return summarize(per_subject), recon_low
-
-
 def _neighbor_entries(manifest: DatasetManifest, epochs: list, recon_low: list, truth: dict, eval_res: int) -> dict:
     """Two-way low-level identification of the previous / next stimulus from
     the reconstructions whose features are `recon_low`, for each subject with
@@ -273,26 +255,44 @@ def _neighbor_entries(manifest: DatasetManifest, epochs: list, recon_low: list, 
     return entries
 
 
-def match_specialized(specialized_ckpts: dict[float, object], deltas: list[float], tr: float) -> dict[float, object]:
-    """Key each specialized checkpoint by the sweep shift it belongs to.
+def keyed_checkpoints(ckpts: list, key_of, what: str) -> dict:
+    """{key_of(config): (checkpoint, config)} sorted by key, for the config each
+    manifest records (no blob is read). A ValueError from `key_of`, and two
+    checkpoints at one key, raise ValueError naming the checkpoint."""
+    keyed = {}
+    for ckpt in ckpts:
+        tc = recorded_train_config(ckpt)
+        try:
+            key = key_of(tc)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {ckpt}: {e}") from None
+        if key in keyed:
+            raise ValueError(f"checkpoints {keyed[key][0]} and {ckpt} are both at {what} {key!r}")
+        keyed[key] = (ckpt, tc)
+    return dict(sorted(keyed.items()))
 
-    Shifts match by TR multiple, so a shift typed in decimal (-3.9 s at TR
-    1.3) finds the computed -3 * 1.3 = -3.9000000000000004; a shift that is
-    no TR multiple or no sweep point raises ValueError naming it.
-    """
+
+def match_specialized(general: TrainConfig, ckpts: list, deltas: list[float], tr: float) -> dict[float, object]:
+    """Key each specialized checkpoint by the sweep shift its `train.delta`
+    matches by TR multiple; -3.9 s at TR 1.3 finds the computed -3 * 1.3 =
+    -3.9000000000000004. A delta on no sweep point, two models at one shift,
+    and a window not the `general` model's raise ValueError naming the checkpoint."""
     by_k = {round(d / tr): d for d in deltas}
-    matched = {}
-    for delta, ckpt in specialized_ckpts.items():
-        k = round(delta / tr)
-        if abs(delta / tr - k) > 1e-6 or k not in by_k:
-            raise ValueError(f"specialized delta {delta} matches no sweep point (shifts {sorted(deltas)})")
-        matched[by_k[k]] = ckpt
-    return matched
+
+    def shift(tc: TrainConfig) -> float:
+        k = round(tc.delta / tr)
+        if abs(tc.delta / tr - k) > 1e-6 or k not in by_k:
+            raise ValueError(f"specialized delta {tc.delta} matches no sweep point (shifts {sorted(deltas)})")
+        if (tc.window_t, tc.window_d) != (general.window_t, general.window_d):
+            raise ValueError(f"its window (window_t {tc.window_t}, window_d {tc.window_d}) is not the general model's")
+        return by_k[k]
+
+    return {delta: ckpt for delta, (ckpt, _) in keyed_checkpoints(ckpts, shift, "shift").items()}
 
 
 def time_sweep(
     general_ckpt,
-    specialized_ckpts: dict[float, object],
+    specialized_ckpts: list,
     manifest: DatasetManifest,
     split: SplitSpec,
     key: RngKey,
@@ -301,22 +301,28 @@ def time_sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Evaluate the general model on test windows shifted by each of `deltas`
-    (seconds), and per-shift specialized models on the same epochs. Requires
-    the time-resolved split so neighboring trials stay on the test side.
-    `specialized_ckpts` is keyed by shift in seconds, matched by TR multiple.
-    Each checkpoint is loaded once and decodes on `workers` lanes. The trials
-    are those of the subjects the general checkpoint holds."""
+    (seconds), and specialized models on the same epochs, each at the shift
+    its checkpoint was trained at (`match_specialized`, checked before any
+    decoding). Requires the time-resolved split so neighboring trials stay
+    on the test side. Each checkpoint is loaded once and decodes on `workers`
+    lanes. The trials are those of the subjects the general checkpoint holds."""
     if split.kind != "time_resolved":
         raise ValueError("time sweeps need the time-resolved split")
     store, _, tc, _ = load_train_state(general_ckpt)
     split = held_subject_split(split, store, general_ckpt)
+    specialized_ckpts = match_specialized(tc, specialized_ckpts, deltas, manifest.tr)
     t, d = tc.window_t, tc.window_d
     t_len = window_length(d, manifest.tr)
     cap, eval_res = ev.max_trials_per_subject, ev.resolution(manifest)
     cache = PreprocCache(manifest, workers=workers).build()
     truth: dict = {}
 
-    specialized_ckpts = match_specialized(specialized_ckpts, deltas, manifest.tr)
+    def scored(store: ParamStore, tc: TrainConfig, epochs: list, key: RngKey) -> tuple[dict, list[np.ndarray]]:
+        """One model's summary over `epochs` and its reconstructions' low-level features."""
+        images = infer(store, tc, epochs, key, ev.steps, ev.guidance, workers)
+        per_subject, recon_low = score_trials(manifest, images, epochs, eval_res, truth)
+        return summarize(per_subject), recon_low
+
     refs = split.test_refs
     if cap:
         refs = {}
@@ -330,9 +336,7 @@ def time_sweep(
     points = []
     for delta in sorted(deltas):
         epochs, skipped = extract_epochs(cache, refs, t, d, delta, skip_out_of_bounds=True)
-        general, recon_low = _sweep_point_eval(
-            store, tc, manifest, epochs, key.child("gen", delta), ev, truth, workers
-        )
+        general, recon_low = scored(store, tc, epochs, key.child("gen", delta))
         point = {
             "delta": delta,
             "window_end": t + delta + t_len * manifest.tr,
@@ -344,9 +348,7 @@ def time_sweep(
         }
         if delta in specialized_ckpts:
             spec_store, _, spec_tc, _ = load_train_state(specialized_ckpts[delta])
-            point["specialized"], _ = _sweep_point_eval(
-                spec_store, spec_tc, manifest, epochs, key.child("spec", delta), ev, truth, workers
-            )
+            point["specialized"], _ = scored(spec_store, spec_tc, epochs, key.child("spec", delta))
         points.append(point)
 
     protocol = {
@@ -363,29 +365,29 @@ def time_sweep(
     return SweepResult("time", points, protocol)
 
 
+def duration_checkpoints(ckpts: list, tr: float) -> dict[int, tuple]:
+    """`keyed_checkpoints` by window length in samples, so sorted by duration;
+    windows at different `window_t` raise ValueError naming each checkpoint's."""
+    keyed = keyed_checkpoints(ckpts, lambda tc: window_length(tc.window_d, tr), "window length")
+    starts = {ckpt: tc.window_t for ckpt, tc in keyed.values()}
+    if len(set(starts.values())) > 1:
+        raise ValueError(f"checkpoints at different window_t: {starts}")
+    return keyed
+
+
 def duration_sweep(
-    manifest: DatasetManifest,
-    split: SplitSpec,
-    pretrained_ckpt,
-    base_config: TrainConfig,
-    durations: list[float],
-    out_root,
-    key: RngKey,
-    ev: EvalConfig,
-    workers: int = 1,
+    ckpts: list, manifest: DatasetManifest, split: SplitSpec, key: RngKey, ev: EvalConfig, workers: int = 1
 ) -> SweepResult:
-    """Train one model per window duration and evaluate each on the split,
-    training and decoding on `workers` lanes."""
-    out_root = Path(out_root)
+    """Evaluate trained checkpoints, one per window duration, on the split,
+    each decoding on `workers` lanes. A point's duration is its checkpoint's
+    `train.window_d`, and the points are sorted by it (`duration_checkpoints`)."""
+    keyed = duration_checkpoints(ckpts, manifest.tr)
     points = []
-    for dur in durations:
-        t_len = window_length(dur, manifest.tr)
-        cfg = replace(base_config, window_d=dur)
-        ckpt = train_single_stage(manifest, split, pretrained_ckpt, cfg, out_root / f"dur_{t_len}tr", workers=workers)
+    for t_len, (ckpt, tc) in keyed.items():
         report = evaluate_split(ckpt, manifest, split, key.child("eval", t_len), ev, workers=workers)
         points.append(
             {
-                "duration_s": dur,
+                "duration_s": tc.window_d,
                 "window_samples": t_len,
                 "mean": report.mean,
                 "sem": report.sem,
@@ -393,8 +395,8 @@ def duration_sweep(
             }
         )
     protocol = {
-        "window_t": base_config.window_t,
-        "durations": list(durations),
+        "window_t": tc.window_t,  # the same for every point (duration_checkpoints)
+        "durations": [p["duration_s"] for p in points],
         "steps": ev.steps,
         "guidance": ev.guidance,
         "eval_resolution": ev.resolution(manifest),

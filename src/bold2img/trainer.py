@@ -41,7 +41,7 @@ from .diffgen import (
 from .lanes import LaneError, Lanes, fill_rows, lane_count, shared_zeros
 from .prep import DEFAULT_WINDOW_D, DEFAULT_WINDOW_T, Epoch, PreprocCache, SplitSpec, extract_epochs, window_length
 from .substrate import LrSchedule, OptimizerState, ParamStore, RngKey, Tensor, adamw_step, lr_at, no_grad, ops
-from .substrate.checkpoint import load_checkpoint, save_checkpoint
+from .substrate.checkpoint import load_checkpoint, read_json_object, save_checkpoint
 from .synthcortex.dataset import DatasetManifest
 
 REGIMES = ("all", "linear", "cross_attn", "none", "lora")
@@ -254,6 +254,11 @@ def load_train_state(ckpt_dir) -> tuple[ParamStore, OptimizerState, TrainConfig,
             store.add(name, full[name].data)
     config = TrainConfig.from_json(extra["train_config"])
     return store, opt, config, extra
+
+
+def recorded_train_config(ckpt_dir) -> TrainConfig:
+    """The `TrainConfig` a checkpoint records, read from its manifest alone."""
+    return TrainConfig.from_json(read_json_object(Path(ckpt_dir) / "manifest.json")["extra"]["train_config"])
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def test_criterion_7_time_resolved():
     with criterion(7, "chance before signal; peak in 4-11 s; previous-image decoding at -3TR; specialized >= general - 2"):
         manifest = world.ensure_dataset()
         general = world.ensure_tr_general(manifest)
-        specialized = {d: world.ensure_specialized(manifest, d) for d in world.SPECIALIZED_DELTAS}
+        specialized = [world.ensure_specialized(manifest, d) for d in world.SPECIALIZED_DELTAS]
         split = world.tr_split(manifest)
         deltas = [k * world.TR for k in (-6, -3, -2, 0, 2, 3)]
         sweep = time_sweep(

@@ -221,60 +221,103 @@ def test_training_bits_do_not_depend_on_workers(cli_world, tmp_path):
         assert [name for name in outputs[1] if outputs[1][name] != outputs[workers][name]] == []
 
 
-def test_sweep_time_command(cli_world, tmp_path):
-    root = Path(cli_world)
-    gen_out = tmp_path / "gen"
-    assert _run(root, "--set", "eval.test_run_fraction=0.34",
-                "train", "--split", "time-resolved", "--out", str(gen_out)) == EXIT_OK
-    sweep_out = tmp_path / "sweep"
-    assert _run(
-        root,
-        "--set", "eval.test_run_fraction=0.34",
+TIME_SPLIT = ["--set", "eval.test_run_fraction=0.34"]
+
+
+@pytest.fixture(scope="module")
+def tr_model(cli_world):
+    """A checkpoint trained on the time-resolved split with the given `train.*`
+    settings, trained once per settings."""
+    built = {}
+
+    def model(*settings: str) -> Path:
+        if settings not in built:
+            out = Path(cli_world) / f"tr_model{len(built)}"
+            sets = [a for kv in settings for a in ("--set", f"train.{kv}")]
+            argv = [*TIME_SPLIT, *sets, "train", "--split", "time-resolved", "--out", str(out)]
+            assert _run(cli_world, *argv) == EXIT_OK
+            built[settings] = out
+        return built[settings]
+
+    return model
+
+
+def _sweep_time(cli_world, out, general, *specialized):
+    return _run(
+        cli_world, *TIME_SPLIT,
         "--set", "eval.deltas_tr=[-3,0]",
         "--set", "eval.max_trials_per_subject=6",
         "--set", "eval.eval_resolution=16",
-        "sweep-time", "--general", str(gen_out), "--out", str(sweep_out),
-        # typed in decimal: the sweep computes -3 * 1.3 = -3.9000000000000004
-        "--specialized=-3.9=" + str(gen_out),
-    ) == EXIT_OK
+        "sweep-time", "--general", str(general), "--out", str(out),
+        *[f"--specialized={ckpt}" for ckpt in specialized],
+    )
+
+
+def test_sweep_time_command(cli_world, tr_model, tmp_path):
+    # trained at -3.9 s, typed in decimal: the sweep computes -3 * 1.3 = -3.9000000000000004
+    sweep_out = tmp_path / "sweep"
+    assert _sweep_time(cli_world, sweep_out, tr_model(), tr_model("delta=-3.9")) == EXIT_OK
     sweep = json.loads((sweep_out / "sweep_time.json").read_text())
     assert len(sweep["points"]) == 2
     assert sweep["protocol"]["eval_resolution"] == 16
+    assert sweep["protocol"]["specialized_available"] == [-3 * 1.3]
     assert [p["specialized"] is not None for p in sweep["points"]] == [True, False]
     assert (sweep_out / "sweep_time.svg").exists()
 
 
 @pytest.mark.parametrize("delta", ["-2.6", "-3.5"])
-def test_sweep_time_specialized_delta_off_the_sweep_is_config_error(cli_world, tmp_path, capsys, delta):
+def test_sweep_time_specialized_delta_off_the_sweep_is_config_error(cli_world, tr_model, tmp_path, capsys, delta):
     # -2.6 s is -2 TR, not among the shifts; -3.5 s is no TR multiple
-    code = _run(
-        Path(cli_world),
-        "--set", "eval.test_run_fraction=0.34",
-        "--set", "eval.deltas_tr=[-3,0]",
-        "sweep-time", "--general", str(tmp_path / "unused"), f"--specialized={delta}=ckpt",
-    )
-    assert code == EXIT_CONFIG
-    assert f"specialized delta {delta} matches no sweep point" in capsys.readouterr().err
+    out = tmp_path / "sweep"
+    spec = tr_model(f"delta={delta}")
+    assert _sweep_time(cli_world, out, tr_model(), spec) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at --specialized: checkpoint {spec}: specialized delta {delta} matches no")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("item", ["abc", "x=ckpt"])
-def test_sweep_time_malformed_specialized_is_config_error(cli_world, tmp_path, capsys, item):
-    code = _run(
-        Path(cli_world), "--set", "eval.test_run_fraction=0.34",
-        "sweep-time", "--general", str(tmp_path / "unused"), f"--specialized={item}",
-    )
-    assert code == EXIT_CONFIG
-    assert f"config error at --specialized: expected DELTA=CKPT with a number DELTA, got {item!r}" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "settings, copies, error",
+    [(("delta=-3.9", "window_t=2.0"), 1, "checkpoint {spec}: its window (window_t 2.0, window_d 8.0) is not the"),
+     (("delta=-3.9",), 2, "checkpoints {spec} and {spec} are both at shift -3.9000000000000004")],
+    ids=["other_window_t", "two_at_one_shift"],
+)
+def test_sweep_time_rejects_specialized_models_it_cannot_score(cli_world, tr_model, tmp_path, capsys, settings,
+                                                                copies, error):
+    out = tmp_path / "sweep"
+    spec = tr_model(*settings)
+    assert _sweep_time(cli_world, out, tr_model(), *[spec] * copies) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error at --specialized: {error.format(spec=spec)}")
+    assert not out.exists()
 
 
 def test_sweep_duration_honours_eval_keys(cli_world, tmp_path):
+    ckpts = []
+    for k in (2, 1):  # given longest first
+        ckpts.append(tmp_path / f"d{k}tr")
+        assert _run(cli_world, "--set", f"train.window_d={k * 1.3}", "train", "--out", str(ckpts[-1])) == EXIT_OK
     out = tmp_path / "dur"
     assert _run(
         Path(cli_world), "--set", "eval.steps=2", "--set", "eval.eval_resolution=16",
-        "sweep-duration", "--durations-tr", "2", "--out", str(out),
+        "sweep-duration", "--ckpt", *map(str, ckpts), "--out", str(out),
     ) == EXIT_OK
-    protocol = json.loads((out / "sweep_duration.json").read_text())["protocol"]
-    assert protocol["steps"] == 2 and protocol["eval_resolution"] == 16
+    sweep = json.loads((out / "sweep_duration.json").read_text())
+    assert sweep["protocol"]["steps"] == 2 and sweep["protocol"]["eval_resolution"] == 16
+    assert [(p["duration_s"], p["window_samples"]) for p in sweep["points"]] == [(1.3, 1), (2.6, 2)]
+    assert sweep["protocol"]["durations"] == [1.3, 2.6]
+
+
+def test_ablate_brainmod_scores_each_variant_it_is_given(cli_world, cli_ckpt, tmp_path):
+    ckpts = [cli_ckpt]
+    for name, setting in (("in", "aggregation_position=IN"), ("no_tstep", "timestep_layer_enabled=false")):
+        ckpts.append(tmp_path / name)
+        assert _run(cli_world, "--set", f"train.brain.{setting}", "train", "--out", str(ckpts[-1])) == EXIT_OK
+    out = tmp_path / "ablate"
+    assert _run(cli_world, "ablate-brainmod", "--ckpt", *map(str, ckpts), "--out", str(out)) == EXIT_OK
+    ablation = json.loads((out / "ablation.json").read_text())
+    assert sorted(ablation) == ["no_timestep_agg_out", "timestep_agg_in", "timestep_agg_out"]
+    for name, mean in ablation.items():
+        assert mean == json.loads((out / name / "report.json").read_text())["mean"]
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +337,8 @@ def cli_ckpt(cli_world):
         (["--set", "eval.test_run_fraction=1.5", "train", "--split", "time-resolved"],
          "eval: eval.test_run_fraction must"),
         (["--set", "eval.steps=0", "infer", "--ckpt", "CKPT"], "eval: eval.steps must"),
-        (["--set", "eval.steps=0", "sweep-duration", "--durations-tr", "2"], "eval: eval.steps must"),
-        (["--set", "eval.steps=0", "ablate-brainmod"], "eval: eval.steps must"),
+        (["--set", "eval.steps=0", "sweep-duration", "--ckpt", "CKPT"], "eval: eval.steps must"),
+        (["--set", "eval.steps=0", "ablate-brainmod", "--ckpt", "CKPT"], "eval: eval.steps must"),
         (["train", "--adapt-subject", "sub02", "--sessions-used", "1"], "--from-ckpt: required"),
         (["train", "--adapt-subject", "sub02", "--from-ckpt", "CKPT"], "--sessions-used: required"),
         (["train", "--from-ckpt", "CKPT"], "--from-ckpt: used only with --adapt-subject"),
@@ -304,13 +347,13 @@ def cli_ckpt(cli_world):
          "--subjects: not used with --adapt-subject"),
         (["infer", "--ckpt", "CKPT", "--limit", "0"], "--limit: must be >= 1"),
         (["infer", "--ckpt", "CKPT", "--limit", "-1"], "--limit: must be >= 1"),
-        (["sweep-duration", "--durations-tr", "0"], "--durations-tr: expected distinct counts >= 1"),
-        (["sweep-duration", "--durations-tr", "2", "2"], "--durations-tr: expected distinct counts >= 1"),
+        (["sweep-duration", "--ckpt", "CKPT", "CKPT"], "--ckpt: checkpoints "),
+        (["ablate-brainmod", "--ckpt", "CKPT", "CKPT"], "--ckpt: checkpoints "),
     ],
     ids=["no_shifts", "one_trial", "negative_resolution", "every_run_tested", "no_steps_infer",
          "no_steps_duration", "no_steps_ablate", "adapt_without_ckpt", "adapt_without_sessions",
          "ckpt_without_adapt", "sessions_without_adapt", "subjects_with_adapt", "limit_zero", "limit_negative",
-         "zero_duration", "repeated_duration"],
+         "repeated_duration", "repeated_variant"],
 )
 def test_eval_settings_rejected_before_decoding_or_training(cli_world, cli_ckpt, tmp_path, capsys, argv, error):
     # each bad setting or flag exits 2 naming it, before anything is trained, decoded or written
@@ -340,8 +383,6 @@ def test_dataset_setting_rejected_before_anything_is_written(tmp_path, capsys):
         ("warmup_steps=9", "train"),
         ("regime=bogus", "train"),
         ("cond_dropout=1", "pretrain-gen"),
-        ("brain.hidden=0", "ablate-brainmod"),
-        ("regime=bogus", "sweep-duration"),
         ("batch_size=0", "pretrain-gen"),
         ("batch_size=-4", "train"),
         ("max_lr=0", "pretrain-gen"),

@@ -146,7 +146,7 @@ def test_time_sweep_delta_zero_matches_evaluate_split():
     general = world.ensure_tr_general(manifest)
     split = world.tr_split(manifest)
     key = RngKey(515, ("eqcheck",))
-    sweep = time_sweep(general, {}, manifest, split, key, [0.0], EvalConfig())
+    sweep = time_sweep(general, [], manifest, split, key, [0.0], EvalConfig())
     report = evaluate_split(general, manifest, split, key, EvalConfig())
     for metric in ("two_way_low", "miou", "pixcorr"):
         a = sweep.points[0]["general"]["mean"][metric]

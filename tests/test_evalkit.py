@@ -16,6 +16,7 @@ from bold2img.evalkit import (
     emit_report,
     emit_sweep,
     evaluate_split,
+    match_specialized,
     miou,
     pixcorr,
     probe_features,
@@ -37,7 +38,7 @@ from bold2img.synthcortex import (
     render_scene,
     sample_scene,
 )
-from bold2img.trainer import TrainConfig, pretrain_generator, train_single_stage
+from bold2img.trainer import TrainConfig, pretrain_generator, recorded_train_config, train_single_stage
 
 # ---------------------------------------------------------------------------
 # pixcorr
@@ -343,7 +344,7 @@ def test_time_sweep_structure(sweep_world, tmp_path):
     manifest, split, general, spec = sweep_world
     deltas = [-3 * 1.3, 0.0, 2 * 1.3]
     sweep = time_sweep(
-        general, {-3 * 1.3: spec}, manifest, split, RngKey(40, ("sweep",)),
+        general, [spec], manifest, split, RngKey(40, ("sweep",)),
         deltas, EvalConfig(steps=3, max_trials_per_subject=8),
     )
     ends = [p["window_end"] for p in sweep.points]
@@ -361,6 +362,16 @@ def test_time_sweep_structure(sweep_world, tmp_path):
     polylines = [el for el in svg.iter() if el.tag.endswith("polyline")]
     # 5 metric panels x (general everywhere + specialized where present)
     assert len(polylines) == 10
+
+
+def test_match_specialized_keys_each_model_by_its_own_shift(sweep_world):
+    # the general model, trained at delta 0, is a specialized model at 0, not at the shift it is listed with
+    manifest, _, general, spec = sweep_world
+    deltas = [-3 * 1.3, 0.0, 2 * 1.3]
+    matched = match_specialized(recorded_train_config(general), [spec, general], deltas, manifest.tr)
+    assert matched == {-3 * 1.3: spec, 0.0: general}
+    with pytest.raises(ValueError, match=f"checkpoint {spec}: specialized delta -3.9000000000000004 matches"):
+        match_specialized(recorded_train_config(general), [spec], [0.0], manifest.tr)
 
 
 def _count_checkpoint_reads(monkeypatch) -> list[Path]:
@@ -386,7 +397,7 @@ def test_time_sweep_reads_each_checkpoint_once(sweep_world, monkeypatch):
     manifest, split, general, spec = sweep_world
     reads = _count_checkpoint_reads(monkeypatch)
     time_sweep(
-        general, {-3 * 1.3: spec}, manifest, split, RngKey(42), [-3 * 1.3, 0.0, 2 * 1.3],
+        general, [spec], manifest, split, RngKey(42), [-3 * 1.3, 0.0, 2 * 1.3],
         EvalConfig(steps=1, max_trials_per_subject=2),
     )
     assert sorted(reads) == sorted([Path(general), Path(spec)])
@@ -423,7 +434,7 @@ def test_time_sweep_reads_and_probes_each_image_once(sweep_world, monkeypatch):
     monkeypatch.setattr(evaluate, "probe_features", probe)
     monkeypatch.setattr(manifest, "load_image", load)
     time_sweep(
-        general, {-3 * 1.3: spec}, manifest, split, RngKey(44), [-3 * 1.3, 0.0, 2 * 1.3],
+        general, [spec], manifest, split, RngKey(44), [-3 * 1.3, 0.0, 2 * 1.3],
         EvalConfig(steps=1, max_trials_per_subject=4),
     )
     assert calls["recon"] > 0 and stimuli
@@ -451,4 +462,4 @@ def test_time_sweep_requires_time_resolved_split(sweep_world):
     manifest, _, general, _ = sweep_world
     std = build_split_standard(manifest)
     with pytest.raises(ValueError, match="time-resolved"):
-        time_sweep(general, {}, manifest, std, RngKey(0), [0.0], EvalConfig())
+        time_sweep(general, [], manifest, std, RngKey(0), [0.0], EvalConfig())

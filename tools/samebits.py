@@ -7,7 +7,11 @@ with `tools/benchpair.py`'s helper. Each side runs the toy pipeline of README's
 quick start into its own output root
 `<scratch>/<side>-out`: `gen-data`, `preprocess`, `pretrain-gen`,
 `train --regime lora`, `train --regime all`, `eval` and `infer --limit 4`,
-every command at `--workers 2`. Then every file under the two output roots
+then the three sweeps over models trained for them: `sweep-duration` over
+the `train` model and one at `train.window_d` 2.6 s, `ablate-brainmod` over
+it and one at `train.brain.aggregation_position` IN, and `sweep-time` over a
+time-resolved general model and one specialized at `train.delta` -3.9 s.
+Every command runs at `--workers 2`. Then every file under the two output roots
 is compared byte for byte. In `resolved_config.json` the output root is
 masked first, since it names the side. The script names each file that
 differs or exists on one side only, exits 1 if there is any and 0 if the
@@ -30,6 +34,7 @@ TOY = [
     "dataset.voxel_lo=30", "dataset.voxel_hi=50", "train.steps=200", "train.pretrain_steps=100",
     "train.warmup_steps=20", "train.batch_size=8", "train.brain.hidden=32", "train.unet.channels=[8,8,16]",
 ]
+TIME_SPLIT = ["--set", "eval.test_run_fraction=0.34"]  # the toy's runs need it to hold test runs
 ROOT_MASK = b"<output root>"
 RUN_TIMEOUT_S = 1800.0
 
@@ -44,6 +49,15 @@ def pipeline(root: Path) -> list[list[str]]:
         ["train", "--regime", "all", "--out", str(root / "train-all")],
         ["eval", "--ckpt", str(root / "train")],
         ["infer", "--ckpt", str(root / "train"), "--limit", "4"],
+        ["--set", "train.window_d=2.6", "train", "--out", str(root / "train-d2tr")],
+        ["sweep-duration", "--ckpt", str(root / "train"), str(root / "train-d2tr")],
+        ["--set", "train.brain.aggregation_position=IN", "train", "--out", str(root / "train-agg-in")],
+        ["ablate-brainmod", "--ckpt", str(root / "train"), str(root / "train-agg-in")],
+        [*TIME_SPLIT, "train", "--split", "time-resolved", "--out", str(root / "train-tr")],
+        [*TIME_SPLIT, "--set", "train.delta=-3.9", "train", "--split", "time-resolved",
+         "--out", str(root / "train-tr-m3")],
+        [*TIME_SPLIT, "--set", "eval.deltas_tr=[-3,0,2]", "sweep-time", "--general", str(root / "train-tr"),
+         "--specialized", str(root / "train-tr-m3")],
     ]
 
 
