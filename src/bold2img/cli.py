@@ -177,9 +177,9 @@ def _split_for(manifest, kind: str, config: dict):
     if kind == "standard":
         return build_split_standard(manifest)
     if kind == "time-resolved":
-        return build_split_time_resolved(
-            manifest, RngKey(config["seed"], ("split",)), eval_config(config).test_run_fraction
-        )
+        key, fraction = RngKey(config["seed"], ("split",)), eval_config(config).test_run_fraction
+        # the split rejects a fraction that leaves a subject no test or no train run
+        return _config_checked("eval.test_run_fraction", build_split_time_resolved, manifest, key, fraction)
     raise ConfigError("split", f"unknown split kind {kind!r}")
 
 

@@ -1,7 +1,9 @@
 """Toy pixel-space denoising U-Net with cross-attention conditioning.
 
 Resolutions 32 -> 16 -> 8 with channels 32 -> 64 -> 128. Each level is a
-single residual conv block (group norm, SiLU, 3x3 conv, timestep shift).
+single residual conv block (group norm, SiLU, 3x3 conv, timestep shift),
+one `ops.conv2d` node with its norm prologue, shift and skip, as is the
+output head; each decoder skip is added by the upsampling that meets it.
 Cross-attention on the P x D conditioning tokens sits at the 16^2 and 8^2
 feature maps on both the encoder and decoder paths; all four of its
 projections carry optional low-rank adapters. Two fixed coordinate channels
@@ -196,10 +198,13 @@ def unet_forward(x, t, tokens: Tensor, store: ParamStore, config: UNetConfig) ->
     temb = ops.silu(temb)
     temb = ops.linear(temb, store["unet/temb/l2/w"], store["unet/temb/l2/b"])
 
+    def norm(name):
+        return store[f"unet/{name}/gn/g"], store[f"unet/{name}/gn/bta"]
+
     def resblock(h, name):
-        y = ops.group_norm_silu(h, store[f"unet/{name}/gn/g"], store[f"unet/{name}/gn/bta"])
         shift = ops.linear(temb, store[f"unet/{name}/temb/w"], store[f"unet/{name}/temb/b"])
-        out = ops.conv2d(y, store[f"unet/{name}/conv/w"], store[f"unet/{name}/conv/b"], shift=shift, residual=h)
+        w, b = store[f"unet/{name}/conv/w"], store[f"unet/{name}/conv/b"]
+        out = ops.conv2d(h, w, b, norm=norm(name), shift=shift, residual=h)
         _check(out, name)
         return out
 
@@ -230,15 +235,12 @@ def unet_forward(x, t, tokens: Tensor, store: ParamStore, config: UNetConfig) ->
     h = resblock(h, "mid")
     h = xattn(h, "xa_d8", c2)
     # channel reduction happens at the low resolution, then nearest upsampling
-    h = ops.upsample_nearest2x(ops.conv2d(h, store["unet/up1/w"], store["unet/up1/b"]))
-    h = ops.add(h, h16)
+    h = ops.upsample_nearest2x(ops.conv2d(h, store["unet/up1/w"], store["unet/up1/b"]), h16)
     h = resblock(h, "dec1")
     h = xattn(h, "xa_d16", c1)
-    h = ops.upsample_nearest2x(ops.conv2d(h, store["unet/up2/w"], store["unet/up2/b"]))
-    h = ops.add(h, h32)
+    h = ops.upsample_nearest2x(ops.conv2d(h, store["unet/up2/w"], store["unet/up2/b"]), h32)
     h = resblock(h, "dec2")
-    h = ops.group_norm_silu(h, store["unet/out/gn/g"], store["unet/out/gn/bta"])
-    out = ops.conv2d(h, store["unet/out/conv/w"], store["unet/out/conv/b"])
+    out = ops.conv2d(h, store["unet/out/conv/w"], store["unet/out/conv/b"], norm=norm("out"))
     _check(out, "out")
     return out
 

@@ -8,7 +8,10 @@ K=3C GEMMs over tap rows built block by block into one small scratch, and dW
 is three GEMMs of the input against the output gradient's full tap rows.
 Stride 2 builds the im2col column matrix (B*OH*OW, 9C) and does one GEMM,
 and a trainable weight's backward builds it again for dW. So a conv keeps no
-lowered matrix, only the input the graph keeps anyway. Backward
+lowered matrix, only the input the graph keeps anyway. A conv with a `norm`
+prologue reads silu(group_norm(x)) and keeps x, the (B, C) norm factors and
+the sigmoid; its backward rebuilds the SiLU output from them, bit for bit,
+so no SiLU output stays in the graph. Backward
 closures hand fresh arrays to `accumulate_grad(..., fresh=True)`, so no
 defensive copies happen on the hot path. Scratch and output arrays are
 plain `np.empty`; the CLI makes the allocator keep freed memory
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from .rng import RngKey
-from .tensor import Tensor, as_tensor, make_node
+from .tensor import Tensor, as_tensor, builds_node, make_node
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -354,26 +357,31 @@ def _conv_taps(x: np.ndarray, w4: np.ndarray, rows=None, b=None, shift=None, res
 
 def _conv_taps_wgrad(x: np.ndarray, grows: np.ndarray) -> np.ndarray:
     """dW (3, 3, C, Cout) of the stride-1 conv of x, from the tap rows
-    `grows` (B, H+2, W, 3*Cout) of its output gradient g.
+    `grows` (B, H+2, W, 3*Cout) of its output gradient g. x is (B, H, W, C),
+    or a (B, H+2, W, C) buffer whose first H rows per image hold it, which
+    saves a copy.
 
     Weight (ki, kj) meets x at (p, q) and g at (p+1-ki, q+1-kj): tap
     kq = 2-kj of g's tap row (p+kp, q), kp = 2-ki. So with x in a buffer of
     H+2 rows per image, the last two zero, kernel row ki is one flat GEMM
     x[:n].T @ grows[kp*W : kp*W + n], its taps in reversed kj order.
     """
-    bb, h, w, c = x.shape
-    xb = np.empty((bb, h + 2, w, c), np.result_type(x, grows))
-    xb[:, :h] = x
+    bb, h, w, c = grows.shape[0], grows.shape[1] - 2, grows.shape[2], x.shape[3]
+    if x.shape[1] == h + 2:
+        xb = x
+    else:
+        xb = np.empty((bb, h + 2, w, c), np.result_type(x, grows))
+        xb[:, :h] = x
     xb[:, h:] = 0
     n = bb * (h + 2) * w - 2 * w
     xf, gf = xb.reshape(-1, c)[:n], grows.reshape(-1, grows.shape[3])
-    dw = np.empty((3, 3, c, grows.shape[3] // 3), xb.dtype)
+    dw = np.empty((3, 3, c, grows.shape[3] // 3), np.result_type(xb, grows))
     for kp in range(3):
         dw[2 - kp] = (xf.T @ gf[kp * w : kp * w + n]).reshape(c, 3, -1)[:, ::-1].transpose(1, 0, 2)
     return dw
 
 
-def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tensor:
+def conv2d(x, w, b=None, stride: int = 1, *, norm=None, shift=None, residual=None) -> Tensor:
     """3x3 zero-padded convolution, stride 1 or 2.
 
     x: (B, H, W, Cin), w: (3, 3, Cin, Cout), b: (Cout,). The epilogue adds,
@@ -381,34 +389,65 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
     bias such as a timestep shift, and `residual` (B, OH, OW, Cout), a skip
     connection; neither builds a node or an array of its own.
 
+    `norm` = (gamma, beta), at stride 1 only, is a prologue: the conv reads
+    silu(group_norm(x, gamma, beta)), bit for bit the two ops. The node keeps
+    x, the (B, C) norm factors and, when a parent needs a gradient, the
+    sigmoid, but no SiLU output: its backward rebuilds that output from them
+    with the forward's own three elementwise ops, for dW and for the SiLU
+    gradient, then runs the group-norm backward in the input gradient's
+    buffer. Without a graph the sigmoid is dropped before the output exists.
+
     Stride 1 is `_conv_taps`, which writes a contiguous output from a
     block-sized scratch of tap rows. The input gradient is the same conv of
     g with the rotated, transposed kernel; a trainable weight's backward
     builds the full tap rows of g once, for dW and for that conv. Stride 2
     runs on im2col: one K=9*Cin GEMM, whose column matrix the backward
-    builds again from x for dW. So the node keeps no lowered copy of x.
+    builds again from x for dW. So the node keeps no lowered copy of x. In
+    the backward `residual` gets g before x gets its gradient.
     """
     x, w = as_tensor(x), as_tensor(w)
     kh, kw, cin, cout = w.data.shape
     bb, h, ww_, c = x.data.shape
     if c != cin:
         raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
+    if norm is not None and stride != 1:
+        raise ValueError("conv2d's norm prologue runs at stride 1 only")
+    gamma, beta = (None, None) if norm is None else (as_tensor(t) for t in norm)
     b, shift, residual = (None if t is None else as_tensor(t) for t in (b, shift, residual))
     bd, sd, rd = (None if t is None else t.data for t in (b, shift, residual))
+    parents = tuple(p for p in (x, w, b, gamma, beta, shift, residual) if p is not None)
+    xin, sig, x3, mu, inv, a_bc, s_bc = x.data, None, None, None, None, None, None
+    if norm is not None:
+        y3, x3, mu, inv, a_bc, s_bc = _group_norm_affine(x.data, gamma.data, beta.data)
+        sig = _sigmoid(y3).reshape(x.data.shape)
+        y3 *= sig.reshape(y3.shape)
+        xin = y3.reshape(x.data.shape)
+        if not builds_node(parents):
+            sig = None  # before the output exists
+
+    def silu_in(rows=h):
+        """The conv's input, rebuilt bit for bit by the forward's own ops, in
+        the first H of `rows` rows per image of a new buffer."""
+        buf = np.empty((bb, rows, ww_, c), sig.dtype)
+        a = np.multiply(x.data, a_bc[:, None, None, :], out=buf[:, :h])
+        a += s_bc[:, None, None, :]
+        a *= sig
+        return buf
+
     if stride == 1:
-        out4 = _conv_taps(x.data.astype(np.result_type(x.data, w.data), copy=False), w.data, None, bd, sd, rd)
+        out4 = _conv_taps(xin.astype(np.result_type(xin, w.data), copy=False), w.data, None, bd, sd, rd)
     else:
-        out4 = _conv_gemm(x.data, w.data, stride)
+        out4 = _conv_gemm(xin, w.data, stride)
         _epilogue(out4, out4, bd, None if sd is None else sd[:, None, None, :], rd)
     oh, ow = out4.shape[1], out4.shape[2]
-    parents = tuple(p for p in (x, w, b, shift, residual) if p is not None)
+    in_grad = x.requires_grad or (norm is not None and (gamma.requires_grad or beta.requires_grad))
 
     def backward(g):
         g2 = g.reshape(-1, cout)
         grows = _tap_rows(g) if stride == 1 and w.requires_grad else None
         if w.requires_grad:
-            if stride == 1:
-                dw = _conv_taps_wgrad(x.data, grows)
+            if stride == 1:  # a rebuilt input goes straight into dW's padded buffer
+                dw = _conv_taps_wgrad(x.data if norm is None else silu_in(h + 2), grows)
             else:  # the columns, rebuilt from x, are a temporary freed before dcol
                 dw = (_im2col_flat(_padded(x.data), stride, oh, ow).reshape(-1, 9 * cin).T @ g2).reshape(w.data.shape)
             w.accumulate_grad(dw, fresh=True)
@@ -416,12 +455,12 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
             b.accumulate_grad(g2.sum(axis=0), fresh=True)
         if shift is not None and shift.requires_grad:
             shift.accumulate_grad(g.sum(axis=(1, 2)), fresh=True)
-        if x.requires_grad:
+        if in_grad:
             if stride == 1:
                 # input gradient is a convolution of g with the rotated,
                 # transposed kernel
                 w_rot = np.ascontiguousarray(w.data[::-1, ::-1].transpose(0, 1, 3, 2))
-                x.accumulate_grad(_conv_taps(g, w_rot, grows), fresh=True)
+                dx = _conv_taps(g, w_rot, grows)
             else:
                 dcol = (g2 @ w.data.reshape(kh * kw * cin, cout).T).reshape(bb, oh, ow, kh, kw, cin)
                 dxp = np.zeros((bb, h + 2, ww_ + 2, cin), dtype=g.dtype)
@@ -430,9 +469,23 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
                         dxp[:, ki : ki + stride * oh : stride, kj : kj + stride * ow : stride, :] += dcol[
                             :, :, :, ki, kj, :
                         ]
-                x.accumulate_grad(dxp[:, 1 : 1 + h, 1 : 1 + ww_, :], fresh=True)
+                dx = dxp[:, 1 : 1 + h, 1 : 1 + ww_, :]
+        grows = None  # freed before the SiLU and norm backward
         if residual is not None and residual.requires_grad:
             residual.accumulate_grad(g)
+        if not in_grad:
+            return
+        if norm is None:
+            x.accumulate_grad(dx, fresh=True)
+            return
+        # the SiLU gradient ((1 - sig) * a + sig) * dx, built in dx
+        a = silu_in()
+        for ai, si in zip(a, sig):  # one image's temporary at a time
+            ai *= 1.0 - si
+        a += sig
+        dx *= a
+        a = None
+        _group_norm_backward(dx, x, gamma, beta, x3, mu, inv, g_is_scratch=True)
 
     return make_node(out4, parents, backward)
 
@@ -442,10 +495,11 @@ def conv2d(x, w, b=None, stride: int = 1, *, shift=None, residual=None) -> Tenso
 
 
 def _group_norm_affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """Group-norm forward on (B, H, W, C): (y3, x3, mu, inv).
+    """Group-norm forward on (B, H, W, C): (y3, x3, mu, inv, a_bc, s_bc).
 
     y3 is the (B, H*W, C) output in a fresh buffer, x3 the input viewed the
-    same way, mu and inv the (B, G) mean and inverse standard deviation.
+    same way, mu and inv the (B, G) mean and inverse standard deviation, and
+    y3 = x3 * a_bc + s_bc with the (B, C) factors a_bc and s_bc.
     """
     bb, h, w, c = x.shape
     if c % GN_GROUPS:
@@ -454,17 +508,17 @@ def _group_norm_affine(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     n = h * w * cg
     x3 = x.reshape(bb, h * w, c)
     # per-(batch, group) moments via per-(batch, channel) sums
-    s_bc = x3.sum(axis=1)  # (B, C)
+    sum_bc = x3.sum(axis=1)  # (B, C)
     q_bc = np.einsum("bsc,bsc->bc", x3, x3)  # (B, C)
-    mu = s_bc.reshape(bb, GN_GROUPS, cg).sum(axis=2) / n  # (B, G)
+    mu = sum_bc.reshape(bb, GN_GROUPS, cg).sum(axis=2) / n  # (B, G)
     ex2 = q_bc.reshape(bb, GN_GROUPS, cg).sum(axis=2) / n
     inv = 1.0 / np.sqrt(ex2 - mu * mu + NORM_EPS)  # (B, G)
     # y = x * a + s with per-(batch, channel) affine factors, in one buffer
     a_bc = np.repeat(inv, cg, axis=1) * gamma  # (B, C)
-    s_bc_fact = beta - np.repeat(mu, cg, axis=1) * a_bc
+    s_bc = beta - np.repeat(mu, cg, axis=1) * a_bc
     y3 = x3 * a_bc[:, None, :]
-    y3 += s_bc_fact[:, None, :]
-    return y3, x3, mu, inv
+    y3 += s_bc[:, None, :]
+    return y3, x3, mu, inv, a_bc, s_bc
 
 
 def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, x3, mu, inv, g_is_scratch=False):
@@ -506,32 +560,12 @@ def group_norm(x, gamma, beta) -> Tensor:
     """Normalize (B, H, W, C) over spatial dims and channels within each of
     GN_GROUPS groups."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data)
+    y3, x3, mu, inv, _, _ = _group_norm_affine(x.data, gamma.data, beta.data)
 
     def backward(g):
         _group_norm_backward(g, x, gamma, beta, x3, mu, inv)
 
     return make_node(y3.reshape(x.data.shape), (x, gamma, beta), backward)
-
-
-def group_norm_silu(x, gamma, beta) -> Tensor:
-    """silu(group_norm(x)) as one node, bitwise equal to the two ops.
-
-    The sigmoid and the SiLU run in place, so the pair allocates two
-    full-size buffers (the output and the sigmoid kept for the backward)
-    where the two ops allocate seven, and the graph keeps no normalised
-    copy. The backward builds dx in the buffer of the SiLU gradient.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    y3, x3, mu, inv = _group_norm_affine(x.data, gamma.data, beta.data)
-    out = y3.reshape(x.data.shape)
-    sig = _sigmoid(out)
-    out *= sig
-
-    def backward(g):
-        _group_norm_backward(_silu_grad(g, sig, out), x, gamma, beta, x3, mu, inv, g_is_scratch=True)
-
-    return make_node(out, (x, gamma, beta), backward)
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
@@ -720,11 +754,16 @@ def dropout(x, p: float, key: RngKey, part: tuple[int, int] | None = None) -> Te
 # resampling
 
 
-def upsample_nearest2x(x) -> Tensor:
-    x = as_tensor(x)
+def upsample_nearest2x(x, residual) -> Tensor:
+    """Nearest 2x upsampling of (B, H, W, C), plus `residual` (B, 2H, 2W, C),
+    a skip connection added in place, so the graph keeps no upsampled copy."""
+    x, residual = as_tensor(x), as_tensor(residual)
     out = x.data.repeat(2, axis=1).repeat(2, axis=2)
+    out += residual.data
 
     def backward(g):
+        if residual.requires_grad:
+            residual.accumulate_grad(g)
         if x.requires_grad:
             bb, h2, w2, c = g.shape
             # two single-axis reductions beat one dual-axis reduction here
@@ -732,7 +771,7 @@ def upsample_nearest2x(x) -> Tensor:
             t = t.reshape(bb, h2 // 2, 2, (w2 // 2) * c).sum(axis=2)
             x.accumulate_grad(t.reshape(bb, h2 // 2, w2 // 2, c), fresh=True)
 
-    return make_node(out, (x,), backward)
+    return make_node(out, (x, residual), backward)
 
 
 # ---------------------------------------------------------------------------

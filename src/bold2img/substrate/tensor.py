@@ -116,8 +116,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def builds_node(parents) -> bool:
+    """Whether an op over `parents` keeps a graph node: grads are on and a parent needs one."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_node(data: np.ndarray, parents, backward_fn) -> Tensor:
     """Create an op output; drops the graph when grads are off or unneeded."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if builds_node(parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward_fn=backward_fn)
     return Tensor(data)

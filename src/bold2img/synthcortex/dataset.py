@@ -252,7 +252,8 @@ def _write_manifest(m: DatasetManifest):
         "repetition_map": m.repetition_map,
         "config": m.config,
     }
-    (m.root / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+    # no indent: with one, json runs its pure-Python encoder, 4x slower on a desk manifest
+    (m.root / "manifest.json").write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_manifest(root) -> DatasetManifest:

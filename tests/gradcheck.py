@@ -162,11 +162,29 @@ def _norm(op, shape: tuple):
     return case
 
 
-def _group_norm_silu(key: RngKey):
-    # the group_norm case with its input as a parameter, so dx is checked too
-    p = _norm_params(key)
-    p.add("x", key.child("x").normal((2, 4, 4, 16), 1.0, np.float64))
-    return p, lambda p: ops.group_norm_silu(p["x"], p["g"], p["b"])
+def _conv_norm(frozen: bool):
+    # the stride-1 conv of silu(group_norm(x)), with the epilogue: x, the
+    # norm's g and b, the shift and the residual are parameters, and w and
+    # "bias" too unless frozen, as under LoRA, where only the path through
+    # the rebuilt SiLU output is left
+    def case(key: RngKey):
+        p = _norm_params(key)
+        p.add("x", key.child("x").normal((2, 6, 6, 16), 1.0, np.float64))
+        w = key.child("w").normal((3, 3, 16, 6), 0.3, np.float64)
+        bias = key.child("bias").normal((6,), 0.3, np.float64)
+        if not frozen:
+            p.add("w", w)
+            p.add("bias", bias)
+        p.add("shift", key.child("shift").normal((2, 6), 0.3, np.float64))
+        p.add("h", key.child("h").normal((2, 6, 6, 6), 1.0, np.float64))
+
+        def build(p):
+            wt, bt = (Tensor(w), Tensor(bias)) if frozen else (p["w"], p["bias"])
+            return ops.conv2d(p["x"], wt, bt, norm=(p["g"], p["b"]), shift=p["shift"], residual=p["h"])
+
+        return p, build
+
+    return case
 
 
 def _unary(op, shape: tuple):
@@ -176,6 +194,13 @@ def _unary(op, shape: tuple):
         return p, lambda p: op(p["x"])
 
     return case
+
+
+def _upsample(key: RngKey):
+    p = ParamStore()
+    p.add("x", key.child("x").normal((2, 4, 4, 3), 1.0, np.float64))
+    p.add("h", key.child("h").normal((2, 8, 8, 3), 1.0, np.float64))
+    return p, lambda p: ops.upsample_nearest2x(p["x"], p["h"])
 
 
 def _attention(key: RngKey):
@@ -220,15 +245,16 @@ CASES = {
     "conv2d_s1_epilogue": _conv(1, epilogue=True),
     "conv2d_s2": _conv(2),
     "conv2d_s1_frozen": _conv_frozen,
+    "conv2d_s1_norm": _conv_norm(frozen=False),
+    "conv2d_s1_norm_frozen": _conv_norm(frozen=True),
     "group_norm": _norm(ops.group_norm, (2, 4, 4, 16)),
-    "group_norm_silu": _group_norm_silu,
     "layer_norm": _norm(ops.layer_norm, (2, 5, 16)),
     "gelu": _unary(ops.gelu, (3, 7)),
     "silu": _unary(ops.silu, (3, 7)),
     "softmax": _unary(ops.softmax, (4, 6)),
     "attention": _attention,
     "dropout": _unary(lambda x: ops.dropout(x, 0.3, RngKey(1234, ("gradcheck", "dropmask"))), (4, 9)),
-    "upsample2x": _unary(ops.upsample_nearest2x, (2, 4, 4, 3)),
+    "upsample2x": _upsample,
     "brainmod_full": _brainmod(),
     "brainmod_shared": _brainmod(timestep_layer_enabled=False),
     "brainmod_agg_in": _brainmod(aggregation_position=AGG_IN),

@@ -25,7 +25,7 @@ from bold2img.cli import (
 from bold2img.diffgen import UNetConfig
 from bold2img.evalkit import EvalConfig, evaluate_split
 from bold2img.lanes import blas_threads
-from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
+from bold2img.prep import DEFAULT_TEST_RUN_FRACTION, PreprocCache, build_split_standard, extract_epochs
 from bold2img.substrate import RngKey
 from bold2img.synthcortex import DatasetConfig, load_manifest
 from bold2img.trainer import TrainConfig, load_train_state
@@ -336,6 +336,10 @@ def cli_ckpt(cli_world):
         (["--set", "eval.eval_resolution=-4", "eval", "--ckpt", "CKPT"], "eval: eval.eval_resolution must"),
         (["--set", "eval.test_run_fraction=1.5", "train", "--split", "time-resolved"],
          "eval: eval.test_run_fraction must"),
+        (["--set", f"eval.test_run_fraction={DEFAULT_TEST_RUN_FRACTION}", "train", "--split", "time-resolved"],
+         "eval.test_run_fraction: sub01: test fraction 0.09375 yields 0 test runs"),
+        (["--set", f"eval.test_run_fraction={DEFAULT_TEST_RUN_FRACTION}", "sweep-time", "--general", "CKPT"],
+         "eval.test_run_fraction: sub01: test fraction 0.09375 yields 0 test runs"),
         (["--set", "eval.steps=0", "infer", "--ckpt", "CKPT"], "eval: eval.steps must"),
         (["--set", "eval.steps=0", "sweep-duration", "--ckpt", "CKPT"], "eval: eval.steps must"),
         (["--set", "eval.steps=0", "ablate-brainmod", "--ckpt", "CKPT"], "eval: eval.steps must"),
@@ -350,7 +354,8 @@ def cli_ckpt(cli_world):
         (["sweep-duration", "--ckpt", "CKPT", "CKPT"], "--ckpt: checkpoints "),
         (["ablate-brainmod", "--ckpt", "CKPT", "CKPT"], "--ckpt: checkpoints "),
     ],
-    ids=["no_shifts", "one_trial", "negative_resolution", "every_run_tested", "no_steps_infer",
+    ids=["no_shifts", "one_trial", "negative_resolution", "every_run_tested", "no_test_run_train",
+         "no_test_run_sweep_time", "no_steps_infer",
          "no_steps_duration", "no_steps_ablate", "adapt_without_ckpt", "adapt_without_sessions",
          "ckpt_without_adapt", "sessions_without_adapt", "subjects_with_adapt", "limit_zero", "limit_negative",
          "repeated_duration", "repeated_variant"],

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from gradcheck import SMALL_CONFIG
 
 from bold2img.diffgen import (
     LORA_RANK,
+    UNetConfig,
     add_lora_params,
     bicubic_cdf,
     bicubic_transform,
@@ -213,6 +216,33 @@ def test_unet_output_shape(small_unet):
     tokens = Tensor(RngKey(11).normal((2, SMALL_CONFIG.tokens, SMALL_CONFIG.token_dim)))
     out = unet_forward(x, np.array([3, 40]), tokens, small_unet, SMALL_CONFIG)
     assert out.shape == x.shape
+
+
+# the shard below leaves 39.09 MB with the norm and SiLU folded into each
+# normed conv and the skips into the upsampling; 51.60 MB when the seven SiLU
+# outputs and the two upsampled copies stayed in the graph
+DESK_SHARD_GRAPH_MB = 40.0
+
+
+def test_desk_shard_graph_keeps_no_silu_output():
+    """A 16-row shard forward of the desk U-Net, every entry trained, leaves
+    at most DESK_SHARD_GRAPH_MB live under tracemalloc: each normed conv keeps
+    its input and sigmoid, not the SiLU output it rebuilds in its backward."""
+    config = UNetConfig()
+    key = RngKey(14, ("graph",))
+    store = init_unet(config, key.child("init"))
+    x = key.child("x").normal((16, config.resolution, config.resolution, 3))
+    tokens = Tensor(key.child("tk").normal((16, config.tokens, config.token_dim)))
+    t = np.arange(16) * 61 % config.t_max
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = unet_forward(x, t, tokens, store, config)
+        live = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and store.trainable_names() == store.names()
+    assert live / 1e6 <= DESK_SHARD_GRAPH_MB
 
 
 def _signal_copy(store, key):

@@ -303,38 +303,16 @@ def _weighted_sum(y, w):
     return ops.reshape(ops.linear(ops.reshape(y, (1, n)), Tensor(w.reshape(n, 1))), ())
 
 
-@pytest.mark.parametrize("grad", [True, False])
-def test_group_norm_silu_is_bitwise_the_two_ops(grad):
-    key = RngKey(31, ("gn_silu",))
-    xd = key.child("x").normal((3, 8, 8, 16))
-    gd = 1.0 + key.child("g").normal((16,), 0.2)
-    bd = key.child("b").normal((16,), 0.2)
-    up = key.child("up").normal((3, 8, 8, 16))
-    results = []
-    for fused in (True, False):
-        x, g, b = (Tensor(a.copy(), requires_grad=True) for a in (xd, gd, bd))
-        if grad:
-            y = ops.group_norm_silu(x, g, b) if fused else ops.silu(ops.group_norm(x, g, b))
-            _weighted_sum(y, up).backward()
-            results.append([y.data, x.grad, g.grad, b.grad])
-        else:
-            with no_grad():
-                y = ops.group_norm_silu(x, g, b) if fused else ops.silu(ops.group_norm(x, g, b))
-            results.append([y.data])
-    for fused, plain in zip(*results):
-        assert fused.dtype == plain.dtype == np.float32
-        assert fused.tobytes() == plain.tobytes()
-
-
-def _fold_results(build, arrays, up, grad):
-    """Output, and with `grad` every parent's gradient, of `build(*parents)`."""
-    parents = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+def _fold_results(build, arrays, up, grad, frozen=()):
+    """Output, and with `grad` the gradient of every parent but the `frozen`
+    ones (by index), of `build(*parents)`."""
+    parents = [Tensor(a.copy(), requires_grad=i not in frozen) for i, a in enumerate(arrays)]
     if not grad:
         with no_grad():
             return [build(*parents).data]
     y = build(*parents)
     _weighted_sum(y, up).backward()
-    return [y.data] + [p.grad for p in parents]
+    return [y.data] + [p.grad for p in parents if p.requires_grad]
 
 
 def _assert_bitwise(fused, plain):
@@ -342,6 +320,51 @@ def _assert_bitwise(fused, plain):
     for f, p in zip(fused, plain):
         assert f.dtype == p.dtype == np.float32
         assert f.shape == p.shape and f.tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("skip", ["own", "input"])
+@pytest.mark.parametrize("mode", ["trainable", "frozen", "no_grad"])
+def test_conv_norm_prologue_is_bitwise_the_two_ops(mode, skip):
+    """conv2d's norm prologue gives the bits of silu(group_norm(x)) fed to a
+    conv with the same epilogue, and every parent the same gradient: with the
+    weight and bias trainable, frozen as under LoRA, and without a graph. The
+    residual is its own tensor, or x itself, as in a U-Net resblock."""
+    key = RngKey(31, ("conv_norm", skip))
+    bsz, c = 3, 16
+    arrays = [
+        key.child("x").normal((bsz, 8, 8, c)),
+        key.child("w").normal((3, 3, c, c), 0.3),
+        key.child("b").normal((c,), 0.3),
+        1.0 + key.child("g").normal((c,), 0.2),
+        key.child("bta").normal((c,), 0.2),
+        key.child("s").normal((bsz, c)),
+    ] + ([key.child("h").normal((bsz, 8, 8, c))] if skip == "own" else [])
+    up = key.child("up").normal((bsz, 8, 8, c))
+
+    def fused(x, w, b, g, bta, s, h=None):
+        return ops.conv2d(x, w, b, norm=(g, bta), shift=s, residual=x if h is None else h)
+
+    def plain(x, w, b, g, bta, s, h=None):
+        return ops.conv2d(ops.silu(ops.group_norm(x, g, bta)), w, b, shift=s, residual=x if h is None else h)
+
+    grad, frozen = mode != "no_grad", (1, 2) if mode == "frozen" else ()
+    _assert_bitwise(_fold_results(fused, arrays, up, grad, frozen), _fold_results(plain, arrays, up, grad, frozen))
+
+
+@pytest.mark.parametrize("grad", [True, False])
+def test_upsample_residual_is_bitwise_the_add(grad):
+    key = RngKey(37, ("upsample_residual",))
+    arrays = [key.child("x").normal((3, 4, 4, 8)), key.child("h").normal((3, 8, 8, 8))]
+    up = key.child("up").normal((3, 8, 8, 8))
+    zeros = Tensor(np.zeros((3, 8, 8, 8), np.float32))  # y + 0 is y for every y but -0, which normals never draw
+
+    def fused(x, h):
+        return ops.upsample_nearest2x(x, h)
+
+    def plain(x, h):
+        return ops.add(ops.upsample_nearest2x(x, zeros), h)
+
+    _assert_bitwise(_fold_results(fused, arrays, up, grad), _fold_results(plain, arrays, up, grad))
 
 
 @pytest.mark.parametrize("grad", [True, False])

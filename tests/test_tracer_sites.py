@@ -57,9 +57,10 @@ def test_every_fixed_argument_method_hook_takes_self_alone():
 
 def test_conv2d_positional_parameters_are_the_ones_the_tracer_reads():
     # `op_kind` reads the stride from args[3], `_conv_counts` reads x and w
-    # from args[0] and args[1]; the epilogue's inputs come by keyword only
+    # from args[0] and args[1]; the prologue's and epilogue's inputs come by
+    # keyword only
     params = inspect.signature(ops.conv2d).parameters.values()
     kinds = {p.name: p.kind for p in params}
     assert [n for n, k in kinds.items() if k is inspect.Parameter.POSITIONAL_OR_KEYWORD] == ["x", "w", "b", "stride"]
-    assert [n for n, k in kinds.items() if k is inspect.Parameter.KEYWORD_ONLY] == ["shift", "residual"]
-    assert len(kinds) == 6
+    assert [n for n, k in kinds.items() if k is inspect.Parameter.KEYWORD_ONLY] == ["norm", "shift", "residual"]
+    assert len(kinds) == 7
