@@ -266,6 +266,9 @@ def _conv_gemm(x: np.ndarray, w4: np.ndarray, stride: int) -> np.ndarray:
 
 
 _TAP_BLOCK_ROWS = 2048  # rows per block: tap rows, product and accumulator stay in L2
+# tap rows at most this many floats wide are built for the whole batch at once:
+# block by block they would cost many small copies (`conv_in`'s 15 floats)
+_THIN_TAP_FLOATS = 16
 
 
 def _spans(u0: int, u1: int, per: int):
@@ -323,22 +326,26 @@ def _conv_taps(x: np.ndarray, w4: np.ndarray, rows=None, b=None, shift=None, res
     and reads kernel row ki from tap row r + ki*W: three K=3C GEMMs over row
     windows shifted by 0, W and 2W. Per L2-sized block, one reused scratch
     takes the tap rows and their 2W-row tail (unless the caller passes x's
-    `rows`), the GEMMs fill an accumulator, and the anchors at i < H land in
-    the output; those at i = H, H+1 are junk."""
+    `rows`, or they are `_THIN_TAP_FLOATS` wide or less and built here for
+    the whole batch), the GEMMs fill an accumulator, and the anchors at
+    i < H land in the output; those at i = H, H+1 are junk."""
     bb, h, w, c = x.shape
     cout, hw = w4.shape[3], h * w
     wk = w4.reshape(3, 3 * c, cout).astype(x.dtype, copy=False)
     n = bb * (h + 2) * w - 2 * w  # one past the last valid anchor
     m = min(_TAP_BLOCK_ROWS, n)
     acc, prod = np.empty((m, cout), x.dtype), np.empty((m, cout), x.dtype)
-    taps = np.empty((min(-(-m // w) + 3, bb * (h + 2)), w, 3 * c), x.dtype) if rows is None else rows
-    flat = taps.reshape(-1, 3 * c)
+    if rows is None and 3 * c <= _THIN_TAP_FLOATS:
+        rows = _tap_rows(x)
+    streamed = rows is None
+    taps = np.empty((min(-(-m // w) + 3, bb * (h + 2)), w, 3 * c), x.dtype) if streamed else rows
+    flat, rows = taps.reshape(-1, 3 * c), None  # `taps` alone holds them, so the last block frees them
     out, res3 = None, None if residual is None else residual.reshape(bb, hw, cout)
     for r0 in range(0, n, _TAP_BLOCK_ROWS):
         r1 = min(n, r0 + _TAP_BLOCK_ROWS)
-        if rows is None:
+        if streamed:
             _tap_rows_into(taps, x, r0 // w, -(-(r1 + 2 * w) // w))
-        t0 = r0 % w if rows is None else r0  # row r0 in flat
+        t0 = r0 % w if streamed else r0  # row r0 in flat
         a, p = acc[: r1 - r0], prod[: r1 - r0]
         np.matmul(flat[t0 : t0 + r1 - r0], wk[0], out=a)
         for ki in (1, 2):

@@ -13,7 +13,7 @@ from .scenes import (
     sample_scene,
     validate_palette,
 )
-from .simulate import Event, FmriRun, RunTimeline, make_timeline, simulate_run
+from .simulate import Event, FmriRun, RunTimeline, event_kernels, make_timeline, simulate_run
 from .subjects import SubjectSpec, make_subject, scene_response, voxel_response
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "Event",
     "FmriRun",
     "RunTimeline",
+    "event_kernels",
     "make_timeline",
     "simulate_run",
     "SubjectSpec",

@@ -24,7 +24,7 @@ from ..lanes import on_lanes
 from ..substrate.checkpoint import read_json_object, read_tensor, write_tensor
 from ..substrate.rng import RngKey
 from .scenes import DEFAULT_PALETTE, StimulusScene, render_mask, render_scene, sample_scene, validate_palette
-from .simulate import TR_DEFAULT, FmriRun, RunTimeline, Event, make_timeline, simulate_run
+from .simulate import TR_DEFAULT, FmriRun, RunTimeline, Event, event_kernels, make_timeline, simulate_run
 from .subjects import SubjectSpec, make_subject
 
 SCHEMA_VERSION = 1
@@ -140,7 +140,9 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
     Here the scenes are sampled, the subjects made and written, and each
     run's trials laid out. The stimuli are then rendered, and the runs
     synthesized, item i on lane i mod L, L = min(`workers`, items)
-    (`lanes.on_lanes`), each lane writing its own items' files. Every item
+    (`lanes.on_lanes`), each lane writing its own items' files. The runs
+    come in subject order, so a lane builds the event kernels of each
+    subject it meets once and holds one subject's at a time. Every item
     draws from its own derived stream, so the bytes do not depend on
     `workers`. The manifest is written here, last. A failed item raises an
     error that names it (`sub01/run003`, or its stimulus).
@@ -199,14 +201,24 @@ def build_dataset(config: DatasetConfig, key: RngKey, out_dir, workers: int = 1)
         write_tensor(root / "stimuli" / "images" / f"{sid}.bin", render_scene(scenes[sid], config.resolution))
         write_tensor(root / "stimuli" / "masks" / f"{sid}.bin", render_mask(scenes[sid], config.resolution))
 
+    held = {}  # this lane's current event kernels, by (subject, volumes, onsets)
+
     def synthesize(job):
         sid, run_id, timeline, rel = job
+        pacing = (sid, timeline.n_volumes, tuple(e.onset for e in timeline.events))
+        if pacing not in held:
+            held.clear()  # the last subject's kernels go before the next subject's exist
+            held[pacing] = event_kernels(subjects[sid], timeline)
         run_key = key.child("run", sid, run_id)
-        run = simulate_run(subjects[sid], timeline, scenes, run_key, config.noise_scale, config.drift_scale, run_id)
+        run = simulate_run(
+            subjects[sid], timeline, scenes, run_key, config.noise_scale, config.drift_scale, run_id,
+            kernels=held[pacing],
+        )
         write_tensor(root / rel, run.data)
 
     on_lanes(stim_ids, render, workers, str)
     on_lanes(jobs, synthesize, workers, lambda job: f"{job[0]}/{job[1]}")
+    held.clear()
 
     for sid in subject_ids:
         for stim in stim_ids:

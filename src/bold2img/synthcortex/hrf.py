@@ -8,6 +8,7 @@ and the reference regressor for signal-recovery checks.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,12 +37,7 @@ def hrf(tau) -> np.ndarray:
     return out
 
 
+@functools.cache
 def hrf_peak() -> float:
     """Maximum of the response over a dense grid (cached)."""
-    global _PEAK
-    try:
-        return _PEAK
-    except NameError:
-        grid = np.arange(0.0, 30.0, 0.01)
-        _PEAK = float(hrf(grid).max())
-        return _PEAK
+    return float(hrf(np.arange(0.0, 30.0, 0.01)).max())

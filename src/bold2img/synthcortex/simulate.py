@@ -84,6 +84,22 @@ class FmriRun:
             raise ValueError(f"run {self.run_id}: non-finite values")
 
 
+def event_kernels(subject: SubjectSpec, timeline: RunTimeline) -> list[tuple[int, int, np.ndarray]]:
+    """Each event's (lo, hi, h): its response window, volumes lo:hi, and h, the
+    HRF of every voxel over it (C, hi - lo), lagged by the voxel's delay.
+
+    They depend on the subject and on the timeline's tr, volume count and
+    onsets only, so all runs of a subject paced alike share them.
+    """
+    t = np.arange(timeline.n_volumes) * timeline.tr
+    kernels = []
+    for ev in timeline.events:
+        lo = int(np.searchsorted(t, ev.onset))
+        hi = int(np.searchsorted(t, ev.onset + HRF_SUPPORT_S, side="right"))
+        kernels.append((lo, hi, hrf(t[None, lo:hi] - ev.onset - subject.delay_jitter[:, None])))
+    return kernels
+
+
 def simulate_run(
     subject: SubjectSpec,
     timeline: RunTimeline,
@@ -92,45 +108,56 @@ def simulate_run(
     noise_scale: float = 1.0,
     drift_scale: float = 1.0,
     run_id: str = "run000",
+    *,
+    kernels: list[tuple[int, int, np.ndarray]] | None = None,
 ) -> FmriRun:
     """Synthesize one run: sum of event HRFs + cosine/linear drift + white noise.
 
     `noise_scale` multiplies each voxel's noise sigma and `drift_scale` the drift.
+    `kernels` are `event_kernels(subject, timeline)`, built here when not given.
+    Drift and noise are built in one reused scratch.
     """
     timeline.validate()
     c, n = subject.n_voxels, timeline.n_volumes
     t = np.arange(n) * timeline.tr
     data = np.zeros((c, n))
+    if kernels is None:
+        kernels = event_kernels(subject, timeline)
 
-    for ev in timeline.events:
+    for ev, (lo, hi, h) in zip(timeline.events, kernels, strict=True):
         if ev.stimulus_id not in catalog:
             raise KeyError(f"event stimulus {ev.stimulus_id!r} not in catalog")
         if ev.onset < 0 or ev.onset + ev.duration > timeline.duration_s:
             raise ValueError(f"event at {ev.onset}s outside run bounds [0, {timeline.duration_s}]")
         amp = scene_response(subject, catalog[ev.stimulus_id])
-        lo = int(np.searchsorted(t, ev.onset))
-        hi = int(np.searchsorted(t, ev.onset + HRF_SUPPORT_S, side="right"))
-        if lo >= hi:
-            continue
-        lags = t[None, lo:hi] - ev.onset - subject.delay_jitter[:, None]
-        data[:, lo:hi] += amp[:, None] * hrf(lags)
+        data[:, lo:hi] += amp[:, None] * h
 
     sigma = subject.noise_sigma
+    scratch = np.empty((c, n)) if drift_scale > 0 or noise_scale > 0 else None
     if drift_scale > 0:
         g = key.child("drift").generator()
         drift = np.zeros((c, n))
         for period in DRIFT_PERIODS_S:
             amps = g.uniform(0.0, DRIFT_AMP_REL, c) * sigma
             phases = g.uniform(0.0, 2.0 * np.pi, c)
-            drift += amps[:, None] * np.cos(2.0 * np.pi * t[None, :] / period + phases[:, None])
+            np.add(2.0 * np.pi * t[None, :] / period, phases[:, None], out=scratch)
+            np.cos(scratch, out=scratch)
+            scratch *= amps[:, None]
+            drift += scratch
         slope = g.uniform(-1.0, 1.0, c) * LINEAR_AMP_REL * sigma
         mid = t[-1] / 2.0 if n > 1 else 0.0
         denom = mid if mid > 0 else 1.0
-        drift += slope[:, None] * (t[None, :] - mid) / denom
-        data += drift_scale * drift
+        np.multiply(slope[:, None], t[None, :] - mid, out=scratch)
+        scratch /= denom
+        drift += scratch
+        drift *= drift_scale
+        data += drift
+        drift = None
     if noise_scale > 0:
-        eps = key.child("noise").generator().standard_normal((c, n))
-        data += noise_scale * sigma[:, None] * eps
+        eps = key.child("noise").generator().standard_normal((c, n), out=scratch)
+        eps *= noise_scale * sigma[:, None]
+        data += eps
+    scratch = eps = None
 
     run = FmriRun(data.astype(np.float32), timeline, subject.subject_id, run_id)
     run.validate()

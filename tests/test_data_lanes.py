@@ -32,10 +32,10 @@ def _fail_simulating(monkeypatch, run: str):
     """Make `build_dataset`'s synthesis of `run` raise ValueError('boom')."""
     simulate = dataset_mod.simulate_run
 
-    def flaky(subject, *args):  # the run id comes last
+    def flaky(subject, *args, **kwargs):  # the run id is the last positional argument
         if f"{subject.subject_id}/{args[-1]}" == run:
             raise ValueError("boom")
-        return simulate(subject, *args)
+        return simulate(subject, *args, **kwargs)
 
     monkeypatch.setattr(dataset_mod, "simulate_run", flaky)
 

@@ -566,8 +566,9 @@ def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypat
     """The "shifted" case is the tap-row lowering in blocks of 10 anchor rows,
     so one scratch serves 14 blocks across both images and block edges fall
     inside pixel rows: the full tap rows, the forward streamed through the
-    scratch, the forward read from kept tap rows, and dW. Its reference runs
-    the same GEMMs on tap rows built by np.pad."""
+    scratch (though x is thin enough for whole-batch tap rows), the forward
+    read from kept tap rows, and dW. Its reference runs the same GEMMs on tap
+    rows built by np.pad."""
     shape = (2, 9, 7, 5)
     key = RngKey(25, ("conv_pad", lowering))
     x = key.child("x").normal(shape)
@@ -575,6 +576,7 @@ def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypat
     if lowering == "shifted":
         g = key.child("g").normal(shape[:3] + (4,))
         monkeypatch.setattr(ops, "_TAP_BLOCK_ROWS", 10)
+        monkeypatch.setattr(ops, "_THIN_TAP_FLOATS", 0)
 
         def conv(x, w):
             rows, grows = ops._tap_rows(x), ops._tap_rows(g)
@@ -596,6 +598,39 @@ def test_conv_pads_with_zeros_whatever_the_allocator_returns(lowering, monkeypat
     _allocator_fills(monkeypatch, np.nan)
     y = conv(x, w)
     assert y.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 9, 7, 5), (3, 1, 7, 5), (2, 6, 1, 4), (2, 32, 32, 5)])
+def test_thin_conv_builds_the_streamed_bits_from_whole_batch_tap_rows(shape, monkeypatch):
+    """A stride-1 conv of an input with tap rows at most `_THIN_TAP_FLOATS`
+    wide, as conv_in's, builds them once for the whole batch, and its output
+    and input gradient (g is thin too) equal the block-streamed lowering's
+    bit for bit, at blocks of 10 anchor rows and at the default size."""
+    key = RngKey(27, ("conv_thin", str(shape)))
+    x = key.child("x").normal(shape, 1.0, np.float32)
+    w = key.child("w").normal((3, 3, shape[3], 5), 0.3, np.float32)
+    g = key.child("g").normal(shape[:3] + (5,), 1.0, np.float32)
+    assert 3 * max(shape[3], 5) <= ops._THIN_TAP_FLOATS
+    tap_rows_into, built = ops._tap_rows_into, []
+
+    def counted(dst, x, q0, q1):
+        built.append((q0, q1, x.shape[0] * (x.shape[1] + 2)))
+        tap_rows_into(dst, x, q0, q1)
+
+    def conv():
+        xt = Tensor(x, requires_grad=True)
+        _weighted_sum(ops.conv2d(xt, Tensor(w)), g).backward()
+        return ops._conv_taps(x, w).tobytes(), xt.grad.tobytes()
+
+    monkeypatch.setattr(ops, "_tap_rows_into", counted)
+    for block in (10, ops._TAP_BLOCK_ROWS):
+        monkeypatch.setattr(ops, "_TAP_BLOCK_ROWS", block)
+        built.clear()
+        thin = conv()
+        assert len(built) == 3 and all(q0 == 0 and q1 == whole for q0, q1, whole in built)
+        with monkeypatch.context() as streamed:
+            streamed.setattr(ops, "_THIN_TAP_FLOATS", 0)
+            assert conv() == thin
 
 
 @pytest.mark.parametrize("w_grad", [False, True])

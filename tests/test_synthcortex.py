@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from corrupt_json import corrupt_manifests
 
 from bold2img.prep import PreprocCache
 from bold2img.substrate import RngKey
+from bold2img.synthcortex import simulate as simulate_mod
 from bold2img.synthcortex.hrf import HRF_SUPPORT_S
 from bold2img.synthcortex.scenes import SHAPE_COUNT_PROBS
 from bold2img.synthcortex import (
@@ -20,6 +22,7 @@ from bold2img.synthcortex import (
     StimulusScene,
     SubjectSpec,
     build_dataset,
+    event_kernels,
     hrf,
     hrf_peak,
     load_manifest,
@@ -272,6 +275,86 @@ def test_amplitude_recovery_from_clean_runs():
     resid = est - true_amp
     r2 = 1.0 - (resid**2).sum() / ((true_amp - true_amp.mean()) ** 2).sum()
     assert r2 > 0.99
+
+
+def _desk_run_inputs():
+    """A subject of desk scale (400-600 voxels) and one run of 50 trials."""
+    subj = make_subject("sub01", RngKey(5, ("desk",)), 400, 600)
+    stims = [f"s{i}" for i in range(50)]
+    catalog = {s: sample_scene(RngKey(6, ("deskscene", s))) for s in stims}
+    return subj, make_timeline(stims), catalog
+
+
+def _per_event_run(subject, timeline, catalog, key, noise_scale, drift_scale):
+    """A run synthesized event by event, each HRF built where it is added, the
+    drift and noise out of place: the data that `simulate_run` must match."""
+    c, n = subject.n_voxels, timeline.n_volumes
+    t = np.arange(n) * timeline.tr
+    data = np.zeros((c, n))
+    for ev in timeline.events:
+        amp = scene_response(subject, catalog[ev.stimulus_id])
+        lo = int(np.searchsorted(t, ev.onset))
+        hi = int(np.searchsorted(t, ev.onset + HRF_SUPPORT_S, side="right"))
+        lags = t[None, lo:hi] - ev.onset - subject.delay_jitter[:, None]
+        data[:, lo:hi] += amp[:, None] * hrf(lags)
+    sigma = subject.noise_sigma
+    g = key.child("drift").generator()
+    drift = np.zeros((c, n))
+    for period in simulate_mod.DRIFT_PERIODS_S:
+        amps = g.uniform(0.0, simulate_mod.DRIFT_AMP_REL, c) * sigma
+        phases = g.uniform(0.0, 2.0 * np.pi, c)
+        drift += amps[:, None] * np.cos(2.0 * np.pi * t[None, :] / period + phases[:, None])
+    slope = g.uniform(-1.0, 1.0, c) * simulate_mod.LINEAR_AMP_REL * sigma
+    mid = t[-1] / 2.0
+    drift += slope[:, None] * (t[None, :] - mid) / mid
+    data += drift_scale * drift
+    eps = key.child("noise").generator().standard_normal((c, n))
+    data += noise_scale * sigma[:, None] * eps
+    return data.astype(np.float32)
+
+
+def test_simulate_from_event_kernels_matches_the_per_event_run_bit_for_bit():
+    subj, tl, catalog = _desk_run_inputs()
+    key = RngKey(3, ("run", "sub01", "run000"))
+    kernels = event_kernels(subj, tl)
+    assert [(lo, hi, h.shape) for lo, hi, h in kernels][:1] == [(13, 44, (subj.n_voxels, 31))]
+    expected = _per_event_run(subj, tl, catalog, key, 1.3, 0.7)
+    for given in (kernels, None):
+        run = simulate_run(subj, tl, catalog, key, 1.3, 0.7, kernels=given)
+        assert run.data.tobytes() == expected.tobytes()
+
+
+def test_simulate_refuses_kernels_of_another_timeline():
+    subj, tl, catalog = _desk_run_inputs()
+    with pytest.raises(ValueError, match="shorter"):
+        simulate_run(subj, tl, catalog, RngKey(0), kernels=event_kernels(subj, tl)[1:])
+
+
+def test_simulate_holds_the_data_drift_one_scratch_and_the_output():
+    subj, tl, catalog = _desk_run_inputs()
+    kernels = event_kernels(subj, tl)
+    tracemalloc.start()
+    try:
+        simulate_run(subj, tl, catalog, RngKey(0), kernels=kernels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid = subj.n_voxels * tl.n_volumes
+    assert peak < 3 * 8 * grid + 4 * grid  # data, drift and scratch in float64, the float32 output
+
+
+def test_build_dataset_builds_each_subjects_hrfs_once(tmp_path, monkeypatch):
+    cfg = DatasetConfig(n_subjects=2, n_train_unique=8, n_test_unique=2, trials_per_run=10)
+    calls = []
+
+    def counted(tau):
+        calls.append(1)
+        return hrf(tau)
+
+    monkeypatch.setattr(simulate_mod, "hrf", counted)
+    m = build_dataset(cfg, RngKey(0), tmp_path / "ds", workers=1)
+    assert [len(m.runs[s]) for s in m.subject_ids] == [3, 3]
+    assert len(calls) == cfg.n_subjects * cfg.trials_per_run
 
 
 # ---------------------------------------------------------------------------
