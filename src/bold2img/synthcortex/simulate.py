@@ -152,12 +152,11 @@ def simulate_run(
         drift += scratch
         drift *= drift_scale
         data += drift
-        drift = None
     if noise_scale > 0:
-        eps = key.child("noise").generator().standard_normal((c, n), out=scratch)
-        eps *= noise_scale * sigma[:, None]
-        data += eps
-    scratch = eps = None
+        key.child("noise").generator().standard_normal((c, n), out=scratch)
+        scratch *= noise_scale * sigma[:, None]
+        data += scratch
+    drift = scratch = None  # both go before the float32 output exists
 
     run = FmriRun(data.astype(np.float32), timeline, subject.subject_id, run_id)
     run.validate()
