@@ -4,9 +4,8 @@ One tensor per file: a little-endian header (magic, version, dtype code,
 rank, dims) followed by the raw payload. A checkpoint is a directory with a
 JSON manifest (names, shapes, dtypes, and the caller's `extra` such as the
 step counter) plus one blob per parameter. Which entries train is not stored:
-each training phase decides it. Older manifests also record a per-tensor
-`trainable` flag, which loading ignores. The same container carries dataset
-runs, rendered stimuli, and cached epochs.
+each training phase decides it. The same container carries dataset runs,
+rendered stimuli, and cached epochs.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ def simulate_run(
 
     `noise_scale` multiplies each voxel's noise sigma and `drift_scale` the drift.
     `kernels` are `event_kernels(subject, timeline)`, built here when not given.
-    Drift and noise are built in one reused scratch.
+    The drift is one (C, 7) by (7, n) product.
     """
     timeline.validate()
     c, n = subject.n_voxels, timeline.n_volumes
@@ -133,30 +133,25 @@ def simulate_run(
         data[:, lo:hi] += amp[:, None] * h
 
     sigma = subject.noise_sigma
-    scratch = np.empty((c, n)) if drift_scale > 0 or noise_scale > 0 else None
     if drift_scale > 0:
+        # cos(wt + phi) = cos(phi) cos(wt) - sin(phi) sin(wt): per-voxel loads
+        # times per-volume waves, two rows per period and one for the slope
         g = key.child("drift").generator()
-        drift = np.zeros((c, n))
+        loads, waves = [], []
         for period in DRIFT_PERIODS_S:
             amps = g.uniform(0.0, DRIFT_AMP_REL, c) * sigma
             phases = g.uniform(0.0, 2.0 * np.pi, c)
-            np.add(2.0 * np.pi * t[None, :] / period, phases[:, None], out=scratch)
-            np.cos(scratch, out=scratch)
-            scratch *= amps[:, None]
-            drift += scratch
-        slope = g.uniform(-1.0, 1.0, c) * LINEAR_AMP_REL * sigma
+            loads += [amps * np.cos(phases), -amps * np.sin(phases)]
+            waves += [np.cos(2.0 * np.pi * t / period), np.sin(2.0 * np.pi * t / period)]
+        loads.append(g.uniform(-1.0, 1.0, c) * LINEAR_AMP_REL * sigma)
         mid = t[-1] / 2.0 if n > 1 else 0.0
-        denom = mid if mid > 0 else 1.0
-        np.multiply(slope[:, None], t[None, :] - mid, out=scratch)
-        scratch /= denom
-        drift += scratch
-        drift *= drift_scale
-        data += drift
+        waves.append((t - mid) / (mid if mid > 0 else 1.0))
+        data += (drift_scale * np.stack(loads, axis=1)) @ np.stack(waves)
     if noise_scale > 0:
-        key.child("noise").generator().standard_normal((c, n), out=scratch)
-        scratch *= noise_scale * sigma[:, None]
-        data += scratch
-    drift = scratch = None  # both go before the float32 output exists
+        eps = key.child("noise").generator().standard_normal((c, n))
+        eps *= noise_scale * sigma[:, None]
+        data += eps
+        del eps  # before the float32 output exists
 
     run = FmriRun(data.astype(np.float32), timeline, subject.subject_id, run_id)
     run.validate()

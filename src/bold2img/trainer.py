@@ -58,23 +58,6 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-# Keys that older checkpoints record and the code now fixes, each with the one
-# value that still loads (None: any value). Pretraining once had an
-# unconditional mode and training an 'eps' target; the optimizer epsilon and
-# the image channels were never settable; the window length is now read from
-# the brain module's weights.
-_RETIRED_KEYS = {
-    "pretrain_conditioning": "image",
-    "parameterization": "v",
-    "adam_eps": 1e-8,
-    "unet.in_channels": 3,
-    "brain.window_samples": None,
-}
-# Keys that older checkpoints record under another name: the field that takes
-# the value, or the fields that take the items of a list value.
-_RENAMED_KEYS = {"finetune_regime": "regime", "betas": ("beta1", "beta2")}
-
-
 @dataclass
 class TrainConfig:
     steps: int = 10_000
@@ -112,47 +95,28 @@ class TrainConfig:
             raise ValueError(f"train.regime must be one of {REGIMES}, got {self.regime!r}")
         self.brain.validate()
 
-    @staticmethod
-    def from_json(d: dict) -> "TrainConfig":
-        d = json.loads(json.dumps(d))  # deep copy
-        for path, fixed in _RETIRED_KEYS.items():
-            *parents, leaf = path.split(".")
-            node = d
-            for k in parents:
-                node = node.get(k, {})
-            if leaf in node:
-                value = node.pop(leaf)
-                if fixed is not None and value != fixed:
-                    raise ValueError(f"{path}: retired key, only {fixed!r} is supported, got {value!r}")
-        for old, new in _RENAMED_KEYS.items():
-            if old not in d:
-                continue
-            value = d.pop(old)
-            if isinstance(new, str):
-                d[new] = value
-            elif isinstance(value, list) and len(value) == len(new) and all(type(v) in (int, float) for v in value):
-                d.update(zip(new, value))
-            else:
-                raise ValueError(f"{old}: expected {len(new)} numbers, got {value!r}")
-        return config_from_json(TrainConfig, d)
-
 
 def config_to_json(config) -> dict:
     """A config dataclass as nested JSON-ready dicts (tuples become lists)."""
     return json.loads(json.dumps(asdict(config)))
 
 
-def config_from_json(cls, d: dict):
+def config_from_json(cls, d: dict, where: str = ""):
     """The inverse of `config_to_json`: fields whose default is a dataclass are
     rebuilt recursively and those whose default is a tuple become tuples again.
-    A missing field keeps its default; an unknown one raises a TypeError."""
+    A missing field keeps its default. A key that is not a field raises a
+    ValueError naming its dotted path after `where`."""
     default, kw = cls(), dict(d)
-    for name in {f.name for f in fields(cls)} & set(kw):
-        dv = getattr(default, name)
+    names = {f.name for f in fields(cls)}
+    for key in d:
+        path = f"{where}.{key}" if where else key
+        if key not in names:
+            raise ValueError(f"{path}: not a field of {cls.__name__}")
+        dv = getattr(default, key)
         if is_dataclass(dv):
-            kw[name] = config_from_json(type(dv), kw[name])
+            kw[key] = config_from_json(type(dv), kw[key], path)
         elif isinstance(dv, tuple):
-            kw[name] = tuple(kw[name])
+            kw[key] = tuple(kw[key])
     return cls(**kw)
 
 
@@ -252,13 +216,16 @@ def load_train_state(ckpt_dir) -> tuple[ParamStore, OptimizerState, TrainConfig,
             opt.v[name[len("optim/v/") :]] = full[name].data
         else:
             store.add(name, full[name].data)
-    config = TrainConfig.from_json(extra["train_config"])
-    return store, opt, config, extra
+    return store, opt, recorded_train_config(ckpt_dir, extra), extra
 
 
-def recorded_train_config(ckpt_dir) -> TrainConfig:
-    """The `TrainConfig` a checkpoint records, read from its manifest alone."""
-    return TrainConfig.from_json(read_json_object(Path(ckpt_dir) / "manifest.json")["extra"]["train_config"])
+def recorded_train_config(ckpt_dir, extra: dict | None = None) -> TrainConfig:
+    """The `TrainConfig` a checkpoint records, from the manifest's `extra` when
+    the caller has loaded it, else read from the manifest alone."""
+    manifest = Path(ckpt_dir) / "manifest.json"
+    if extra is None:
+        extra = read_json_object(manifest)["extra"]
+    return config_from_json(TrainConfig, extra["train_config"], f"{manifest}: train_config")
 
 
 # ---------------------------------------------------------------------------

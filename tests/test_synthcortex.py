@@ -330,7 +330,7 @@ def test_simulate_refuses_kernels_of_another_timeline():
         simulate_run(subj, tl, catalog, RngKey(0), kernels=event_kernels(subj, tl)[1:])
 
 
-def test_simulate_holds_the_data_drift_one_scratch_and_the_output():
+def test_simulate_holds_the_data_one_more_grid_and_the_output():
     subj, tl, catalog = _desk_run_inputs()
     kernels = event_kernels(subj, tl)
     tracemalloc.start()
@@ -340,7 +340,7 @@ def test_simulate_holds_the_data_drift_one_scratch_and_the_output():
     finally:
         tracemalloc.stop()
     grid = subj.n_voxels * tl.n_volumes
-    assert peak < 3 * 8 * grid + 4 * grid  # data, drift and scratch in float64, the float32 output
+    assert peak < 2 * 8 * grid + 4 * grid  # data and the drift product or the noise in float64, the float32 output
 
 
 def test_build_dataset_builds_each_subjects_hrfs_once(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 from bold2img import trainer
 from bold2img.brainmod import BrainModuleConfig
+from bold2img.cli import EXIT_FAIL, dispatch
 from bold2img.diffgen import NonFiniteActivation, UNetConfig
 from bold2img.lanes import blas_threads
 from bold2img.prep import PreprocCache, build_split_standard, extract_epochs
@@ -23,10 +24,12 @@ from bold2img.trainer import (
     TrainingDiverged,
     adapt_new_subject,
     assemble_training_set,
+    config_from_json,
     config_to_json,
     infer,
     load_train_state,
     pretrain_generator,
+    recorded_train_config,
     regime_trainable_names,
     save_train_state,
     train_single_stage,
@@ -79,71 +82,46 @@ def test_train_config_json_round_trip():
     cfg = tiny_config(beta1=0.8, beta2=0.99)
     doc = config_to_json(cfg)
     assert (doc["beta1"], doc["beta2"]) == (0.8, 0.99) and doc["unet"]["channels"] == [8, 8, 16]
-    assert TrainConfig.from_json(doc) == cfg
+    assert config_from_json(TrainConfig, doc) == cfg
 
 
 def test_train_config_from_json_reads_the_removed_conditioning_key():
     doc = config_to_json(tiny_config())
-    assert TrainConfig.from_json({**doc, "pretrain_conditioning": "image"}) == tiny_config()
-    with pytest.raises(ValueError, match="pretrain_conditioning"):
-        TrainConfig.from_json({**doc, "pretrain_conditioning": "null"})
-    with pytest.raises(TypeError, match="nope"):
-        TrainConfig.from_json({**doc, "nope": 1})
+    with pytest.raises(ValueError, match=r"^cfg\.nope: not a field of TrainConfig$"):
+        config_from_json(TrainConfig, {**doc, "nope": 1}, "cfg")
 
 
-@pytest.mark.parametrize(
-    "key, value", [("parameterization", "v"), ("adam_eps", 1e-8), ("unet.in_channels", 3)]
-)
-def test_train_config_from_json_reads_retired_keys_at_their_fixed_value(key, value):
-    def with_key(v):
-        doc = config_to_json(tiny_config())
-        *parents, leaf = key.split(".")
-        node = doc
-        for k in parents:
-            node = node[k]
-        node[leaf] = v
-        return doc
-
-    assert TrainConfig.from_json(with_key(value)) == tiny_config()
-    other = "eps" if key == "parameterization" else value * 2
-    with pytest.raises(ValueError, match=key):
-        TrainConfig.from_json(with_key(other))
-
-
-def test_checkpoint_config_records_no_window_length(world, tmp_path):
+def test_checkpoint_config_records_no_window_length(world):
     _, _, pre, _ = world
     doc = json.loads((pre / "manifest.json").read_text())
     assert "window_samples" not in doc["extra"]["train_config"]["brain"]
     assert not (pre / "train_config.json").exists()
-    # a checkpoint written when the config still held the window length loads
-    old = tmp_path / "old"
-    shutil.copytree(pre, old)
-    doc["extra"]["train_config"]["brain"]["window_samples"] = 6
-    (old / "manifest.json").write_text(json.dumps(doc))
-    _, _, config, _ = load_train_state(old)
-    assert config == tiny_config()
 
 
-def test_checkpoint_config_in_the_old_names_loads(world, tmp_path):
-    _, _, pre, _ = world
+@pytest.mark.parametrize(
+    "dotted, owner", [("finetune_regime", "TrainConfig"), ("brain.window_samples", "BrainModuleConfig")]
+)
+def test_checkpoint_recording_a_key_that_is_not_a_field_is_rejected(world, tmp_path, capsys, dotted, owner):
+    _, _, pre, root = world
     doc = json.loads((pre / "manifest.json").read_text())
-    tc = doc["extra"]["train_config"]
-    # the names a checkpoint recorded before `regime`, `beta1` and `beta2`,
-    # with every key that has since been retired
-    del tc["regime"], tc["beta1"], tc["beta2"]
-    tc.update(finetune_regime="all", betas=[0.8, 0.99], pretrain_conditioning="image", parameterization="v",
-              adam_eps=1e-8)
-    tc["unet"]["in_channels"] = 3
-    tc["brain"]["window_samples"] = 6
+    *parents, leaf = dotted.split(".")
+    node = doc["extra"]["train_config"]
+    for k in parents:
+        node = node[k]
+    node[leaf] = 6
     old = tmp_path / "old"
     shutil.copytree(pre, old)
     (old / "manifest.json").write_text(json.dumps(doc))
-    _, _, config, _ = load_train_state(old)
-    assert config == tiny_config(regime="all", beta1=0.8, beta2=0.99)
-    tc["betas"] = [0.8, 0.99, 0.9]
-    (old / "manifest.json").write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="betas"):
-        load_train_state(old)
+    message = f"{old / 'manifest.json'}: train_config.{dotted}: not a field of {owner}"
+    for read in (load_train_state, recorded_train_config):
+        with pytest.raises(ValueError) as err:
+            read(old)
+        assert str(err.value) == message
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    code = dispatch(["--set", f"paths.data={root / 'ds'}", "eval", "--ckpt", str(old), "--out", str(out)])
+    assert code == EXIT_FAIL and message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pretrain_zero_steps_is_identity(world, tmp_path):
